@@ -67,6 +67,7 @@ from .voting import (
     BevInstance,
     Clustering,
     FittedLine,
+    bev_instances,
     cluster_instances,
     facing_point,
     fit_line,

@@ -111,11 +111,16 @@ def back_project(h_inv: Homography, samples) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ValueError(f"expected a non-empty (n, 2) sample array, got shape {pts.shape}")
     mapped = h_inv.apply(pts)
-    keep = [0]
-    for i in range(1, len(mapped)):
-        delta = mapped[i] - mapped[keep[-1]]
-        if float(np.hypot(delta[0], delta[1])) >= _DUPLICATE_TOL:
-            keep.append(i)
-    if len(keep) < 2:
+    steps = np.hypot(*np.diff(mapped, axis=0).T)
+    if not (steps >= _DUPLICATE_TOL).all():
+        # A short step exists: distance is measured to the last kept point,
+        # which is only known after the points before it are decided.
+        keep = [0]
+        for i in range(1, len(mapped)):
+            delta = mapped[i] - mapped[keep[-1]]
+            if float(np.hypot(delta[0], delta[1])) >= _DUPLICATE_TOL:
+                keep.append(i)
+        mapped = mapped[keep]
+    if len(mapped) < 2:
         raise ProcessingError("back-projected polyline collapsed to fewer than 2 points")
-    return mapped[keep]
+    return mapped

@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import CalibrationError, ProjectionError
 
-__all__ = ["Homography", "QuadCorrespondence", "estimate_homography", "transform_instance"]
+__all__ = [
+    "Homography",
+    "QuadCorrespondence",
+    "estimate_homography",
+    "transform_instance",
+    "transform_pixels",
+]
 
 _W_TOL = 1e-12
 
@@ -135,12 +141,17 @@ def estimate_homography(corr: QuadCorrespondence) -> Homography:
 
 
 def transform_instance(h: Homography, inst) -> np.ndarray:
-    """Map an instance's pixels into the target plane.
+    """Map an instance's pixels into the target plane; see transform_pixels."""
+    return transform_pixels(h, inst.pixels)
+
+
+def transform_pixels(h: Homography, pixels) -> np.ndarray:
+    """Map (row, col) pixels into the target plane.
 
     Pixel (row, col) enters as the center point (col + 0.5, row + 0.5);
     the output (n, 2) array keeps pixel order and stays real-valued.
     """
-    pixels = np.asarray(inst.pixels, dtype=np.float64)
+    pixels = np.asarray(pixels, dtype=np.float64)
     points = np.empty_like(pixels)
     points[:, 0] = pixels[:, 1] + 0.5
     points[:, 1] = pixels[:, 0] + 0.5

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import PipelineConfig
 from .curves import LaneCurve, back_project, fit_curve, sample_curve
 from .errors import ConfigError, FileFormatError
-from .homography import estimate_homography, transform_instance
+from .homography import Homography, QuadCorrespondence, estimate_homography
 from .instances import Instance, label_instances
-from .voting import BevInstance, Clustering, cluster_instances
+from .voting import Clustering, bev_instances, cluster_instances
 
 __all__ = [
     "Lane",
@@ -94,6 +95,15 @@ def crop_and_resize(mask, cfg: PipelineConfig) -> np.ndarray:
     return cropped[np.ix_(row_idx, col_idx)]
 
 
+@lru_cache(maxsize=8)
+def _homographies(calibration: QuadCorrespondence) -> tuple[Homography, Homography]:
+    """The calibration's homography and its inverse, solved once per
+    correspondence rather than once per frame. Homography is immutable, so
+    sharing one across frames and threads is safe."""
+    h = estimate_homography(calibration)
+    return h, h.inverse()
+
+
 def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     """Run the post-segmentation pipeline on one mask at target size.
 
@@ -111,8 +121,8 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     instances = label_instances(mask, cfg.connectivity, cfg.min_instance_size)
     t1 = time.perf_counter()
 
-    h = estimate_homography(cfg.calibration)
-    bev = [BevInstance.from_points(inst.id, transform_instance(h, inst)) for inst in instances]
+    h, h_inv = _homographies(cfg.calibration)
+    bev = bev_instances(h, instances)
     t2 = time.perf_counter()
 
     clustering = cluster_instances(bev, cfg.eta)
@@ -120,7 +130,6 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
 
     lanes = []
     if clustering.num_clusters:
-        h_inv = h.inverse()
         by_id = {b.id: b for b in bev}
         for cluster_id, member_ids in enumerate(clustering.members()):
             points = np.concatenate([by_id[i].points for i in member_ids])

@@ -9,9 +9,10 @@ lines. Collinear segments of one dashed divider vote ~0 and merge, while
 markings of a neighboring divider stay a lane-width apart. Votes under the
 threshold eta define a graph whose connected components are the dividers.
 
-Pairs are visited in canonical (min id, max id) order and the facing-point
-construction is order-independent, so results are bitwise deterministic
-and invariant to input permutation.
+Pairs are scored in canonical (min id, max id) order, a block of rows of
+the vote matrix at a time, and the facing-point construction is
+order-independent, so results are bitwise deterministic and invariant to
+input permutation.
 """
 
 from __future__ import annotations
@@ -22,10 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError
+from .graph import component_labels
+from .homography import Homography, transform_pixels
 
-__all__ = ["BevInstance", "FittedLine", "Clustering", "fit_line", "facing_point", "vote", "cluster_instances"]
+__all__ = [
+    "BevInstance",
+    "FittedLine",
+    "Clustering",
+    "bev_instances",
+    "fit_line",
+    "facing_point",
+    "vote",
+    "cluster_instances",
+]
 
 _SAME_Y_TOL = 1e-9
+_BLOCK_ELEMENTS = 1 << 14  # vote-matrix entries computed at once; bounds the temporaries
 
 
 @dataclass(eq=False)
@@ -46,12 +59,56 @@ class BevInstance:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
             raise ValueError(f"expected a non-empty (n, 2) point array, got shape {pts.shape}")
-        ys = pts[:, 1]
-        y_max = ys.max()
-        y_min = ys.min()
-        bottom = (float(pts[ys == y_max, 0].min()), float(y_max))
-        top = (float(pts[ys == y_min, 0].min()), float(y_min))
+        (bottom,), (top,) = _extremes(pts, [0], [len(pts)])
         return cls(instance_id, pts, bottom, top)
+
+
+def _extremes(points: np.ndarray, starts, sizes) -> list[list[tuple[float, float]]]:
+    """[bottoms, tops] of consecutive non-empty point segments, given by
+    their starts and sizes, as (x, y) float pairs.
+
+    The bottom is a segment's point of maximum y, the top its point of
+    minimum y; ties break toward minimum x. Min and max are exact, so the
+    result does not depend on how the segments are batched.
+    """
+    xs = points[:, 0]
+    ys = points[:, 1]
+    pairs = []
+    for extreme in (np.maximum, np.minimum):
+        y = extreme.reduceat(ys, starts)
+        x = np.minimum.reduceat(np.where(ys == y.repeat(sizes), xs, np.inf), starts)
+        pairs.append(list(zip(x.tolist(), y.tolist())))
+    return pairs
+
+
+def bev_instances(h: Homography, instances) -> list[BevInstance]:
+    """Map every instance into BEV with one homography application.
+
+    Bitwise equal to `BevInstance.from_points(inst.id, transform_instance(h,
+    inst))` per instance: each point goes through the same product, and
+    bottom/top come from the same exact segment extremes. One exception
+    needs care: BLAS may route a single-row product through a
+    matrix-vector kernel that rounds differently, so single-pixel
+    instances are mapped on their own, as transform_instance maps them.
+    """
+    instances = list(instances)
+    if not instances:
+        return []
+    sizes = np.array([len(inst.pixels) for inst in instances])
+    if not sizes.all():
+        raise ValueError("every instance needs at least one pixel")
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    pixels = np.concatenate([inst.pixels for inst in instances])
+    points = transform_pixels(h, pixels)
+    for k in np.flatnonzero(sizes == 1).tolist():
+        points[starts[k]] = transform_pixels(h, pixels[starts[k] : stops[k]])[0]
+    bottoms, tops = _extremes(points, starts, sizes)
+    spans = zip(starts.tolist(), stops.tolist())
+    return [
+        BevInstance(inst.id, points[start:stop], bottom, top)
+        for inst, (start, stop), bottom, top in zip(instances, spans, bottoms, tops)
+    ]
 
 
 @dataclass(frozen=True)
@@ -86,8 +143,10 @@ def fit_line(points) -> FittedLine:
         raise DegenerateGeometryError(
             f"all {len(pts)} points share y ~ {float(ys[0])}; cannot fit x = f(y)"
         )
-    y_mean = ys.mean()
-    x_mean = xs.mean()
+    # sum / count is the IEEE computation ndarray.mean performs, without
+    # its per-call overhead, which dominates on instances of a few pixels
+    y_mean = ys.sum() / len(ys)
+    x_mean = xs.sum() / len(xs)
     dy = ys - y_mean
     a = float((dy * (xs - x_mean)).sum() / (dy * dy).sum())
     b = float(x_mean - a * y_mean)
@@ -121,30 +180,6 @@ def vote(li: BevInstance, lj: BevInstance) -> float:
     return fit_line(li.points).distance_to(px, py) + fit_line(lj.points).distance_to(px, py)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-
-
 @dataclass
 class Clustering:
     """Partition of instance ids into lane dividers. Cluster ids are dense
@@ -172,21 +207,64 @@ def cluster_instances(instances, eta: float) -> Clustering:
         raise ValueError("instance ids must be unique")
     if not instances:
         return Clustering({}, 0)
+    labels, count = component_labels(len(instances), *_pairs_below(instances, eta))
+    return Clustering(dict(zip(ids, labels.tolist())), count)
 
+
+def _pairs_below(instances, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of id-sorted instances whose vote is
+    below eta."""
+    upper, lower = [], []
+    for r0, votes in _vote_rows(instances):
+        i, j = np.nonzero(votes < eta)
+        i += r0
+        j += r0
+        above = i < j
+        upper.append(i[above])
+        lower.append(j[above])
+    return np.concatenate(upper), np.concatenate(lower)
+
+
+def _vote_rows(instances):
+    """The vote matrix of id-sorted instances, a block of rows at a time.
+
+    Yields (r0, votes) where votes[k, m] is the vote of instances r0 + k
+    and r0 + m; columns before r0 are left out, so every pair i < j comes
+    up once. One fit_line per instance; every entry then repeats the
+    scalar vote()'s IEEE operations, so it is bitwise the same number.
+    """
     lines = [fit_line(inst.points) for inst in instances]
-    uf = _UnionFind(len(instances))
-    for i in range(len(instances)):
-        for j in range(i + 1, len(instances)):
-            px, py = facing_point(instances[i], instances[j])
-            pair_vote = lines[i].distance_to(px, py) + lines[j].distance_to(px, py)
-            if pair_vote < eta:
-                uf.union(i, j)
+    a = np.array([line.a for line in lines])
+    b = np.array([line.b for line in lines])
+    norm = np.sqrt(1.0 + a * a)
+    bottom_x, bottom_y = np.array([inst.bottom for inst in instances]).T
+    top_x, top_y = np.array([inst.top for inst in instances]).T
 
-    root_to_cluster: dict[int, int] = {}
-    assignment: dict[int, int] = {}
-    for i, inst in enumerate(instances):  # ascending id: clusters numbered by smallest member
-        root = uf.find(i)
-        if root not in root_to_cluster:
-            root_to_cluster[root] = len(root_to_cluster)
-        assignment[inst.id] = root_to_cluster[root]
-    return Clustering(assignment, len(root_to_cluster))
+    # Ids ascend with the index, so for i < j the (bottom y, id) order of
+    # facing_point reduces to: i is the lower one iff its bottom y is
+    # greater. Entries with i >= j are computed and ignored.
+    n = len(instances)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for r0 in range(0, n, rows):
+        r = slice(r0, min(r0 + rows, n))
+        c = slice(r0, n)
+        row_lower = bottom_y[r, None] > bottom_y[None, c]
+        px = np.where(row_lower, top_x[r, None], top_x[None, c])
+        px += np.where(row_lower, bottom_x[None, c], bottom_x[r, None])
+        px /= 2.0
+        py = np.where(row_lower, top_y[r, None], top_y[None, c])
+        py += np.where(row_lower, bottom_y[None, c], bottom_y[r, None])
+        py /= 2.0
+        votes = _distances(px, py, a[r, None], b[r, None], norm[r, None])
+        votes += _distances(px, py, a[None, c], b[None, c], norm[None, c])
+        yield r0, votes
+
+
+def _distances(px, py, a, b, norm):
+    """FittedLine.distance_to, elementwise: |px - a*py - b| / norm."""
+    d = a * py
+    np.subtract(px, d, out=d)
+    d -= b
+    np.abs(d, out=d)
+    d /= norm
+    return d

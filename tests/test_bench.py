@@ -35,6 +35,13 @@ def test_thread_pool_mode():
     assert report.fps > 0.0
 
 
+def test_wall_fps_reported_with_threads():
+    cfg = default_config()
+    report = benchmark(make_masks(4), cfg, repetitions=2, threads=2)
+    assert report.wall_fps > 0.0
+    assert f"wall_fps={report.wall_fps:.2f}" in format_report(report)
+
+
 def test_report_formatting():
     cfg = default_config()
     text = format_report(benchmark(make_masks(1), cfg, repetitions=1))

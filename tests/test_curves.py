@@ -175,6 +175,28 @@ class TestBackProject:
         out = back_project(Homography.identity(), samples)
         assert len(out) == 2
 
+    def test_repeated_samples_keep_the_sequential_indices(self):
+        def kept_by_loop(points):
+            # reference: distance to the last kept point, one point at a time
+            keep = [0]
+            for i in range(1, len(points)):
+                if float(np.hypot(*(points[i] - points[keep[-1]]))) >= 1e-6:
+                    keep.append(i)
+            return keep
+
+        creep = np.stack([np.arange(6) * 0.6e-6, np.zeros(6)], axis=1)  # every step short
+        repeats = np.array(
+            [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1e-9], [1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]
+        )
+        rng = np.random.default_rng(4)
+        random_repeats = np.repeat(rng.uniform(0.0, 50.0, (12, 2)), rng.integers(1, 4, 12), axis=0)
+        for samples, expected in ((creep, [0, 2, 4]), (repeats, [0, 2, 5]), (random_repeats, None)):
+            keep = kept_by_loop(samples)
+            if expected is not None:
+                assert keep == expected
+            out = back_project(Homography.identity(), samples)
+            assert out.tobytes() == samples[keep].tobytes()
+
     def test_degenerate_polyline_rejected(self):
         from lanepost import ProcessingError
 

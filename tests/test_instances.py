@@ -127,3 +127,69 @@ class TestExtremalPixels:
         inst = Instance(0, np.empty((0, 2), dtype=np.int32), 0, (0, 0, 0, 0))
         with pytest.raises(ValueError):
             extremal_pixels(inst)
+
+
+def shaped_masks():
+    u_shape = np.zeros((6, 7), bool)
+    u_shape[:, 1] = u_shape[:, 5] = True
+    u_shape[5, 1:6] = True  # the arms join only on the last row
+    staircase = np.eye(8, dtype=bool)
+    thick_staircase = staircase | np.eye(8, k=1, dtype=bool)
+    corners = (np.add.outer(np.arange(5), np.arange(6)) % 2) == 0  # diagonal contacts only
+    full_rows = np.zeros((5, 9), bool)
+    full_rows[[0, 2, 3], :] = True
+    one_row = np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], bool)
+    return {
+        "u_shape": u_shape,
+        "staircase": staircase,
+        "thick_staircase": thick_staircase,
+        "corners": corners,
+        "full_rows": full_rows,
+        "one_row": one_row,
+        "one_column": one_row.T.copy(),
+        "all_ones": np.ones((6, 9), bool),
+    }
+
+
+class TestRunLabelerShapes:
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", sorted(shaped_masks()))
+    def test_matches_oracle_and_pixel_contract(self, name, connectivity):
+        mask = shaped_masks()[name]
+        instances = label_instances(mask, connectivity, 0)
+        assert pixel_sets(instances) == union_find_components(mask.tolist(), connectivity)
+        first_pixels = []
+        for inst in instances:
+            rows, cols = inst.pixels[:, 0], inst.pixels[:, 1]
+            flat = rows.astype(np.int64) * mask.shape[1] + cols
+            assert np.all(np.diff(flat) > 0), "pixels must be row-major"
+            assert inst.size == len(inst.pixels)
+            assert inst.bbox == (rows.min(), cols.min(), rows.max(), cols.max())
+            first_pixels.append(flat[0])
+        assert [inst.id for inst in instances] == list(range(len(instances)))
+        assert first_pixels == sorted(first_pixels), "ids follow scan order of first pixels"
+
+    def test_u_shape_is_one_instance_under_both_connectivities(self):
+        mask = shaped_masks()["u_shape"]
+        for connectivity in (4, 8):
+            (inst,) = label_instances(mask, connectivity, 0)
+            assert inst.pixels[0].tolist() == [0, 1]
+            assert inst.bbox == (0, 1, 5, 5)
+
+    def test_diagonal_contacts_depend_on_connectivity(self):
+        masks = shaped_masks()
+        assert len(label_instances(masks["staircase"], 8, 0)) == 1
+        assert len(label_instances(masks["staircase"], 4, 0)) == 8
+        assert len(label_instances(masks["thick_staircase"], 4, 0)) == 1
+        assert len(label_instances(masks["corners"], 8, 0)) == 1
+        assert len(label_instances(masks["corners"], 4, 0)) == int(masks["corners"].sum())
+
+    def test_min_size_keeps_scan_order_among_survivors(self):
+        mask = np.zeros((4, 8), bool)
+        mask[0, 6] = True  # dropped
+        mask[0, 0:3] = True
+        mask[2, 4:8] = True
+        mask[3, 0] = True  # dropped
+        kept = label_instances(mask, 8, min_size=2)
+        summary = [(i.id, i.pixels[0].tolist(), i.size) for i in kept]
+        assert summary == [(0, [0, 0], 3), (1, [2, 4], 4)]

@@ -156,6 +156,26 @@ class TestRunFrame:
         with pytest.raises(ValueError):
             run_frame(np.zeros((100, 100), dtype=bool), default_config())
 
+    def test_homography_solved_once_per_calibration(self, monkeypatch):
+        from lanepost import QuadCorrespondence, pipeline
+
+        solved = []
+
+        def counting(corr):
+            solved.append(corr)
+            return estimate_homography(corr)
+
+        monkeypatch.setattr(pipeline, "estimate_homography", counting)
+        pipeline._homographies.cache_clear()
+        cfg = default_config()
+        mask = rasterize_dashes(cfg, DIVIDERS, DASH_SPANS)
+        first = run_frame(mask, cfg)
+        twin = QuadCorrespondence(cfg.calibration.src, cfg.calibration.dst)  # equal, not identical
+        again = run_frame(mask, dataclasses.replace(cfg, calibration=twin))
+        assert solved == [cfg.calibration]
+        assert format_lanes(first.lanes) == format_lanes(again.lanes)
+        pipeline._homographies.cache_clear()
+
 
 class TestLaneFiles:
     def test_round_trip(self):

@@ -4,11 +4,19 @@ import pytest
 from lanepost import (
     BevInstance,
     DegenerateGeometryError,
+    bev_instances,
     cluster_instances,
+    default_config,
+    estimate_homography,
     facing_point,
     fit_line,
+    generate_scene,
+    label_instances,
+    SceneParams,
+    transform_instance,
     vote,
 )
+from lanepost import voting
 from oracles import line_fit_normal_eq, threshold_graph_components
 
 
@@ -182,3 +190,79 @@ class TestClusterInstances:
         twin = vertical(0, 5.0, (20, 30))
         with pytest.raises(ValueError):
             cluster_instances([a, twin], eta=1.0)
+
+
+def vote_matrix_cases(rng):
+    """Id-sorted instances mixing random dashes, slanted dashes that tie on
+    bottom y (facing_point falls back to ids) and single points (the
+    vertical fallback line)."""
+    instances = [random_dash(rng, i) for i in range(40)]
+    for k in range(12):
+        ys = np.linspace(rng.uniform(0.0, 90.0), 100.0, 4)
+        xs = rng.uniform(0.0, 120.0) + rng.uniform(-0.5, 0.5) * ys
+        instances.append(BevInstance.from_points(40 + k, np.stack([xs, ys], axis=1)))
+    for k in range(8):
+        x, y = rng.uniform(0.0, 120.0), float(rng.choice([100.0, rng.uniform(0.0, 150.0)]))
+        instances.append(BevInstance.from_points(52 + k, [(x, y)]))
+    return instances
+
+
+class TestVoteMatrix:
+    @pytest.mark.parametrize("block", [1, 500, 1 << 14])
+    def test_bitwise_equal_to_scalar_vote(self, monkeypatch, block):
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+        instances = vote_matrix_cases(np.random.default_rng(block))
+        n = len(instances)
+        matrix = np.full((n, n), np.nan)
+        for r0, votes in voting._vote_rows(instances):
+            matrix[r0 : r0 + len(votes), r0:] = votes
+        for i in range(n):
+            for j in range(i + 1, n):
+                scalar = np.float64(vote(instances[i], instances[j]))
+                assert matrix[i, j].tobytes() == scalar.tobytes(), (i, j)
+
+    def test_same_edges_as_scalar_vote(self):
+        rng = np.random.default_rng(5)
+        instances = vote_matrix_cases(rng)
+        n = len(instances)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        votes = {(i, j): vote(instances[i], instances[j]) for i, j in pairs}
+        # thresholds on exact vote values: the pair voting exactly eta
+        # stays out, and one ulp more lets it in
+        picked = rng.choice(sorted(votes.values()), 6, replace=False)
+        for eta in [float(v) for v in picked] + [float(np.nextafter(v, np.inf)) for v in picked]:
+            upper, lower = voting._pairs_below(instances, eta)
+            assert sorted(zip(upper.tolist(), lower.tolist())) == sorted(
+                pair for pair, v in votes.items() if v < eta
+            ), f"eta {eta!r}"
+
+    def test_streak_still_raises(self):
+        streak = BevInstance.from_points(1, [(x, 50.0) for x in (0.0, 1.0, 2.0)])
+        with pytest.raises(DegenerateGeometryError):
+            cluster_instances([vertical(0, 5.0, (0, 10)), streak], eta=20.0)
+
+
+class TestBevInstances:
+    def test_bitwise_equal_to_per_instance_path(self):
+        cfg = default_config()
+        h = estimate_homography(cfg.calibration)
+        mask = generate_scene(SceneParams(num_lanes=4, noise_rate=0.01), 3, cfg).mask
+        instances = label_instances(mask, 8, 0)  # keeps single-pixel noise
+        assert any(inst.size == 1 for inst in instances)
+        batched = bev_instances(h, instances)
+        assert len(batched) == len(instances)
+        for inst, got in zip(instances, batched):
+            want = BevInstance.from_points(inst.id, transform_instance(h, inst))
+            assert got.id == want.id
+            assert got.points.tobytes() == want.points.tobytes()
+            assert np.array(got.bottom).tobytes() == np.array(want.bottom).tobytes()
+            assert np.array(got.top).tobytes() == np.array(want.top).tobytes()
+
+    def test_extreme_ties_break_to_min_x(self):
+        points = [(3.0, 9.0), (1.0, 9.0), (2.0, 0.0), (-1.0, 0.0), (5.0, 4.0)]
+        inst = BevInstance.from_points(0, points)
+        assert inst.bottom == (1.0, 9.0)
+        assert inst.top == (-1.0, 0.0)
+
+    def test_empty(self):
+        assert bev_instances(estimate_homography(default_config().calibration), []) == []
