@@ -29,7 +29,7 @@ from .errors import (
     ProjectionError,
 )
 from .homography import Homography, QuadCorrespondence, estimate_homography, transform_instance
-from .instances import Instance, extremal_pixels, label_instances
+from .instances import Instance, label_instances
 from .losses import (
     LossParams,
     grid_mean,

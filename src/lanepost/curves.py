@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, ProcessingError
 from .homography import Homography
+from .voting import _SAME_Y_TOL
 
 __all__ = ["LaneCurve", "fit_curve", "sample_curve", "back_project"]
 
-_SAME_Y_TOL = 1e-9
 _DUPLICATE_TOL = 1e-6
 
 

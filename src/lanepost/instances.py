@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import component_labels
 
-__all__ = ["Instance", "label_instances", "extremal_pixels"]
+__all__ = ["Instance", "label_instances"]
 
 
 @dataclass(eq=False)
@@ -129,20 +129,3 @@ def _touching_runs(starts, stops, pitch: int, connectivity: int) -> tuple[np.nda
     upper = np.repeat(np.arange(len(starts)), count)
     lower = np.arange(len(upper)) + np.repeat(first - (np.cumsum(count) - count), count)
     return upper, lower
-
-
-def extremal_pixels(inst: Instance) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(bottom, top) pixels of an instance as (row, col) pairs.
-
-    Bottom has the maximum row (image bottom), top the minimum; row ties
-    break toward the minimum column.
-    """
-    if inst.pixels is None or len(inst.pixels) == 0:
-        raise ValueError("instance has no pixels")
-    rows = inst.pixels[:, 0]
-    cols = inst.pixels[:, 1]
-    bottom_row = int(rows.max())
-    top_row = int(rows.min())
-    bottom = (bottom_row, int(cols[rows == bottom_row].min()))
-    top = (top_row, int(cols[rows == top_row].min()))
-    return bottom, top

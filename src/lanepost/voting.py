@@ -37,7 +37,7 @@ __all__ = [
     "cluster_instances",
 ]
 
-_SAME_Y_TOL = 1e-9
+_SAME_Y_TOL = 1e-9  # y spread at or below which points share one y; curves fits use it too
 _BLOCK_ELEMENTS = 1 << 14  # vote-matrix entries computed at once; bounds the temporaries
 
 

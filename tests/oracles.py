@@ -263,3 +263,53 @@ def threshold_graph_components(ids, score, eta):
         components.append(comp)
     components.sort(key=min)
     return {i: ci for ci, comp in enumerate(components) for i in comp}
+
+
+# ---------------------------------------------------------------------------
+# PNG row filters undone pixel by pixel
+# ---------------------------------------------------------------------------
+
+def png_unfilter(stream):
+    """Decode a filtered PNG image stream (8-bit, one channel).
+
+    `stream` is a sequence of rows, each a filter-type byte followed by the
+    row's filtered bytes. Returns the decoded rows as lists of ints. Follows
+    the PNG specification's reconstruction functions literally: a is the
+    pixel to the left, b the one above, c the one above-left, all 0 outside
+    the image.
+    """
+    decoded = []
+    prev = None
+    for line in stream:
+        ftype = int(line[0])
+        filt = [int(v) for v in line[1:]]
+        if prev is None:
+            prev = [0] * len(filt)
+        row = []
+        for i, x in enumerate(filt):
+            a = row[i - 1] if i > 0 else 0
+            b = prev[i]
+            c = prev[i - 1] if i > 0 else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) // 2
+            elif ftype == 4:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                if pa <= pb and pa <= pc:
+                    pred = a
+                elif pb <= pc:
+                    pred = b
+                else:
+                    pred = c
+            else:
+                raise ValueError(f"unknown filter type {ftype}")
+            row.append((x + pred) % 256)
+        decoded.append(row)
+        prev = row
+    return decoded

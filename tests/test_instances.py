@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lanepost import Instance, extremal_pixels, label_instances
+from lanepost import label_instances
 from oracles import union_find_components
 
 
@@ -108,25 +108,6 @@ class TestLabelInstances:
             label_instances(np.zeros((4, 4), bool), 6, 0)
         with pytest.raises(ValueError):
             label_instances(np.zeros((4, 4), bool), 8, -1)
-
-
-class TestExtremalPixels:
-    def test_vertical_column(self):
-        inst = Instance(0, np.array([[5, 2], [6, 2], [7, 2]]), 3, (5, 2, 7, 2))
-        assert extremal_pixels(inst) == ((7, 2), (5, 2))
-
-    def test_single_pixel(self):
-        inst = Instance(0, np.array([[3, 4]]), 1, (3, 4, 3, 4))
-        assert extremal_pixels(inst) == ((3, 4), (3, 4))
-
-    def test_row_tie_breaks_to_min_col(self):
-        inst = Instance(0, np.array([[0, 0], [1, 0], [1, 1]]), 3, (0, 0, 1, 1))
-        assert extremal_pixels(inst) == ((1, 0), (0, 0))
-
-    def test_empty_instance_rejected(self):
-        inst = Instance(0, np.empty((0, 2), dtype=np.int32), 0, (0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            extremal_pixels(inst)
 
 
 def shaped_masks():

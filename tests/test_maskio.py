@@ -1,9 +1,12 @@
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from lanepost import ImageIOError, load_mask, read_gray, write_pgm, write_ppm
+from lanepost import maskio
+from oracles import png_unfilter
 
 
 def png_chunk(ctype: bytes, payload: bytes) -> bytes:
@@ -50,6 +53,11 @@ def make_gray_png(gray: np.ndarray, row_filters=None) -> bytes:
                 enc = row[i] - paeth(left, prev[i], prev[i - 1] if i else 0)
             raw.append(enc & 0xFF)
         prev = row
+    return png_file(width, height, zlib.compress(bytes(raw)))
+
+
+def png_file(width: int, height: int, idat: bytes) -> bytes:
+    """8-bit grayscale PNG around an already compressed image stream."""
     ihdr = (
         width.to_bytes(4, "big")
         + height.to_bytes(4, "big")
@@ -58,9 +66,28 @@ def make_gray_png(gray: np.ndarray, row_filters=None) -> bytes:
     return (
         b"\x89PNG\r\n\x1a\n"
         + png_chunk(b"IHDR", ihdr)
-        + png_chunk(b"IDAT", zlib.compress(bytes(raw)))
+        + png_chunk(b"IDAT", idat)
         + png_chunk(b"IEND", b"")
     )
+
+
+def stream_png(stream: np.ndarray) -> bytes:
+    """PNG whose image stream is `stream`: (H, W + 1) rows of a filter
+    type byte followed by the filtered bytes."""
+    height, pitch = stream.shape
+    return png_file(pitch - 1, height, zlib.compress(stream.astype(np.uint8).tobytes()))
+
+
+def random_stream(rng, height, width, kinds=(0, 1, 2, 3, 4)):
+    stream = rng.integers(0, 256, (height, width + 1), dtype=np.uint8)
+    stream[:, 0] = rng.choice(kinds, height)
+    return stream
+
+
+def decode_stream(tmp_path, stream) -> np.ndarray:
+    path = tmp_path / "stream.png"
+    path.write_bytes(stream_png(stream))
+    return read_gray(path)
 
 
 class TestPgm:
@@ -114,6 +141,31 @@ class TestPgm:
         with pytest.raises(ImageIOError):
             read_gray(tmp_path / "nope.pgm")
 
+    @pytest.mark.parametrize(
+        "blob, samples, marked",
+        [
+            (b"P5\n4 1\n1\n\x00\x01\x01\x00", [0, 1, 1, 0], [False, True, True, False]),
+            (b"P2\n4 1\n1\n0 1 1 0\n", [0, 1, 1, 0], [False, True, True, False]),
+            # 7/15 < 127/255 < 8/15
+            (b"P5\n4 1\n15\n\x00\x07\x08\x0f", [0, 7, 8, 15], [False, False, True, True]),
+            (b"P2\n4 1\n15\n0 7 8 15\n", [0, 7, 8, 15], [False, False, True, True]),
+        ],
+    )
+    def test_low_maxval_thresholds_on_intensity(self, tmp_path, blob, samples, marked):
+        path = tmp_path / "binary.pgm"
+        path.write_bytes(blob)
+        assert read_gray(path).tolist() == [samples]  # raw samples, not rescaled
+        assert load_mask(path, 127).tolist() == [marked]
+
+    @pytest.mark.parametrize("maxval", [1, 3, 15, 100, 255])
+    def test_threshold_is_exact_in_intensity(self, tmp_path, maxval):
+        samples = np.arange(maxval + 1, dtype=np.uint8)[None, :]
+        path = tmp_path / "ramp.pgm"
+        path.write_bytes(b"P5\n%d 1\n%d\n" % (maxval + 1, maxval) + samples.tobytes())
+        for threshold in range(0, 256):
+            want = [[int(s) * 255 > threshold * maxval for s in samples[0]]]
+            assert load_mask(path, threshold).tolist() == want
+
 
 class TestPng:
     @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
@@ -130,6 +182,17 @@ class TestPng:
         filters = [0, 1, 2, 3, 4, 4, 3, 2, 1, 0]
         path = tmp_path / "mixed.png"
         path.write_bytes(make_gray_png(gray, filters))
+        assert np.array_equal(read_gray(path), gray)
+
+    def test_split_image_data(self, tmp_path):
+        gray = np.random.default_rng(5).integers(0, 256, (6, 7), dtype=np.uint8)
+        blob = make_gray_png(gray, [4, 3, 2, 1, 0, 4])
+        start = blob.index(b"IDAT") - 4
+        length = int.from_bytes(blob[start : start + 4], "big")
+        idat = blob[start + 8 : start + 8 + length]
+        parts = [png_chunk(b"IDAT", idat[i : i + 5]) for i in range(0, len(idat), 5)]
+        path = tmp_path / "split.png"
+        path.write_bytes(blob[:start] + b"".join(parts) + blob[start + 12 + length :])
         assert np.array_equal(read_gray(path), gray)
 
     def test_threshold_applies(self, tmp_path):
@@ -171,6 +234,108 @@ class TestPng:
         path.write_bytes(blob)
         with pytest.raises(ImageIOError):
             read_gray(path)
+
+    def test_inflation_is_bounded(self, tmp_path):
+        deflate = zlib.compressobj(1)
+        zeros = bytes(1 << 20)
+        idat = b"".join(deflate.compress(zeros) for _ in range(64)) + deflate.flush()
+        path = tmp_path / "bomb.png"
+        path.write_bytes(png_file(1, 1, idat))  # 64 MiB of zeros for a 2-byte image
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageIOError, match="inflates past"):
+                read_gray(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_short_and_truncated_streams_rejected(self, tmp_path):
+        path = tmp_path / "short.png"
+        path.write_bytes(png_file(3, 2, zlib.compress(bytes(7))))  # 8 bytes expected
+        with pytest.raises(ImageIOError, match="decompressed size"):
+            read_gray(path)
+        path.write_bytes(png_file(3, 2, zlib.compress(bytes(8))[:-4]))  # no checksum
+        with pytest.raises(ImageIOError, match="truncated"):
+            read_gray(path)
+
+
+class TestPngUnfilter:
+    """read_gray against the scalar oracle on filtered streams."""
+
+    @pytest.mark.parametrize("step", [None, 0, 10**9])  # default, all wavefront, all scalar
+    def test_random_streams_match_oracle(self, tmp_path, monkeypatch, step):
+        if step is not None:
+            monkeypatch.setattr(maskio, "_WAVEFRONT_STEP", step)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            height, width = rng.integers(1, 14, 2)
+            stream = random_stream(rng, height, width)
+            if rng.random() < 0.5:  # long runs of one filter type
+                stream[:, 0] = np.sort(stream[:, 0])
+            assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+
+    @pytest.mark.parametrize("step", [0, 10**9])
+    def test_flat_regions_round_trip(self, tmp_path, monkeypatch, step):
+        # blocky images make up == up-left common, the Paeth rows' shortcut
+        monkeypatch.setattr(maskio, "_WAVEFRONT_STEP", step)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            height, width = rng.integers(1, 20, 2)
+            gray = np.zeros((height, width), np.uint8)
+            for _ in range(3):
+                r, c = rng.integers(0, height), rng.integers(0, width)
+                gray[r : r + rng.integers(1, 8), c : c + rng.integers(1, 8)] = rng.choice([255, 37])
+            filters = rng.choice([0, 1, 2, 3, 4], height)
+            path = tmp_path / "flat.png"
+            path.write_bytes(make_gray_png(gray, filters))
+            assert np.array_equal(read_gray(path), gray)
+
+    @pytest.mark.parametrize("kind", [3, 4])
+    def test_both_sides_of_the_wavefront_switch(self, tmp_path, monkeypatch, kind):
+        calls = []
+        for name in ("_wavefront", "_scalar_rows"):
+            real = getattr(maskio, name)
+            monkeypatch.setattr(
+                maskio, name, lambda *args, _real=real, _name=name: (calls.append(_name), _real(*args))
+            )
+        rng = np.random.default_rng(kind)
+        side = 2 * maskio._WAVEFRONT_STEP  # rows * width == step * (rows + width) for a square
+        for rows, path_taken in ((side - 4, "_scalar_rows"), (side + 4, "_wavefront")):
+            stream = random_stream(rng, rows + 1, rows, kinds=(kind,))
+            stream[0, 0] = 2  # an Up row, then one Average/Paeth run
+            calls.clear()
+            assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+            assert calls == [path_taken]
+
+    @pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
+    def test_edge_shapes_and_wrapping(self, tmp_path, kind):
+        for shape in ((1, 1), (1, 9), (9, 1)):
+            for fill in (0, 255):  # 255 wraps past 255 on every filter but None
+                stream = np.full((shape[0], shape[1] + 1), fill, np.uint8)
+                stream[:, 0] = kind  # also Up and Paeth on the first row
+                assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+
+    @pytest.mark.parametrize("bad", [5, 255])
+    def test_unknown_filter_rejected(self, tmp_path, bad):
+        stream = np.zeros((3, 4), np.uint8)
+        stream[:, 0] = (1, bad, 4)
+        with pytest.raises(ImageIOError, match="row filter"):
+            decode_stream(tmp_path, stream)
+
+    @pytest.mark.parametrize("kind", [3, 4])
+    @pytest.mark.parametrize("width, height", [(4096, 16), (64, 8192)])
+    def test_scratch_memory_is_bounded(self, tmp_path, kind, width, height):
+        stream = random_stream(np.random.default_rng(1), height, width, kinds=(kind,))
+        path = tmp_path / "big.png"
+        path.write_bytes(stream_png(stream))
+        tracemalloc.start()
+        try:
+            read_gray(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * width * height + (1 << 20)
 
 
 class TestPpm:
