@@ -56,10 +56,10 @@ from .synthetic import (
     EvalMetrics,
     SceneParams,
     SyntheticScene,
-    TruthCurve,
     best_lateral_errors,
     evaluate,
     generate_scene,
+    match_dividers,
     read_truth_curves,
     write_truth_curves,
 )

@@ -66,10 +66,7 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, threads: int = 1
     elapsed = time.perf_counter() - start
 
     per_stage = {
-        "instance_detection": np.array([t.instance_detection_ms for t in timings]),
-        "bev": np.array([t.bev_ms for t in timings]),
-        "voting": np.array([t.voting_ms for t in timings]),
-        "fitting": np.array([t.fitting_ms for t in timings]),
+        stage: np.array([getattr(t, f"{stage}_ms") for t in timings]) for stage in _STAGES
     }
     totals = sum(per_stage.values())
     total_mean = float(totals.mean())

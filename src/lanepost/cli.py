@@ -32,9 +32,9 @@ from .synthetic import (
     NOISE_ID,
     SceneParams,
     SyntheticScene,
-    best_lateral_errors,
     evaluate,
     generate_scene,
+    match_dividers,
     read_truth_curves,
     write_truth_curves,
 )
@@ -113,11 +113,9 @@ def _cmd_bench(args) -> int:
 def _cmd_eval(args) -> int:
     lanes = read_lanes(args.result)
     truth = read_truth_curves(args.truth)
-    errors = best_lateral_errors(truth, [lane.curve for lane in lanes])
-    matched = [e for e in errors if e < args.tolerance]
-    recall = len(matched) / len(errors) if errors else 1.0
-    mean_err = float(np.mean(matched)) if matched else float("inf")
-    print(f"dividers={len(errors)} matched={len(matched)} recall={recall:.4f}")
+    curves = [lane.curve for lane in lanes]
+    matched, recall, mean_err = match_dividers(truth, curves, args.tolerance)
+    print(f"dividers={len(truth)} matched={matched} recall={recall:.4f}")
     print(f"mean_lateral_error={mean_err:.4f}")
     if args.mask:
         # purity needs per-pixel cluster data, so rerun the pipeline on the mask

@@ -27,10 +27,8 @@ _DUPLICATE_TOL = 1e-6
 class LaneCurve:
     """x = c2*y^2 + c1*y + c0 over y in [y_min, y_max], BEV coordinates.
 
-    degree records how many distinct y values backed the fit: sparse
-    clusters drop to a line or a constant instead of failing, because far
-    markings may come down to a handful of pixels and the pipeline must
-    still emit a lane for them.
+    The one polynomial record for fitted lanes and for ground truth; a
+    truth curve keeps its divider id in cluster_id.
     """
 
     c0: float
@@ -39,7 +37,14 @@ class LaneCurve:
     y_min: float
     y_max: float
     cluster_id: int
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        """Index of the highest nonzero coefficient. fit_curve drops sparse
+        clusters to a line or a constant instead of failing, because far
+        markings may come down to a handful of pixels and the pipeline
+        must still emit a lane for them."""
+        return 2 if self.c2 != 0.0 else (1 if self.c1 != 0.0 else 0)
 
     def eval(self, y):
         return (self.c2 * y + self.c1) * y + self.c0
@@ -64,7 +69,7 @@ def fit_curve(points, cluster_id: int) -> LaneCurve:
     degree = min(2, distinct - 1)
 
     if degree == 0:
-        return LaneCurve(float(xs.mean()), 0.0, 0.0, y_min, y_max, cluster_id, 0)
+        return LaneCurve(float(xs.mean()), 0.0, 0.0, y_min, y_max, cluster_id)
 
     # solve on t in [-1, 1], then expand t = alpha*y + beta back to y
     alpha = 2.0 / (y_max - y_min)
@@ -86,7 +91,7 @@ def fit_curve(points, cluster_id: int) -> LaneCurve:
         c0 = float(s0 + s1 * beta + s2 * beta * beta)
         c1 = float(alpha * (s1 + 2.0 * s2 * beta))
         c2 = float(s2 * alpha * alpha)
-    return LaneCurve(c0, c1, c2, y_min, y_max, cluster_id, degree)
+    return LaneCurve(c0, c1, c2, y_min, y_max, cluster_id)
 
 
 def sample_curve(curve: LaneCurve, n: int) -> np.ndarray:

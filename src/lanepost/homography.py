@@ -63,10 +63,15 @@ class Homography:
         )
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map an (n, 2) array of points, preserving order."""
+        """Map an (n, 2) array of points, preserving order. A point maps to
+        the same bits whatever the batch size."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) point array, got shape {pts.shape}")
+        if len(pts) == 1:
+            # BLAS may route a one-row product through a matrix-vector
+            # kernel that rounds differently; two rows round like any batch
+            return self.apply(np.concatenate([pts, pts]))[:1]
         hom = pts @ self.m[:2, :2].T + self.m[:2, 2]
         w = pts @ self.m[2, :2] + self.m[2, 2]
         if not np.all(np.abs(w) > _W_TOL):

@@ -7,7 +7,8 @@ mask + config always reproduce identical lanes; only timings vary.
 
 Lane files hold one line per lane: `cluster_id c0 c1 c2 y_min y_max`
 followed by the image-space polyline as `x,y` pairs, all numbers printed
-with 9 significant digits.
+with 9 significant digits. Truth files are the same records without a
+polyline, with the divider id in the cluster_id field.
 """
 
 from __future__ import annotations
@@ -166,16 +167,26 @@ def format_lanes(lanes) -> str:
 
 
 def parse_lanes(text: str, source: str = "<string>") -> list[Lane]:
-    """Inverse of format_lanes. The polynomial degree is not serialized and
-    is inferred from which coefficients are nonzero."""
+    """Inverse of format_lanes; every record needs a polyline of at least
+    2 points."""
+    return _parse_records(text, source, polyline=True)
+
+
+def _parse_records(text: str, source, polyline: bool) -> list[Lane]:
+    """Lane records, one per line; blank lines and # comments are skipped.
+    With polyline False the records must have no points at all, as in a
+    truth file."""
     lanes = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) < 8:
-            raise FileFormatError(source, f"line {lineno}: lane record too short")
+        if (len(tokens) < 8) if polyline else (len(tokens) != 6):
+            wanted = "at least 8" if polyline else "6"
+            raise FileFormatError(
+                source, f"line {lineno}: expected {wanted} fields, got {len(tokens)}"
+            )
         try:
             cluster_id = int(tokens[0])
             c0, c1, c2, y_min, y_max = (float(t) for t in tokens[1:6])
@@ -185,9 +196,8 @@ def parse_lanes(text: str, source: str = "<string>") -> list[Lane]:
                 points.append((float(xs), float(ys)))
         except ValueError as exc:
             raise FileFormatError(source, f"line {lineno}: {exc}") from exc
-        degree = 2 if c2 != 0.0 else (1 if c1 != 0.0 else 0)
-        curve = LaneCurve(c0, c1, c2, y_min, y_max, cluster_id, degree)
-        lanes.append(Lane(curve, np.array(points, dtype=np.float64)))
+        curve = LaneCurve(c0, c1, c2, y_min, y_max, cluster_id)
+        lanes.append(Lane(curve, np.array(points, dtype=np.float64).reshape(-1, 2)))
     return lanes
 
 
@@ -197,9 +207,15 @@ def write_lanes(lanes, path) -> None:
 
 
 def read_lanes(path) -> list[Lane]:
+    return _read_records(path, polyline=True)
+
+
+def _read_records(path, polyline: bool) -> list[Lane]:
+    """The records of a lane file, or with polyline False of a truth file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise FileFormatError(path, f"cannot read lane file: {exc}") from exc
-    return parse_lanes(text, source=str(path))
+        kind = "lane" if polyline else "truth"
+        raise FileFormatError(path, f"cannot read {kind} file: {exc}") from exc
+    return _parse_records(text, str(path), polyline)

@@ -18,18 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import ConfigError, FileFormatError
+from .curves import LaneCurve
+from .errors import ConfigError
 from .homography import estimate_homography
-from .pipeline import FrameResult
+from .pipeline import FrameResult, Lane, _read_records, write_lanes
 
 __all__ = [
     "SceneParams",
-    "TruthCurve",
     "SyntheticScene",
     "EvalMetrics",
     "generate_scene",
     "evaluate",
     "best_lateral_errors",
+    "match_dividers",
     "write_truth_curves",
     "read_truth_curves",
 ]
@@ -63,25 +64,10 @@ class SceneParams:
             raise ConfigError("noise_rate and occlusion_rate must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class TruthCurve:
-    """x = c2*y^2 + c1*y + c0 in BEV, visible over y in [y_lo, y_hi]."""
-
-    divider_id: int
-    c0: float
-    c1: float
-    c2: float
-    y_lo: float
-    y_hi: float
-
-    def eval(self, y):
-        return (self.c2 * y + self.c1) * y + self.c0
-
-
 @dataclass(eq=False)
 class SyntheticScene:
     mask: np.ndarray
-    truth_curves: list[TruthCurve]
+    truth_curves: list[LaneCurve]  # cluster_id is the divider id; y spans the visible dashes
     truth_assignment: np.ndarray
     seed: int = 0
     params: SceneParams | None = None
@@ -152,7 +138,7 @@ def generate_scene(params: SceneParams, seed: int, cfg: PipelineConfig) -> Synth
             visible_lo = min(visible_lo, float(grid_y[keep].min()))
             visible_hi = max(visible_hi, float(grid_y[keep].max()))
         if np.isfinite(visible_lo):
-            curves.append(TruthCurve(divider, c0, c1, c2, visible_lo, visible_hi))
+            curves.append(LaneCurve(c0, c1, c2, visible_lo, visible_hi, divider))
 
     if params.noise_rate > 0.0:
         flips = rng.random((rows, cols)) < params.noise_rate
@@ -186,7 +172,7 @@ def best_lateral_errors(truth_curves, lane_curves, grid: int = 100) -> list[floa
     are no fitted curves."""
     errors = []
     for truth in truth_curves:
-        ys = np.linspace(truth.y_lo, truth.y_hi, grid)
+        ys = np.linspace(truth.y_min, truth.y_max, grid)
         tx = truth.eval(ys)
         best = np.inf
         for curve in lane_curves:
@@ -195,14 +181,26 @@ def best_lateral_errors(truth_curves, lane_curves, grid: int = 100) -> list[floa
     return errors
 
 
+def match_dividers(
+    truth_curves, lane_curves, lateral_tolerance: float = 2.0
+) -> tuple[int, float, float]:
+    """(matched dividers, recall, mean lateral error) of lane curves against
+    truth curves. A divider counts as found when some curve tracks it
+    within lateral_tolerance BEV pixels on average; the mean lateral error
+    averages the best errors of the matched dividers (inf when none)."""
+    errors = best_lateral_errors(truth_curves, lane_curves)
+    matched = [e for e in errors if e < lateral_tolerance]
+    recall = len(matched) / len(errors) if errors else 1.0
+    mean_err = float(np.mean(matched)) if matched else float("inf")
+    return len(matched), recall, mean_err
+
+
 def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: float = 2.0) -> EvalMetrics:
     """Score a pipeline result against its scene.
 
     Purity: an instance is pure when its majority truth divider equals its
-    cluster's (pixel-weighted) majority divider. Recall: a divider counts
-    as found when some fitted curve tracks it within lateral_tolerance BEV
-    pixels on average. Mean lateral error averages the per-divider best
-    errors (over matched dividers).
+    cluster's (pixel-weighted) majority divider. Recall and mean lateral
+    error are those of match_dividers over the fitted curves.
     """
     rows, cols = scene.truth_assignment.shape
     for inst in result.instances:
@@ -241,10 +239,9 @@ def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: floa
     )
     purity = pure / len(result.instances) if result.instances else 1.0
 
-    errors = best_lateral_errors(scene.truth_curves, [lane.curve for lane in result.lanes])
-    matched = [e for e in errors if e < lateral_tolerance]
-    recall = len(matched) / len(errors) if errors else 1.0
-    mean_err = float(np.mean(matched)) if matched else float("inf")
+    matched, recall, mean_err = match_dividers(
+        scene.truth_curves, [lane.curve for lane in result.lanes], lateral_tolerance
+    )
 
     return EvalMetrics(
         purity=purity,
@@ -252,48 +249,18 @@ def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: floa
         mean_lateral_error=mean_err,
         instance_count=result.instance_count,
         cluster_count=result.cluster_count,
-        divider_count=len(errors),
-        matched_dividers=len(matched),
+        divider_count=len(scene.truth_curves),
+        matched_dividers=matched,
     )
 
 
 # ---------------------------------------------------------------------------
-# truth text files (same record shape as lane files, no polyline)
+# truth text files: lane records without a polyline
 # ---------------------------------------------------------------------------
 
 def write_truth_curves(curves, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in curves:
-            fh.write(
-                f"{t.divider_id} {t.c0:.9g} {t.c1:.9g} {t.c2:.9g} {t.y_lo:.9g} {t.y_hi:.9g}\n"
-            )
+    write_lanes([Lane(curve, np.empty((0, 2))) for curve in curves], path)
 
 
-def read_truth_curves(path) -> list[TruthCurve]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FileFormatError(path, f"cannot read truth file: {exc}") from exc
-    curves = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 6:
-            raise FileFormatError(path, f"line {lineno}: expected 6 fields, got {len(tokens)}")
-        try:
-            curves.append(
-                TruthCurve(
-                    int(tokens[0]),
-                    float(tokens[1]),
-                    float(tokens[2]),
-                    float(tokens[3]),
-                    float(tokens[4]),
-                    float(tokens[5]),
-                )
-            )
-        except ValueError as exc:
-            raise FileFormatError(path, f"line {lineno}: {exc}") from exc
-    return curves
+def read_truth_curves(path) -> list[LaneCurve]:
+    return [lane.curve for lane in _read_records(path, polyline=False)]

@@ -85,11 +85,8 @@ def bev_instances(h: Homography, instances) -> list[BevInstance]:
     """Map every instance into BEV with one homography application.
 
     Bitwise equal to `BevInstance.from_points(inst.id, transform_instance(h,
-    inst))` per instance: each point goes through the same product, and
-    bottom/top come from the same exact segment extremes. One exception
-    needs care: BLAS may route a single-row product through a
-    matrix-vector kernel that rounds differently, so single-pixel
-    instances are mapped on their own, as transform_instance maps them.
+    inst))` per instance: Homography.apply rounds a point the same in any
+    batch, and bottom/top come from the same exact segment extremes.
     """
     instances = list(instances)
     if not instances:
@@ -101,8 +98,6 @@ def bev_instances(h: Homography, instances) -> list[BevInstance]:
     starts = stops - sizes
     pixels = np.concatenate([inst.pixels for inst in instances])
     points = transform_pixels(h, pixels)
-    for k in np.flatnonzero(sizes == 1).tolist():
-        points[starts[k]] = transform_pixels(h, pixels[starts[k] : stops[k]])[0]
     bottoms, tops = _extremes(points, starts, sizes)
     spans = zip(starts.tolist(), stops.tolist())
     return [

@@ -86,7 +86,7 @@ class TestFitCurve:
                                   (0, -1e-3, 0), (0, 0, 1e-3), (0, 0, -1e-3)):
                 bumped = LaneCurve(
                     curve.c0 + dc0, curve.c1 + dc1, curve.c2 + dc2,
-                    curve.y_min, curve.y_max, curve.cluster_id, curve.degree,
+                    curve.y_min, curve.y_max, curve.cluster_id,
                 )
                 assert rss(bumped, pts) >= base
 
@@ -105,7 +105,7 @@ class TestFitCurve:
             pts = random_cluster(rng)
             quad = fit_curve(pts, 0)
             line = fit_line(pts)
-            line_curve = LaneCurve(line.b, line.a, 0.0, quad.y_min, quad.y_max, 0, 1)
+            line_curve = LaneCurve(line.b, line.a, 0.0, quad.y_min, quad.y_max, 0)
             assert rss(quad, pts) <= rss(line_curve, pts) * (1.0 + 1e-12)
 
     def test_exact_inputs_reproduced(self):
@@ -121,27 +121,33 @@ class TestFitCurve:
         with pytest.raises(ValueError):
             fit_curve(np.empty((0, 2)), 0)
 
+    def test_degree_is_highest_nonzero_coefficient(self):
+        assert LaneCurve(5.0, 0.0, 0.0, 0.0, 1.0, 0).degree == 0
+        assert LaneCurve(5.0, 0.5, 0.0, 0.0, 1.0, 0).degree == 1
+        assert LaneCurve(5.0, 0.0, 1e-4, 0.0, 1.0, 0).degree == 2
+        assert LaneCurve(0.0, 0.0, 0.0, 0.0, 1.0, 0).degree == 0
+
 
 class TestSampleCurve:
     def test_line_samples(self):
-        curve = LaneCurve(0.0, 1.0, 0.0, 0.0, 10.0, 0, 1)
+        curve = LaneCurve(0.0, 1.0, 0.0, 0.0, 10.0, 0)
         assert sample_curve(curve, 3).tolist() == [[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]]
 
     def test_constant_curve(self):
-        curve = LaneCurve(7.0, 0.0, 0.0, 2.0, 6.0, 0, 0)
+        curve = LaneCurve(7.0, 0.0, 0.0, 2.0, 6.0, 0)
         assert sample_curve(curve, 2).tolist() == [[7.0, 2.0], [7.0, 6.0]]
 
     def test_samples_satisfy_polynomial(self):
-        curve = LaneCurve(200.0, -0.6, 3e-4, 5.0, 470.0, 0, 2)
+        curve = LaneCurve(200.0, -0.6, 3e-4, 5.0, 470.0, 0)
         pts = sample_curve(curve, 101)
         assert np.abs(pts[:, 0] - curve.eval(pts[:, 1])).max() < 1e-12
         assert len(pts) == 101
 
     def test_bad_inputs(self):
-        curve = LaneCurve(0.0, 1.0, 0.0, 0.0, 10.0, 0, 1)
+        curve = LaneCurve(0.0, 1.0, 0.0, 0.0, 10.0, 0)
         with pytest.raises(ValueError):
             sample_curve(curve, 1)
-        flat = LaneCurve(5.0, 0.0, 0.0, 3.0, 3.0, 0, 0)
+        flat = LaneCurve(5.0, 0.0, 0.0, 3.0, 3.0, 0)
         with pytest.raises(DegenerateGeometryError):
             sample_curve(flat, 5)
 
@@ -164,7 +170,7 @@ class TestBackProject:
         # uniform BEV spacing compresses toward the image's upper (far) region:
         # walking from far to near, inter-point spacing strictly grows
         h = estimate_homography(QuadCorrespondence(ROAD_TRAPEZOID, BEV_RECTANGLE))
-        curve = LaneCurve(240.0, 0.0, 0.0, 0.0, 480.0, 0, 1)
+        curve = LaneCurve(240.0, 0.0, 0.0, 0.0, 480.0, 0)
         poly = back_project(h.inverse(), sample_curve(curve, 25))
         spacing = np.linalg.norm(np.diff(poly, axis=0), axis=1)
         assert np.all(np.diff(spacing) > 0)

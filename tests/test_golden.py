@@ -1,4 +1,4 @@
-"""Golden digest of the lane files over a fixed synthetic corpus.
+"""Golden digests of the lane and truth files over a fixed synthetic corpus.
 
 Refactors of the frame path promise byte-identical lane files; this pins
 that promise. The digest covers the `format_lanes` text of 40 seeded
@@ -6,6 +6,10 @@ scenes spanning lane count, pixel noise and dash occlusion, with a refused
 frame recorded by its exception class. A change that moves any printed
 digit of any lane changes the digest. Update it only for a change that is
 meant to alter lane output, and say so where the change is described.
+
+The truth files of the same 40 scenes, as `write_truth_curves` writes
+them, are pinned the same way: lanes and truth share one record format,
+and a change to that format must not move a byte of either.
 """
 
 import hashlib
@@ -13,21 +17,27 @@ import hashlib
 import lanepost as lp
 
 GOLDEN_SHA256 = "5f36ffc908749b0166a1ee72ed3cfbb0dcc12d057b47158e93234ea2b00cb446"
+TRUTH_SHA256 = "d90f617d2946d86ddb4562f39f80527da97d7523a41bff637b309fb422980b8c"
 
 _NOISE = (0.0, 0.0005, 0.002, 0.01)
 _OCCLUSION = (0.0, 0.2, 0.5)
 
 
-def corpus_text() -> str:
+def corpus_scenes():
     cfg = lp.default_config()
-    chunks = []
     for i in range(40):
         params = lp.SceneParams(
             num_lanes=1 + i % 5,
             noise_rate=_NOISE[i % len(_NOISE)],
             occlusion_rate=_OCCLUSION[i % len(_OCCLUSION)],
         )
-        scene = lp.generate_scene(params, 500 + i, cfg)
+        yield lp.generate_scene(params, 500 + i, cfg)
+
+
+def corpus_text() -> str:
+    cfg = lp.default_config()
+    chunks = []
+    for i, scene in enumerate(corpus_scenes()):
         try:
             text = lp.format_lanes(lp.run_frame(scene.mask, cfg).lanes)
         except lp.ProcessingError as exc:
@@ -36,6 +46,20 @@ def corpus_text() -> str:
     return "".join(chunks)
 
 
+def truth_corpus_bytes(directory) -> bytes:
+    chunks = []
+    for i, scene in enumerate(corpus_scenes()):
+        path = directory / f"scene{i}.truth"
+        lp.write_truth_curves(scene.truth_curves, path)
+        chunks.append(f"# scene {i}\n".encode("utf-8") + path.read_bytes())
+    return b"".join(chunks)
+
+
 def test_lane_files_match_golden_digest():
     digest = hashlib.sha256(corpus_text().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def test_truth_files_match_golden_digest(tmp_path):
+    digest = hashlib.sha256(truth_corpus_bytes(tmp_path)).hexdigest()
+    assert digest == TRUTH_SHA256

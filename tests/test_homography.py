@@ -91,6 +91,23 @@ class TestTransform:
         with pytest.raises(ProjectionError):
             h.apply(np.array([[0.0, 0.0], [-1.0, 5.0]]))
 
+    def test_one_row_maps_like_any_batch(self):
+        # BLAS may take a different kernel for a one-row product; a point's
+        # image must not depend on how many points travel with it
+        h = estimate_homography(QuadCorrespondence(ROAD_TRAPEZOID, BEV_RECTANGLE))
+        rng = np.random.default_rng(3)
+        image_pts = np.stack(
+            [rng.uniform(0.0, 480.0, 200_000), rng.uniform(0.0, 360.0, 200_000)], axis=1
+        )
+        bev_pts = np.stack(
+            [rng.uniform(120.0, 360.0, 200_000), rng.uniform(0.0, 480.0, 200_000)], axis=1
+        )
+        for hom, pts in ((h, image_pts), (h.inverse(), bev_pts)):
+            batch = hom.apply(pts)
+            for k in rng.choice(len(pts), 300, replace=False).tolist():
+                assert np.array_equal(hom.apply(pts[k : k + 1])[0], batch[k]), k
+                assert np.array_equal(hom.apply(pts[k : k + 2])[0], batch[k]), k
+
     def test_composition(self):
         rng = np.random.default_rng(2)
         h1 = random_well_conditioned(rng)

@@ -205,3 +205,10 @@ class TestLaneFiles:
             parse_lanes("0 1.0 2.0\n")
         with pytest.raises(FileFormatError):
             parse_lanes("0 a b c 0 1 1,2 3,4\n")
+
+    def test_record_without_full_polyline_rejected(self):
+        from lanepost import FileFormatError
+
+        for text in ("0 1 2 3 0 1\n", "0 1 2 3 0 1 1,2\n", "0 1 2 3 0 1 1,2 3\n"):
+            with pytest.raises(FileFormatError):
+                parse_lanes(text)

@@ -68,7 +68,7 @@ class TestGeneration:
         cfg = default_config()
         scene = generate_scene(SceneParams(num_lanes=3, occlusion_rate=0.3), 21, cfg)
         for t in scene.truth_curves:
-            assert 0.0 <= t.y_lo <= t.y_hi <= 480.0
+            assert 0.0 <= t.y_min <= t.y_max <= 480.0
 
     def test_params_validated(self):
         with pytest.raises(ConfigError):
@@ -125,12 +125,12 @@ class TestTruthFiles:
         back = read_truth_curves(path)
         assert len(back) == len(scene.truth_curves)
         for orig, parsed in zip(scene.truth_curves, back):
-            assert parsed.divider_id == orig.divider_id
+            assert parsed.cluster_id == orig.cluster_id
             assert parsed.c0 == pytest.approx(orig.c0, rel=1e-8)
             assert parsed.c1 == pytest.approx(orig.c1, rel=1e-8)
             assert parsed.c2 == pytest.approx(orig.c2, rel=1e-8)
-            assert parsed.y_lo == pytest.approx(orig.y_lo, rel=1e-8)
-            assert parsed.y_hi == pytest.approx(orig.y_hi, rel=1e-8)
+            assert parsed.y_min == pytest.approx(orig.y_min, rel=1e-8)
+            assert parsed.y_max == pytest.approx(orig.y_max, rel=1e-8)
 
     def test_malformed_truth_rejected(self, tmp_path):
         from lanepost import FileFormatError
@@ -139,3 +139,19 @@ class TestTruthFiles:
         path.write_text("0 1.0 2.0\n")
         with pytest.raises(FileFormatError):
             read_truth_curves(path)
+
+    def test_record_with_polyline_rejected(self, tmp_path):
+        from lanepost import FileFormatError
+
+        path = tmp_path / "lanes.truth"
+        path.write_text("0 240 0 0 0 480 1,2 3,4\n")
+        with pytest.raises(FileFormatError):
+            read_truth_curves(path)
+
+    def test_written_like_lane_records_without_polyline(self, tmp_path):
+        from lanepost import LaneCurve
+
+        path = tmp_path / "scene.truth"
+        write_truth_curves([LaneCurve(240.0, 0.5, 1e-4, 3.25, 480.0, 2)], path)
+        assert path.read_text() == "2 240 0.5 0.0001 3.25 480\n"
+        assert read_truth_curves(path) == [LaneCurve(240.0, 0.5, 1e-4, 3.25, 480.0, 2)]
