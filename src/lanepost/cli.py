@@ -58,6 +58,11 @@ def _cmd_run(args) -> int:
     mask = load_mask(args.mask, cfg.mask_threshold)
     mask = crop_and_resize(mask, cfg)
     result = run_frame(mask, cfg)
+    # files first: a summary reader that closes stdout early must not cost them
+    if args.out_lanes:
+        write_lanes(result.lanes, args.out_lanes)
+    if args.out_overlay:
+        write_ppm(args.out_overlay, render_overlay(mask, result.lanes))
     t = result.timings
     print(
         f"instances={result.instance_count} clusters={result.cluster_count} "
@@ -67,10 +72,6 @@ def _cmd_run(args) -> int:
         f"timings ms: detect={t.instance_detection_ms:.3f} bev={t.bev_ms:.3f} "
         f"vote={t.voting_ms:.3f} fit={t.fitting_ms:.3f} total={t.total_ms:.3f}"
     )
-    if args.out_lanes:
-        write_lanes(result.lanes, args.out_lanes)
-    if args.out_overlay:
-        write_ppm(args.out_overlay, render_overlay(mask, result.lanes))
     return EXIT_OK
 
 

@@ -9,10 +9,13 @@ lines. Collinear segments of one dashed divider vote ~0 and merge, while
 markings of a neighboring divider stay a lane-width apart. Votes under the
 threshold eta define a graph whose connected components are the dividers.
 
-Pairs are scored in canonical (min id, max id) order, a block of rows of
-the vote matrix at a time, and the facing-point construction is
-order-independent, so results are bitwise deterministic and invariant to
-input permutation.
+All instances of a frame are fitted in one array pass: their points lie
+end to end and per-instance sums are folded in index order with
+np.bincount, so an instance's line is the same bits whether it is fitted
+alone (fit_line) or with the rest of the frame. Pairs are scored in
+canonical (min id, max id) order, a block of rows of the vote matrix at a
+time, and the facing-point construction is order-independent, so results
+are bitwise deterministic and invariant to input permutation.
 """
 
 from __future__ import annotations
@@ -125,27 +128,49 @@ def fit_line(points) -> FittedLine:
 
     A single point yields the vertical fallback. Multiple points sharing
     one y value (within 1e-9) describe a horizontal marking, which cannot
-    occur for real lanes in BEV and signals upstream mislabeling.
+    occur for real lanes in BEV and signals upstream mislabeling. This is
+    the one-segment case of the batched fit the vote matrix uses, so both
+    give the same line bit for bit.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ValueError(f"expected a non-empty (n, 2) point array, got shape {pts.shape}")
-    if len(pts) == 1:
-        return FittedLine(0.0, float(pts[0, 0]), vertical_fallback=True)
-    xs = pts[:, 0]
-    ys = pts[:, 1]
-    if float(ys.max() - ys.min()) <= _SAME_Y_TOL:
+    (a,), (b,) = _fit_segments(pts, np.array([len(pts)]))
+    return FittedLine(float(a), float(b), vertical_fallback=len(pts) == 1)
+
+
+def _fit_segments(points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares lines x = a*y + b through consecutive non-empty point
+    segments of the given sizes, as arrays a and b, one entry per segment.
+
+    np.bincount adds each segment's terms from left to right, so a
+    segment's line does not depend on which other segments share the
+    batch. A single point gives the vertical fallback (a = 0, b = x0); the
+    first multi-point segment whose points share one y raises.
+    """
+    if not sizes.all():
+        raise ValueError("every segment needs at least one point")
+    xs = points[:, 0]
+    ys = points[:, 1]
+    n = len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    single = sizes == 1
+    spread = np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
+    flat = (spread <= _SAME_Y_TOL) & ~single
+    if flat.any():
+        k = int(np.argmax(flat))
         raise DegenerateGeometryError(
-            f"all {len(pts)} points share y ~ {float(ys[0])}; cannot fit x = f(y)"
+            f"all {sizes[k]} points share y ~ {float(ys[starts[k]])}; cannot fit x = f(y)"
         )
-    # sum / count is the IEEE computation ndarray.mean performs, without
-    # its per-call overhead, which dominates on instances of a few pixels
-    y_mean = ys.sum() / len(ys)
-    x_mean = xs.sum() / len(xs)
-    dy = ys - y_mean
-    a = float((dy * (xs - x_mean)).sum() / (dy * dy).sum())
-    b = float(x_mean - a * y_mean)
-    return FittedLine(a, b)
+    segment = np.repeat(np.arange(n), sizes)
+    x_mean = np.bincount(segment, xs, n) / sizes
+    y_mean = np.bincount(segment, ys, n) / sizes
+    dy = ys - y_mean[segment]
+    sxy = np.bincount(segment, dy * (xs - x_mean[segment]), n)
+    syy = np.bincount(segment, dy * dy, n)
+    a = np.divide(sxy, syy, out=np.zeros(n), where=~single)
+    b = np.where(single, xs[starts], x_mean - a * y_mean)
+    return a, b
 
 
 def facing_point(li: BevInstance, lj: BevInstance) -> tuple[float, float]:
@@ -225,12 +250,12 @@ def _vote_rows(instances):
 
     Yields (r0, votes) where votes[k, m] is the vote of instances r0 + k
     and r0 + m; columns before r0 are left out, so every pair i < j comes
-    up once. One fit_line per instance; every entry then repeats the
-    scalar vote()'s IEEE operations, so it is bitwise the same number.
+    up once. All instances are fitted in one batched call, which gives
+    each the same line as fit_line; every entry then repeats the scalar
+    vote()'s IEEE operations, so it is bitwise the same number.
     """
-    lines = [fit_line(inst.points) for inst in instances]
-    a = np.array([line.a for line in lines])
-    b = np.array([line.b for line in lines])
+    sizes = np.array([len(inst.points) for inst in instances])
+    a, b = _fit_segments(np.concatenate([inst.points for inst in instances]), sizes)
     norm = np.sqrt(1.0 + a * a)
     bottom_x, bottom_y = np.array([inst.bottom for inst in instances]).T
     top_x, top_y = np.array([inst.top for inst in instances]).T

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 
 from lanepost import default_config, format_config, read_lanes, write_pgm
@@ -62,6 +64,35 @@ def test_synth_run_eval_flow(tmp_path, capsys):
     assert "purity=1.0000" in out
     assert "mask_accuracy=1.000000" in out  # noiseless scene: mask == truth marking
     assert "mask_dice_loss=-2.000000" in out
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away, as in `lanepost run | head -0`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_run_writes_outputs_before_closed_stdout(tmp_path, capsys, monkeypatch):
+    mask_path = tmp_path / "scene.pgm"
+    truth_path = tmp_path / "scene.truth"
+    synth = ["synth", "--seed", "5", "--lanes", "4"]
+    assert main(synth + ["--out-mask", str(mask_path), "--out-truth", str(truth_path)]) == 0
+    run = ["run", "--mask", str(mask_path)]
+    assert main(run + ["--out-lanes", str(tmp_path / "normal.lanes")]) == 0
+    capsys.readouterr()
+
+    piped = tmp_path / "piped.lanes"
+    overlay = tmp_path / "piped.ppm"
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(run + ["--out-lanes", str(piped), "--out-overlay", str(overlay)]) == 3
+    assert "Broken pipe" in capsys.readouterr().err
+    assert piped.read_bytes() == (tmp_path / "normal.lanes").read_bytes()
+    assert len(read_lanes(piped)) == 4
+    assert overlay.read_bytes().startswith(b"P6\n480 360\n255\n")
 
 
 def test_bench_subcommand(tmp_path, capsys):

@@ -10,14 +10,22 @@ meant to alter lane output, and say so where the change is described.
 The truth files of the same 40 scenes, as `write_truth_curves` writes
 them, are pinned the same way: lanes and truth share one record format,
 and a change to that format must not move a byte of either.
+
+The 40 scenes hold at most about 40 instances each, so they barely
+exercise voting. A third digest covers 12 seeded clutter frames: a scene
+plus 150-500 4x4 blobs on an 8 px pitch below image row 200, where the
+vote matrix has hundreds of rows and many pairs fall near eta.
 """
 
 import hashlib
+
+import numpy as np
 
 import lanepost as lp
 
 GOLDEN_SHA256 = "5f36ffc908749b0166a1ee72ed3cfbb0dcc12d057b47158e93234ea2b00cb446"
 TRUTH_SHA256 = "d90f617d2946d86ddb4562f39f80527da97d7523a41bff637b309fb422980b8c"
+CLUTTER_SHA256 = "6be717dd0d61631e30104b2af1cb1d1fb6e54ab17c3cfe18d1787dc42a07262a"
 
 _NOISE = (0.0, 0.0005, 0.002, 0.01)
 _OCCLUSION = (0.0, 0.2, 0.5)
@@ -34,16 +42,41 @@ def corpus_scenes():
         yield lp.generate_scene(params, 500 + i, cfg)
 
 
-def corpus_text() -> str:
+def clutter_masks():
+    """Scene masks with a grid of 4x4 blobs on an 8 px pitch added below
+    image row 200, placed at a seeded offset."""
+    cfg = lp.default_config()
+    height, width = cfg.target_rows, cfg.target_cols
+    for i in range(12):
+        rng = np.random.default_rng([700 + i, 1])
+        params = lp.SceneParams(num_lanes=2 + i % 4, noise_rate=_NOISE[i % len(_NOISE)])
+        mask = lp.generate_scene(params, 700 + i, cfg).mask.copy()
+        count = int(rng.integers(150, 501))
+        cols = int(np.ceil(np.sqrt(count * 1.6)))
+        rows = -(-count // cols)
+        r0 = 200 + int(rng.integers(0, max(height - 200 - rows * 8, 0) + 1))
+        c0 = int(rng.integers(0, max(width - cols * 8, 0) + 1))
+        for k in range(count):
+            r = r0 + (k // cols) * 8
+            c = c0 + (k % cols) * 8
+            mask[r : r + 4, c : c + 4] = True
+        yield mask
+
+
+def lane_text(masks) -> str:
     cfg = lp.default_config()
     chunks = []
-    for i, scene in enumerate(corpus_scenes()):
+    for i, mask in enumerate(masks):
         try:
-            text = lp.format_lanes(lp.run_frame(scene.mask, cfg).lanes)
+            text = lp.format_lanes(lp.run_frame(mask, cfg).lanes)
         except lp.ProcessingError as exc:
             text = f"refused {type(exc).__name__}\n"
         chunks.append(f"# scene {i}\n{text}")
     return "".join(chunks)
+
+
+def corpus_text() -> str:
+    return lane_text(scene.mask for scene in corpus_scenes())
 
 
 def truth_corpus_bytes(directory) -> bytes:
@@ -58,6 +91,11 @@ def truth_corpus_bytes(directory) -> bytes:
 def test_lane_files_match_golden_digest():
     digest = hashlib.sha256(corpus_text().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def test_clutter_lane_files_match_golden_digest():
+    digest = hashlib.sha256(lane_text(clutter_masks()).encode("utf-8")).hexdigest()
+    assert digest == CLUTTER_SHA256
 
 
 def test_truth_files_match_golden_digest(tmp_path):

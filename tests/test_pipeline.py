@@ -66,6 +66,27 @@ class TestCropAndResize:
         assert out[0, 5]
         assert out.sum() == 1
 
+    def test_margins_and_fractional_scale_match_ix_gather(self):
+        rng = np.random.default_rng(2)
+        for shape, margins in (
+            ((719, 1277), (13, 7, 29, 3)),
+            ((500, 333), (1, 2, 3, 4)),
+            ((371, 481), (0, 11, 1, 0)),
+        ):
+            top, bottom, left, right = margins
+            cfg = dataclasses.replace(
+                default_config(), crop_top=top, crop_bottom=bottom, crop_left=left, crop_right=right
+            )
+            src = rng.integers(0, 4, shape).astype(np.uint8) * (rng.random(shape) < 0.3)
+            cropped = src[top : shape[0] - bottom, left : shape[1] - right] != 0
+            ch, cw = cropped.shape
+            row_idx = (np.arange(cfg.target_rows) * ch) // cfg.target_rows
+            col_idx = (np.arange(cfg.target_cols) * cw) // cfg.target_cols
+            want = cropped[np.ix_(row_idx, col_idx)]
+            got = crop_and_resize(src, cfg)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (shape, margins)
+
     def test_degenerate_crop_rejected(self):
         cfg = dataclasses.replace(default_config(), crop_top=300, crop_bottom=300)
         with pytest.raises(ConfigError):

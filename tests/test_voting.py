@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -266,3 +269,91 @@ class TestBevInstances:
 
     def test_empty(self):
         assert bev_instances(estimate_homography(default_config().calibration), []) == []
+
+
+class TestBatchedFit:
+    def random_segments(self, rng):
+        """Point segments of 1-3000 points, single points mixed in, on
+        noisy slanted lines far from the origin."""
+        sizes = rng.integers(1, 3001, 24)
+        sizes[rng.choice(24, 8, replace=False)] = 1
+        segments = []
+        for size in sizes:
+            ys = rng.uniform(-50.0, 400.0) + rng.uniform(0.5, 300.0) * rng.random(size)
+            xs = rng.uniform(-1e3, 1e3) + rng.uniform(-2.0, 2.0) * ys + rng.normal(0.0, 0.5, size)
+            segments.append(np.stack([xs, ys], axis=1))
+        return sizes, segments
+
+    def test_each_segment_bitwise_equal_to_fit_line(self):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            sizes, segments = self.random_segments(rng)
+            a, b = voting._fit_segments(np.concatenate(segments), sizes)
+            for k, segment in enumerate(segments):
+                line = fit_line(segment)
+                assert np.float64(line.a).tobytes() == a[k].tobytes(), (seed, k)
+                assert np.float64(line.b).tobytes() == b[k].tobytes(), (seed, k)
+                if len(segment) == 1:
+                    assert (line.a, line.b) == (0.0, segment[0, 0])
+
+    def test_within_index_order_rounding_of_exact_sums(self):
+        # an index-order fold of n terms errs by at most about n*eps relative
+        # to the terms' scale; math.fsum gives the correctly rounded sums
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(11)
+        _, segments = self.random_segments(rng)
+        for segment in segments[:12]:
+            n = len(segment)
+            if n == 1:
+                continue
+            (a,), (b,) = voting._fit_segments(segment, np.array([n]))
+            xs, ys = segment[:, 0].tolist(), segment[:, 1].tolist()
+            x_mean, y_mean = math.fsum(xs) / n, math.fsum(ys) / n
+            syy = math.fsum((y - y_mean) ** 2 for y in ys)
+            sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+            want_a = math.fsum((y - y_mean) * (x - x_mean) for x, y in zip(xs, ys)) / syy
+            want_b = x_mean - want_a * y_mean
+            scale = math.sqrt(sxx / syy)
+            assert abs(a - want_a) <= 4 * n * eps * scale
+            assert abs(b - want_b) <= 4 * n * eps * (abs(x_mean) + abs(y_mean) * scale)
+
+    def test_first_degenerate_instance_in_id_order_raises(self):
+        dashes = [vertical(i, 10.0 * i, (0, 5, 10)) for i in (0, 2, 4)]
+        flat_late = BevInstance.from_points(3, [(0.0, 70.0), (3.0, 70.0)])
+        flat_early = BevInstance.from_points(1, [(9.0, 31.5), (1.0, 31.5 + 1e-10), (4.0, 31.5)])
+        single = BevInstance.from_points(5, [(7.0, 7.0)])
+        shuffled = [flat_late, dashes[2], single, flat_early, dashes[0], dashes[1]]
+        message = "all 3 points share y ~ 31.5; cannot fit x = f(y)"
+        with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
+            cluster_instances(shuffled, eta=20.0)
+        with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
+            fit_line(flat_early.points)
+
+    def test_empty_point_set_raises_value_error(self):
+        with pytest.raises(ValueError):
+            fit_line(np.empty((0, 2)))
+        with pytest.raises(ValueError):
+            fit_line([])
+        empty = BevInstance(1, np.empty((0, 2)), (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(ValueError):
+            cluster_instances([vertical(0, 5.0, (0, 10)), empty], eta=20.0)
+
+    def test_separate_instances_cluster_like_batched_slices(self):
+        def outcome(instances):
+            try:
+                clustering = cluster_instances(instances, cfg.eta)
+            except DegenerateGeometryError as exc:
+                return str(exc)
+            return clustering.assignment, clustering.num_clusters
+
+        cfg = default_config()
+        h = estimate_homography(cfg.calibration)
+        seen = set()
+        for seed in range(8):
+            mask = generate_scene(SceneParams(num_lanes=4, noise_rate=0.002), seed, cfg).mask
+            batched = bev_instances(h, label_instances(mask, 8, 0))  # keeps single pixels
+            separate = [BevInstance.from_points(b.id, b.points.copy()) for b in batched]
+            want = outcome(batched)
+            assert outcome(separate) == want, seed
+            seen.add(type(want))
+        assert seen == {str, tuple}  # both a refused and a clustered frame
