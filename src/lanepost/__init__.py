@@ -17,7 +17,7 @@ from .config import (
     parse_config,
     save_config,
 )
-from .curves import LaneCurve, back_project, fit_curve, sample_curve
+from .curves import LaneCurve, back_project, fit_curve, fit_curves, project_curves, sample_curve
 from .errors import (
     CalibrationError,
     ConfigError,

@@ -2,9 +2,10 @@
 
 One untimed warm-up pass over all frames precedes the measured
 repetitions, so cold caches and lazy allocations do not pollute the
-statistics. fps is defined as 1000 / (mean total ms per frame);
-wall_fps is frames processed over the wall-clock time of the measured
-passes.
+statistics. Each stage, and the total, is reported as mean, std, median
+and p95 over every frame of every measured pass. fps is defined as
+1000 / (mean total ms per frame); wall_fps is frames processed over the
+wall-clock time of the measured passes.
 
 Frames can run on a thread pool; every frame is still processed
 single-threaded, and single-threaded mode is the reference configuration
@@ -37,8 +38,12 @@ class BenchReport:
     threads: int
     stage_mean_ms: dict
     stage_std_ms: dict
+    stage_median_ms: dict
+    stage_p95_ms: dict
     total_mean_ms: float
     total_std_ms: float
+    total_median_ms: float
+    total_p95_ms: float
     fps: float
     wall_fps: float
 
@@ -76,8 +81,12 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, threads: int = 1
         threads=threads,
         stage_mean_ms={k: float(v.mean()) for k, v in per_stage.items()},
         stage_std_ms={k: float(v.std()) for k, v in per_stage.items()},
+        stage_median_ms={k: float(np.median(v)) for k, v in per_stage.items()},
+        stage_p95_ms={k: float(np.percentile(v, 95)) for k, v in per_stage.items()},
         total_mean_ms=total_mean,
         total_std_ms=float(totals.std()),
+        total_median_ms=float(np.median(totals)),
+        total_p95_ms=float(np.percentile(totals, 95)),
         fps=1000.0 / total_mean,
         wall_fps=len(timings) / elapsed,
     )
@@ -86,12 +95,16 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, threads: int = 1
 def format_report(report: BenchReport) -> str:
     lines = [
         f"frames={report.frames} repetitions={report.repetitions} threads={report.threads}",
-        f"{'stage':<20}{'mean ms':>12}{'std ms':>12}",
+        f"{'stage':<20}{'mean ms':>12}{'std ms':>12}{'median ms':>12}{'p95 ms':>12}",
     ]
-    for stage in _STAGES:
-        lines.append(
-            f"{stage:<20}{report.stage_mean_ms[stage]:>12.4f}{report.stage_std_ms[stage]:>12.4f}"
-        )
-    lines.append(f"{'total':<20}{report.total_mean_ms:>12.4f}{report.total_std_ms:>12.4f}")
+    rows = [
+        (stage, report.stage_mean_ms[stage], report.stage_std_ms[stage],
+         report.stage_median_ms[stage], report.stage_p95_ms[stage])
+        for stage in _STAGES
+    ]
+    rows.append(("total", report.total_mean_ms, report.total_std_ms,
+                 report.total_median_ms, report.total_p95_ms))
+    for name, *values in rows:
+        lines.append(f"{name:<20}" + "".join(f"{v:>12.4f}" for v in values))
     lines.append(f"fps={report.fps:.2f} wall_fps={report.wall_fps:.2f}")
     return "\n".join(lines)

@@ -6,6 +6,19 @@ voting: BEV lane markings run close to vertical. The y axis is mapped to
 [-1, 1] before forming the normal equations; raw y in [0, 480] drives the
 3x3 normal matrix to condition ~1e10, which is exactly the regime where a
 direct solve loses the trailing digits the tests check.
+
+A frame's clusters are fitted in one pass (fit_curves): one stable sort
+groups the points by cluster, one stable sort per cluster orders them by
+(y, x), the extents and the rescaled y columns are computed for all
+clusters at once, and all normal systems are solved in one stacked call.
+fit_curve is the one-cluster case of that pass, so a cluster gets the same
+curve bit for bit alone or in a frame. That holds only while every
+cluster's normal matrix and right-hand side come from the same BLAS
+products on the same memory layout: the x column must stay the stride-16
+column view of the sorted (n, 2) points, because BLAS rounds a contiguous
+copy differently. Likewise project_curves samples and back-projects all
+curves at once with the same sampling code and duplicate-collapse rule as
+sample_curve and back_project.
 """
 
 from __future__ import annotations
@@ -14,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ProcessingError
+from .errors import DegenerateGeometryError, ProcessingError, ProjectionError
 from .homography import Homography
 from .voting import _SAME_Y_TOL
 
-__all__ = ["LaneCurve", "fit_curve", "sample_curve", "back_project"]
+__all__ = ["LaneCurve", "fit_curve", "fit_curves", "sample_curve", "back_project", "project_curves"]
 
 _DUPLICATE_TOL = 1e-6
 
@@ -55,55 +68,150 @@ def fit_curve(points, cluster_id: int) -> LaneCurve:
 
     Points are sorted canonically (y, then x) before any summation, so the
     coefficients do not depend on input order. y values closer than 1e-9
-    count as one distinct value.
+    count as one distinct value. NaN coordinates are rejected: they have
+    no place in that order.
+    """
+    pts = _point_array(points, "point")
+    (fields,) = _fit_grouped(pts, np.arange(len(pts)), [len(pts)])
+    return LaneCurve(*fields, cluster_id)
+
+
+def fit_curves(points, labels, count: int) -> list[LaneCurve]:
+    """fit_curve(points[labels == k], k) for k in range(count), bit for
+    bit, in one pass over the frame's points.
+
+    labels gives each point's cluster; every cluster 0..count-1 needs at
+    least one point.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError(f"expected a non-empty (n, 2) point array, got shape {pts.shape}")
-    pts = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
+    labels = np.asarray(labels)
+    if pts.ndim != 2 or pts.shape[1] != 2 or labels.shape != (len(pts),):
+        raise ValueError(
+            f"expected (n, 2) points and n labels, got shapes {pts.shape} and {labels.shape}"
+        )
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    sizes = np.bincount(labels.astype(np.intp), minlength=count)  # refuses negative labels
+    if len(sizes) != count or not sizes.all():
+        raise ValueError(f"every cluster 0..{count - 1} needs at least one point")
+    if not count:
+        return []
+    fitted = _fit_grouped(pts, np.argsort(labels, kind="stable"), sizes)
+    return [LaneCurve(*fields, cluster_id) for cluster_id, fields in enumerate(fitted)]
+
+
+def _fit_grouped(points: np.ndarray, order: np.ndarray, sizes) -> list[tuple]:
+    """(c0, c1, c2, y_min, y_max) of each point group, for groups that
+    order lists one after another; sizes gives each group's non-zero
+    length."""
+    if np.isnan(points).any():
+        raise ValueError("points must not be NaN")
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    # one complex per (x, y) row gathers a point with a 1-D take
+    xy = np.ascontiguousarray(points).view(np.complex128).ravel()
+    grouped = xy[order]
+    # A stable sort of y + i*x orders by y, then x, exactly as
+    # np.lexsort((x, y)) does for non-NaN values, and several times faster.
+    key = np.empty_like(grouped)
+    key.real = grouped.imag
+    key.imag = grouped.real
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        order[start:stop] = order[start:stop][np.argsort(key[start:stop], kind="stable")]
+    pts = xy[order].view(np.float64).reshape(-1, 2)
     xs = pts[:, 0]
     ys = pts[:, 1]
-    y_min = float(ys[0])
-    y_max = float(ys[-1])
-    distinct = 1 + int((np.diff(ys) > _SAME_Y_TOL).sum())
-    degree = min(2, distinct - 1)
+    last = stops - 1
+    gaps = np.empty(len(ys), dtype=bool)
+    np.greater(ys[1:] - ys[:-1], _SAME_Y_TOL, out=gaps[:-1])
+    gaps[last] = False  # the step from a group's last point leaves the group
+    y_min = ys[starts].tolist()
+    y_max = ys[last].tolist()
+    degrees = np.minimum(2, np.add.reduceat(gaps, starts, dtype=np.intp)).tolist()
 
-    if degree == 0:
-        return LaneCurve(float(xs.mean()), 0.0, 0.0, y_min, y_max, cluster_id)
+    # solve on t in [-1, 1], then expand t = alpha*y + beta back to y;
+    # per-group scalars are Python floats, the same IEEE doubles
+    spans = [hi - lo if degree else 1.0 for lo, hi, degree in zip(y_min, y_max, degrees)]
+    alphas = [2.0 / span for span in spans]
+    betas = [-(hi + lo) / span for lo, hi, span in zip(y_min, y_max, spans)]
+    v = np.empty((len(pts), 3))
+    v[:, 0] = 1.0
+    t = np.multiply(np.repeat(alphas, sizes), ys, out=v[:, 1])
+    t += np.repeat(betas, sizes)
+    np.multiply(t, t, out=v[:, 2])
 
-    # solve on t in [-1, 1], then expand t = alpha*y + beta back to y
-    alpha = 2.0 / (y_max - y_min)
-    beta = -(y_max + y_min) / (y_max - y_min)
-    t = alpha * ys + beta
-    cols = [np.ones_like(t), t] if degree == 1 else [np.ones_like(t), t, t * t]
-    v = np.stack(cols, axis=1)
-    gram = v.T @ v
-    rhs = v.T @ xs
-    scaled = np.linalg.solve(gram, rhs)
-
-    if degree == 1:
-        s0, s1 = scaled
-        c0 = float(s0 + s1 * beta)
-        c1 = float(s1 * alpha)
-        c2 = 0.0
-    else:
-        s0, s1, s2 = scaled
-        c0 = float(s0 + s1 * beta + s2 * beta * beta)
-        c1 = float(alpha * (s1 + 2.0 * s2 * beta))
-        c2 = float(s2 * alpha * alpha)
-    return LaneCurve(c0, c1, c2, y_min, y_max, cluster_id)
+    coefficients = {}
+    systems = {1: [], 2: []}  # degree -> (group, gram, rhs) of each group
+    for k, (start, stop, degree) in enumerate(zip(starts.tolist(), stops.tolist(), degrees)):
+        if degree == 0:
+            coefficients[k] = (float(xs[start:stop].mean()), 0.0, 0.0)
+            continue
+        vk = v[start:stop, : degree + 1]
+        if degree == 1:
+            vk = np.ascontiguousarray(vk)
+        systems[degree].append((k, vk.T @ vk, vk.T @ xs[start:stop]))
+    for degree, rows in systems.items():
+        if not rows:
+            continue
+        ks, grams, rhs = zip(*rows)
+        solved = np.linalg.solve(np.array(grams), np.array(rhs)[:, :, None])[:, :, 0]
+        for k, s in zip(ks, solved.tolist()):
+            a, b = alphas[k], betas[k]
+            if degree == 1:
+                coefficients[k] = (s[0] + s[1] * b, s[1] * a, 0.0)
+            else:
+                coefficients[k] = (
+                    s[0] + s[1] * b + s[2] * b * b, a * (s[1] + 2.0 * s[2] * b), s[2] * a * a
+                )
+    return [(*coefficients[k], y_min[k], y_max[k]) for k in range(len(degrees))]
 
 
 def sample_curve(curve: LaneCurve, n: int) -> np.ndarray:
     """n points on the curve, y uniformly spaced over its extent."""
+    samples, error = _sample([curve], n)
+    if error:
+        raise error
+    return samples[0]
+
+
+def _sample(curves, n: int) -> tuple[np.ndarray, Exception | None]:
+    """(k, n, 2) samples of the curves before the first one whose extent is
+    a single y value, and the error that curve raises (None if there is
+    none).
+
+    y is spaced as np.linspace(y_min, y_max, n) spaces it, row by row:
+    np.linspace itself switches every row to another formula as soon as
+    one row's step underflows to zero.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    if curve.y_min == curve.y_max:
-        raise DegenerateGeometryError(
-            f"curve extent is a single y value ({curve.y_min}); nothing to sample"
-        )
-    ys = np.linspace(curve.y_min, curve.y_max, n)
-    return np.stack([curve.eval(ys), ys], axis=1)
+    error = None
+    for k, curve in enumerate(curves):
+        if curve.y_min == curve.y_max:
+            error = DegenerateGeometryError(
+                f"curve extent is a single y value ({curve.y_min}); nothing to sample"
+            )
+            curves = curves[:k]
+            break
+    c0, c1, c2, lo, hi = np.array(
+        [(c.c0, c.c1, c.c2, c.y_min, c.y_max) for c in curves], dtype=np.float64
+    ).reshape(-1, 5, 1).transpose(1, 0, 2)
+    i = np.arange(n, dtype=np.float64)
+    delta = hi - lo
+    step = delta / (n - 1)
+    samples = np.empty((len(curves), n, 2))
+    ys = samples[:, :, 1]
+    np.multiply(i, step, out=ys)
+    if not step.all():
+        np.copyto(ys, i / (n - 1) * delta, where=step == 0)  # linspace's form for a zero step
+    ys += lo
+    ys[:, -1] = hi[:, 0]
+    xs = samples[:, :, 0]  # LaneCurve.eval, row by row
+    np.multiply(c2, ys, out=xs)
+    xs += c1
+    xs *= ys
+    xs += c0
+    return samples, error
 
 
 def back_project(h_inv: Homography, samples) -> np.ndarray:
@@ -112,11 +220,39 @@ def back_project(h_inv: Homography, samples) -> np.ndarray:
     Consecutive points closer than 1e-6 px collapse into one; a polyline
     needs at least 2 surviving points.
     """
-    pts = np.asarray(samples, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError(f"expected a non-empty (n, 2) sample array, got shape {pts.shape}")
+    pts = _point_array(samples, "sample")
     mapped = h_inv.apply(pts)
-    steps = np.hypot(*np.diff(mapped, axis=0).T)
+    return _collapse(mapped, np.hypot(*np.diff(mapped, axis=0).T))
+
+
+def project_curves(h_inv: Homography, curves, n: int) -> list[np.ndarray]:
+    """back_project(h_inv, sample_curve(curve, n)) for every curve, bit for
+    bit, with one sampling pass and one homography application.
+
+    Errors come as from that per-curve chain run in order: the first curve
+    that it refuses decides the exception.
+    """
+    samples, error = _sample(list(curves), n)
+    try:
+        mapped = h_inv.apply(samples.reshape(-1, 2)).reshape(samples.shape)
+    except ProjectionError:
+        # some curve reaches projective infinity; an earlier one may
+        # collapse first, and only the per-curve chain tells
+        for lane in samples:
+            back_project(h_inv, lane)
+        raise
+    d = np.diff(mapped, axis=1)
+    steps = np.hypot(d[:, :, 0], d[:, :, 1])
+    polylines = [_collapse(m, s) for m, s in zip(mapped, steps)]
+    if error:
+        raise error
+    return polylines
+
+
+def _collapse(mapped: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """mapped without each point closer than 1e-6 px to the last point
+    kept before it; steps[i] is the distance between points i and i + 1.
+    Raises when fewer than 2 points are left."""
     if not (steps >= _DUPLICATE_TOL).all():
         # A short step exists: distance is measured to the last kept point,
         # which is only known after the points before it are decided.
@@ -129,3 +265,10 @@ def back_project(h_inv: Homography, samples) -> np.ndarray:
     if len(mapped) < 2:
         raise ProcessingError("back-projected polyline collapsed to fewer than 2 points")
     return mapped
+
+
+def _point_array(points, what: str) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError(f"expected a non-empty (n, 2) {what} array, got shape {pts.shape}")
+    return pts

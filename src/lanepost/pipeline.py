@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import PipelineConfig
-from .curves import LaneCurve, back_project, fit_curve, sample_curve
+from .curves import LaneCurve, fit_curves, project_curves
 from .errors import ConfigError, FileFormatError
 from .homography import Homography, QuadCorrespondence, estimate_homography
 from .instances import Instance, label_instances
@@ -91,9 +91,17 @@ def crop_and_resize(mask, cfg: PipelineConfig) -> np.ndarray:
         )
     # gather the target grid's source pixels, then threshold only those;
     # taking whole rows first and then columns beats one np.ix_ gather
-    row_idx = top + (np.arange(cfg.target_rows) * (bottom - top)) // cfg.target_rows
-    col_idx = left + (np.arange(cfg.target_cols) * (right - left)) // cfg.target_cols
-    return mask[row_idx][:, col_idx] != 0
+    rows = _nearest(top, bottom, cfg.target_rows)
+    cols = _nearest(left, right, cfg.target_cols)
+    return mask[rows][:, cols] != 0
+
+
+def _nearest(lo: int, hi: int, n: int):
+    """Source indices lo + (i * (hi - lo)) // n of n target cells; a slice
+    when the scale is whole, which is the same indices without a gather."""
+    if (hi - lo) % n == 0:
+        return slice(lo, hi, (hi - lo) // n)
+    return lo + (np.arange(n) * (hi - lo)) // n
 
 
 @lru_cache(maxsize=8)
@@ -131,12 +139,13 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
 
     lanes = []
     if clustering.num_clusters:
-        by_id = {b.id: b for b in bev}
-        for cluster_id, member_ids in enumerate(clustering.members()):
-            points = np.concatenate([by_id[i].points for i in member_ids])
-            curve = fit_curve(points, cluster_id)
-            samples = sample_curve(curve, cfg.sample_count)
-            lanes.append(Lane(curve, back_project(h_inv, samples)))
+        points = np.concatenate([b.points for b in bev])
+        labels = np.repeat(
+            [clustering.assignment[b.id] for b in bev], [len(b.points) for b in bev]
+        )
+        curves = fit_curves(points, labels, clustering.num_clusters)
+        polylines = project_curves(h_inv, curves, cfg.sample_count)
+        lanes = [Lane(curve, polyline) for curve, polyline in zip(curves, polylines)]
     t4 = time.perf_counter()
 
     timings = StageTimings(
@@ -152,17 +161,15 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
 # lane text files
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
-
-
 def format_lanes(lanes) -> str:
+    # "%.9g" % float is the same text as f"{float:.9g}", and one format
+    # call per record beats one per number
     lines = []
     for lane in lanes:
         c = lane.curve
-        head = [str(c.cluster_id), _fmt(c.c0), _fmt(c.c1), _fmt(c.c2), _fmt(c.y_min), _fmt(c.y_max)]
-        pts = [f"{_fmt(x)},{_fmt(y)}" for x, y in lane.polyline]
-        lines.append(" ".join(head + pts))
+        xy = lane.polyline.ravel().tolist()
+        record = " ".join(["%s %.9g %.9g %.9g %.9g %.9g"] + ["%.9g,%.9g"] * (len(xy) // 2))
+        lines.append(record % (c.cluster_id, c.c0, c.c1, c.c2, c.y_min, c.y_max, *xy))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

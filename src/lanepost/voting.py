@@ -62,26 +62,37 @@ class BevInstance:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
             raise ValueError(f"expected a non-empty (n, 2) point array, got shape {pts.shape}")
-        (bottom,), (top,) = _extremes(pts, [0], [len(pts)])
+        (bottom,), (top,) = _extremes(pts, [0])
         return cls(instance_id, pts, bottom, top)
 
 
-def _extremes(points: np.ndarray, starts, sizes) -> list[list[tuple[float, float]]]:
-    """[bottoms, tops] of consecutive non-empty point segments, given by
-    their starts and sizes, as (x, y) float pairs.
+def _extreme_arrays(points: np.ndarray, starts) -> tuple[np.ndarray, ...]:
+    """(bottom_x, bottom_y, top_x, top_y) arrays of consecutive non-empty
+    point segments, given by their starts.
 
     The bottom is a segment's point of maximum y, the top its point of
     minimum y; ties break toward minimum x. Min and max are exact, so the
-    result does not depend on how the segments are batched.
+    result does not depend on how the segments are batched. Complex
+    numbers compare by real part, then imaginary part, so one reduction
+    over y + i*(-x) finds the bottom and one over y + i*x the top.
     """
-    xs = points[:, 0]
-    ys = points[:, 1]
-    pairs = []
-    for extreme in (np.maximum, np.minimum):
-        y = extreme.reduceat(ys, starts)
-        x = np.minimum.reduceat(np.where(ys == y.repeat(sizes), xs, np.inf), starts)
-        pairs.append(list(zip(x.tolist(), y.tolist())))
-    return pairs
+    key = np.empty(len(points), dtype=np.complex128)
+    key.real = points[:, 1]
+    np.negative(points[:, 0], out=key.imag)
+    bottom = np.maximum.reduceat(key, starts)
+    key.imag = points[:, 0]
+    top = np.minimum.reduceat(key, starts)
+    # contiguous copies: the vote matrix broadcasts these arrays n times
+    return -bottom.imag, bottom.real.copy(), top.imag.copy(), top.real.copy()
+
+
+def _extremes(points: np.ndarray, starts) -> list[list[tuple[float, float]]]:
+    """[bottoms, tops] of _extreme_arrays as lists of (x, y) float pairs."""
+    bottom_x, bottom_y, top_x, top_y = _extreme_arrays(points, starts)
+    return [
+        list(zip(bottom_x.tolist(), bottom_y.tolist())),
+        list(zip(top_x.tolist(), top_y.tolist())),
+    ]
 
 
 def bev_instances(h: Homography, instances) -> list[BevInstance]:
@@ -101,7 +112,7 @@ def bev_instances(h: Homography, instances) -> list[BevInstance]:
     starts = stops - sizes
     pixels = np.concatenate([inst.pixels for inst in instances])
     points = transform_pixels(h, pixels)
-    bottoms, tops = _extremes(points, starts, sizes)
+    bottoms, tops = _extremes(points, starts)
     spans = zip(starts.tolist(), stops.tolist())
     return [
         BevInstance(inst.id, points[start:stop], bottom, top)
@@ -251,14 +262,16 @@ def _vote_rows(instances):
     Yields (r0, votes) where votes[k, m] is the vote of instances r0 + k
     and r0 + m; columns before r0 are left out, so every pair i < j comes
     up once. All instances are fitted in one batched call, which gives
-    each the same line as fit_line; every entry then repeats the scalar
-    vote()'s IEEE operations, so it is bitwise the same number.
+    each the same line as fit_line. Bottoms and tops are taken from the
+    same points by the exact segment extremes that BevInstance holds.
+    Every entry then repeats the scalar vote()'s IEEE operations, so it
+    is bitwise the same number.
     """
     sizes = np.array([len(inst.points) for inst in instances])
-    a, b = _fit_segments(np.concatenate([inst.points for inst in instances]), sizes)
+    points = np.concatenate([inst.points for inst in instances])
+    a, b = _fit_segments(points, sizes)
     norm = np.sqrt(1.0 + a * a)
-    bottom_x, bottom_y = np.array([inst.bottom for inst in instances]).T
-    top_x, top_y = np.array([inst.top for inst in instances]).T
+    bottom_x, bottom_y, top_x, top_y = _extreme_arrays(points, np.cumsum(sizes) - sizes)
 
     # Ids ascend with the index, so for i < j the (bottom y, id) order of
     # facing_point reduces to: i is the lower one iff its bottom y is

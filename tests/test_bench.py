@@ -19,6 +19,16 @@ def test_single_frame_single_repetition():
     assert report.total_mean_ms > 0.0
 
 
+def test_single_frame_median_and_p95_are_the_mean():
+    cfg = default_config()
+    report = benchmark(make_masks(1), cfg, repetitions=1)
+    assert report.stage_median_ms == report.stage_mean_ms
+    assert report.stage_p95_ms == report.stage_mean_ms
+    assert report.total_median_ms == report.total_p95_ms == report.total_mean_ms
+    header = format_report(report).splitlines()[1]
+    assert "median ms" in header and "p95 ms" in header
+
+
 def test_fps_identity():
     cfg = default_config()
     report = benchmark(make_masks(3), cfg, repetitions=2)

@@ -5,13 +5,18 @@ from lanepost import (
     DegenerateGeometryError,
     Homography,
     LaneCurve,
+    ProcessingError,
+    ProjectionError,
     QuadCorrespondence,
     back_project,
     estimate_homography,
     fit_curve,
+    fit_curves,
     fit_line,
+    project_curves,
     sample_curve,
 )
+from lanepost.curves import _sample
 from oracles import poly_fit_normal_eq, poly_residual
 
 ROAD_TRAPEZOID = ((100, 200), (380, 200), (460, 360), (20, 360))
@@ -209,3 +214,164 @@ class TestBackProject:
         samples = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
         with pytest.raises(ProcessingError):
             back_project(Homography.identity(), samples)
+
+
+def curve_fields(curve):
+    return (curve.c0, curve.c1, curve.c2, curve.y_min, curve.y_max, curve.cluster_id)
+
+
+def odd_clusters(rng):
+    """Clusters with y ties and rounded x, single points, two distinct y,
+    all-same y, and y spreads at the 1e-9 distinct-y tolerance."""
+    general = random_cluster(rng)
+    ties = np.stack(
+        [np.round(rng.uniform(100, 300, 80), 1), rng.integers(0, 12, 80) * 7.5], axis=1
+    )
+    two_y = np.stack([rng.uniform(0, 10, 9), rng.choice([4.0, 31.5], 9)], axis=1)
+    same_y = np.stack([rng.uniform(0, 10, 6), np.full(6, 77.25)], axis=1)
+    near_tol = np.stack([rng.uniform(0, 1, 7), 50.0 + rng.integers(0, 3, 7) * 5e-10], axis=1)
+    single = np.array([[3.5, 12.0]])
+    return [general, ties, single, two_y, same_y, near_tol, single + 1.0]
+
+
+def lexsort_fit(points):
+    """The per-cluster fit written out step by step: lexsort, one Gram
+    product on the stride-16 column view, one solve. fit_curve must give
+    its bits; BLAS rounds differently when x is a contiguous copy."""
+    pts = np.asarray(points, dtype=np.float64)
+    pts = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
+    xs, ys = pts[:, 0], pts[:, 1]
+    y_min, y_max = float(ys[0]), float(ys[-1])
+    degree = min(2, int((np.diff(ys) > 1e-9).sum()))
+    if degree == 0:
+        return (float(xs.mean()), 0.0, 0.0, y_min, y_max)
+    alpha = 2.0 / (y_max - y_min)
+    beta = -(y_max + y_min) / (y_max - y_min)
+    t = alpha * ys + beta
+    v = np.stack([np.ones_like(t), t, t * t][: degree + 1], axis=1)
+    s = np.linalg.solve(v.T @ v, v.T @ xs)
+    if degree == 1:
+        return (float(s[0] + s[1] * beta), float(s[1] * alpha), 0.0, y_min, y_max)
+    c0 = float(s[0] + s[1] * beta + s[2] * beta * beta)
+    return (c0, float(alpha * (s[1] + 2.0 * s[2] * beta)), float(s[2] * alpha * alpha), y_min, y_max)
+
+
+class TestFitCurves:
+    def test_bitwise_equal_to_lexsort_reference(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for k, pts in enumerate(odd_clusters(rng)):
+                assert curve_fields(fit_curve(pts, 0))[:5] == lexsort_fit(pts), (seed, k)
+
+    def test_bitwise_equal_to_fit_curve_per_cluster(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            clusters = odd_clusters(rng)
+            points = np.concatenate(clusters)
+            labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+            shuffle = rng.permutation(len(points))  # interleaves the clusters
+            points, labels = points[shuffle], labels[shuffle]
+            curves = fit_curves(points, labels, len(clusters))
+            assert [c.cluster_id for c in curves] == list(range(len(clusters)))
+            for k, curve in enumerate(curves):
+                alone = fit_curve(points[labels == k], k)
+                assert curve_fields(curve) == curve_fields(alone), (seed, k)
+
+    def test_degrees_of_odd_clusters(self):
+        clusters = odd_clusters(np.random.default_rng(0))
+        points = np.concatenate(clusters)
+        labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+        degrees = [c.degree for c in fit_curves(points, labels, len(clusters))]
+        assert degrees[1:] == [2, 0, 1, 0, 0, 0]
+
+    def test_no_clusters(self):
+        assert fit_curves(np.empty((0, 2)), [], 0) == []
+
+    def test_bad_labels_rejected(self):
+        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for labels, count in (([0, 2], 3), ([0, 1], 1), ([-1, 0], 2), ([0], 1), ([0.0, 1.0], 2)):
+            with pytest.raises(ValueError):
+                fit_curves(pts, np.array(labels), count)
+
+    def test_nan_rejected(self):
+        # NaN has no place in the (y, x) order the fit sums in
+        pts = np.array([[1.0, 2.0], [np.nan, 4.0], [3.0, 5.0]])
+        with pytest.raises(ValueError):
+            fit_curve(pts, 0)
+        with pytest.raises(ValueError):
+            fit_curves(pts, np.zeros(3, dtype=int), 1)
+
+
+def per_curve_chain(h_inv, curves, n):
+    """The sequential reference: (polylines, None) or (None, (class, message))."""
+    try:
+        return [back_project(h_inv, sample_curve(c, n)) for c in curves], None
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return None, (type(exc), str(exc))
+
+
+def batched(h_inv, curves, n):
+    try:
+        return project_curves(h_inv, curves, n), None
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return None, (type(exc), str(exc))
+
+
+class TestProjectCurves:
+    H_INV = estimate_homography(QuadCorrespondence(ROAD_TRAPEZOID, BEV_RECTANGLE)).inverse()
+    GOOD = LaneCurve(200.0, -0.6, 3e-4, 5.0, 470.0, 0)
+    # every sample lies within 1e-6 of the first: the polyline collapses
+    COLLAPSING = LaneCurve(3.0, 0.0, 0.0, 10.0, 10.0 + 5e-7, 1)
+    SINGLE_Y = LaneCurve(5.0, 0.0, 0.0, 3.0, 3.0, 2)
+
+    def test_equals_per_curve_chain(self):
+        rng = np.random.default_rng(3)
+        curves = [fit_curve(random_cluster(rng), k) for k in range(6)]
+        # 8 samples, steps 0.6e-6 apart: some short, some points kept
+        curves.append(LaneCurve(240.0, 0.0, 0.0, 100.0, 100.0 + 4.2e-6, 6))
+        for h_inv, n in ((self.H_INV, 50), (self.H_INV, 2), (Homography.identity(), 8)):
+            want, err = per_curve_chain(h_inv, curves, n)
+            assert err is None
+            got = project_curves(h_inv, curves, n)
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        assert len(got[-1]) < 8  # the short-step lane lost points
+
+    def test_first_failing_curve_decides(self):
+        h = Homography.identity()
+        for curves in (
+            [self.GOOD, self.COLLAPSING, self.SINGLE_Y],
+            [self.GOOD, self.SINGLE_Y, self.COLLAPSING],
+            [self.SINGLE_Y, self.GOOD],
+            [self.COLLAPSING, self.GOOD],
+        ):
+            want = per_curve_chain(h, curves, 50)
+            assert want[1] is not None
+            assert batched(h, curves, 50)[1] == want[1]
+        assert batched(h, [self.COLLAPSING, self.SINGLE_Y], 50)[1][0] is ProcessingError
+        assert batched(h, [self.SINGLE_Y, self.COLLAPSING], 50)[1][0] is DegenerateGeometryError
+
+    def test_projective_infinity_after_an_earlier_failure(self):
+        # w = 1 - 0.1*y vanishes at y = 10, the middle of three samples on [0, 20]
+        h_inv = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -0.1, 1.0]]))
+        infinite = LaneCurve(1.0, 0.0, 0.0, 0.0, 20.0, 3)
+        collapsing = LaneCurve(3.0, 0.0, 0.0, 30.0, 30.0 + 1e-7, 4)
+        for curves, cls in (([infinite, collapsing], ProjectionError),
+                            ([collapsing, infinite], ProcessingError)):
+            want = per_curve_chain(h_inv, curves, 3)
+            assert want[1][0] is cls
+            assert batched(h_inv, curves, 3)[1] == want[1]
+
+    def test_bad_sample_count(self):
+        with pytest.raises(ValueError):
+            project_curves(self.H_INV, [self.GOOD], 1)
+
+    def test_sampling_rows_match_linspace(self):
+        # np.linspace on arrays switches every row to another formula once
+        # one row's step underflows; each row must still be linspace's own
+        curves = [self.GOOD, LaneCurve(1.0, 0.0, 0.0, 0.0, 5e-324, 1), LaneCurve(0.0, 1.0, 0.0, -3.0, 7.0, 2)]
+        samples, error = _sample(curves, 10)
+        assert error is None
+        for curve, rows in zip(curves, samples):
+            ys = np.linspace(curve.y_min, curve.y_max, 10)
+            assert rows[:, 1].tobytes() == ys.tobytes()
+            assert rows[:, 0].tobytes() == curve.eval(ys).tobytes()

@@ -6,6 +6,8 @@ import pytest
 from lanepost import (
     BevInstance,
     ConfigError,
+    Lane,
+    LaneCurve,
     back_project,
     cluster_instances,
     crop_and_resize,
@@ -83,6 +85,29 @@ class TestCropAndResize:
             row_idx = (np.arange(cfg.target_rows) * ch) // cfg.target_rows
             col_idx = (np.arange(cfg.target_cols) * cw) // cfg.target_cols
             want = cropped[np.ix_(row_idx, col_idx)]
+            got = crop_and_resize(src, cfg)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (shape, margins)
+
+    def test_whole_and_fractional_scales_match_index_gather(self):
+        # a whole scale is taken as a strided slice, which must pick the
+        # same pixels as the index formula
+        rng = np.random.default_rng(3)
+        for shape, margins in (
+            ((360, 480), (0, 0, 0, 0)),
+            ((740, 1440), (15, 5, 0, 0)),
+            ((1090, 965), (7, 3, 2, 3)),
+            ((721, 962), (0, 1, 1, 1)),
+            ((723, 1001), (2, 1, 20, 1)),
+        ):
+            top, bottom, left, right = margins
+            cfg = dataclasses.replace(
+                default_config(), crop_top=top, crop_bottom=bottom, crop_left=left, crop_right=right
+            )
+            src = rng.integers(0, 3, shape).astype(np.uint8)
+            rows = top + (np.arange(360) * (shape[0] - bottom - top)) // 360
+            cols = left + (np.arange(480) * (shape[1] - right - left)) // 480
+            want = src[rows][:, cols] != 0
             got = crop_and_resize(src, cfg)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (shape, margins)
@@ -214,6 +239,18 @@ class TestLaneFiles:
             assert back.curve.y_max == pytest.approx(orig.curve.y_max, rel=1e-8)
             assert back.polyline.shape == orig.polyline.shape
             assert np.allclose(back.polyline, orig.polyline, rtol=1e-8, atol=1e-6)
+
+    def test_numbers_print_as_nine_digit_g(self):
+        values = [0.0, -0.0, 1e-300, 5e-324, -5e-324, 1e21, np.inf, -np.inf, np.nan, 1 / 3, -2.5e-7]
+        poly = np.array(values + values[::-1]).reshape(-1, 2)
+        curve = LaneCurve(-0.0, 5e-324, 1e21, np.inf, np.nan, 7)
+        text = format_lanes([Lane(curve, poly), Lane(curve, np.empty((0, 2)))])
+        head = " ".join(
+            ["7"] + [f"{v:.9g}" for v in (curve.c0, curve.c1, curve.c2, curve.y_min, curve.y_max)]
+        )
+        points = " ".join(f"{x:.9g},{y:.9g}" for x, y in poly)
+        assert text == f"{head} {points}\n{head}\n"
+        assert head == "7 -0 4.94065646e-324 1e+21 inf nan"
 
     def test_empty_lane_list(self):
         assert format_lanes([]) == ""
