@@ -29,7 +29,7 @@ from .errors import (
     ProjectionError,
 )
 from .homography import Homography, QuadCorrespondence, estimate_homography, transform_instance
-from .instances import Instance, label_instances
+from .instances import Instance, InstanceSegments, label_instances, label_segments
 from .losses import (
     LossParams,
     grid_mean,
@@ -69,6 +69,7 @@ from .voting import (
     FittedLine,
     bev_instances,
     cluster_instances,
+    cluster_segments,
     facing_point,
     fit_line,
     vote,

@@ -16,6 +16,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -107,7 +109,7 @@ def _cmd_bench(args) -> int:
             generate_scene(SceneParams(), seed, cfg).mask for seed in range(args.frames)
         ]
     report = benchmark(masks, cfg, repetitions=args.reps, threads=args.threads)
-    print(format_report(report))
+    print(json.dumps(dataclasses.asdict(report)) if args.json else format_report(report))
     return EXIT_OK
 
 
@@ -171,6 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=3)
     p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--config", help="config file (defaults apply when omitted)")
+    p_bench.add_argument(
+        "--json", action="store_true", help="print the report as one JSON object, not a table"
+    )
     p_bench.set_defaults(func=_cmd_bench)
 
     p_eval = sub.add_parser("eval", help="score a lane file against a truth file")

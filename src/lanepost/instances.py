@@ -7,6 +7,12 @@ of the run graph are the instances. Everything is array code over runs,
 never a per-pixel loop: real masks contain components of ~10^4 pixels.
 Component ids follow the row-major scan order of each component's first
 pixel, so a given mask always labels identically.
+
+The labeler's result is one segmented record, InstanceSegments: all kept
+pixels in one array, grouped by instance, plus each instance's size.
+The frame path carries that record through BEV, voting and fitting
+without building a Python object per instance; label_instances gives the
+same instances as Instance objects, each a view into the record.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .graph import component_labels
 
-__all__ = ["Instance", "label_instances"]
+__all__ = ["Instance", "InstanceSegments", "label_instances", "label_segments"]
 
 
 @dataclass(eq=False)
@@ -35,13 +41,61 @@ class Instance:
     bbox: tuple[int, int, int, int]
 
 
+@dataclass(frozen=True, eq=False)
+class InstanceSegments:
+    """A frame's instances as one segmented array, in the segmented-vector
+    layout of Blelloch, "Vector Models for Data-Parallel Computing" (1990).
+
+    pixels is one (n, 2) int32 array of (row, col), grouped by instance in
+    id order and row-major within an instance; sizes[i] is the pixel count
+    of instance i. Ids are 0..k-1 and every size is positive; starts and
+    bounding boxes are derived from these two arrays.
+    """
+
+    pixels: np.ndarray
+    sizes: np.ndarray
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+    def instances(self) -> list[Instance]:
+        """One Instance per segment; its pixels are a view into the record."""
+        if not len(self.sizes):
+            return []
+        starts = self.starts
+        stops = starts + self.sizes
+        rows, cols = self.pixels[:, 0], self.pixels[:, 1]
+        bboxes = np.stack(
+            [
+                rows[starts],
+                np.minimum.reduceat(cols, starts),
+                rows[stops - 1],
+                np.maximum.reduceat(cols, starts),
+            ],
+            axis=1,
+        ).tolist()
+        spans = zip(starts.tolist(), stops.tolist())
+        return [
+            Instance(i, self.pixels[start:stop], stop - start, tuple(bbox))
+            for i, ((start, stop), bbox) in enumerate(zip(spans, bboxes))
+        ]
+
+
 def label_instances(mask, connectivity: int = 8, min_size: int = 0) -> list[Instance]:
     """Split a boolean mask into connected components.
 
     Components smaller than min_size pixels are dropped (segmentation
     speckle); survivors get dense ids 0..n-1 in scan order. 8-connectivity
-    is the default because thin diagonal markings fragment under 4.
+    is the default because thin diagonal markings fragment under 4. The
+    per-instance view of label_segments.
     """
+    return label_segments(mask, connectivity, min_size).instances()
+
+
+def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSegments:
+    """label_instances as one segmented record, without per-instance
+    objects."""
     mask = np.asarray(mask)
     if mask.ndim != 2 or mask.shape[0] < 1 or mask.shape[1] < 1:
         raise ValueError(f"mask must be a non-empty 2D grid, got shape {mask.shape}")
@@ -52,8 +106,6 @@ def label_instances(mask, connectivity: int = 8, min_size: int = 0) -> list[Inst
 
     pitch = mask.shape[1] + 1
     starts, stops = _runs(mask, pitch)
-    if len(starts) == 0:
-        return []
     upper, lower = _touching_runs(starts, stops, pitch, connectivity)
     run_label, count = component_labels(len(starts), upper, lower)
 
@@ -64,37 +116,15 @@ def label_instances(mask, connectivity: int = 8, min_size: int = 0) -> list[Inst
     kept = sizes >= min_size
     order = np.argsort(run_label, kind="stable")  # by component, then row-major
     order = order[kept[run_label[order]]]
-    if len(order) == 0:
-        return []
-    run_id = (np.cumsum(kept) - 1)[run_label[order]]
     run_start, run_len = starts[order], lengths[order]
 
-    # One pixel array for all kept components; each instance gets a slice.
+    # one pixel array for all kept components, laid out run after run
     pixel_start = np.cumsum(run_len) - run_len
     flat_pos = np.arange(int(run_len.sum())) + np.repeat(run_start - pixel_start, run_len)
     pixels = np.empty((len(flat_pos), 2), dtype=np.int32)
     pixels[:, 0] = flat_pos // pitch
     pixels[:, 1] = flat_pos % pitch
-
-    kept_sizes = sizes[kept].tolist()
-    run_counts = np.bincount(run_id)
-    first_run = np.cumsum(run_counts) - run_counts
-    run_row, run_col = np.divmod(run_start, pitch)
-    bboxes = np.stack(
-        [
-            run_row[first_run],
-            np.minimum.reduceat(run_col, first_run),
-            run_row[first_run + run_counts - 1],
-            np.maximum.reduceat(run_col + run_len - 1, first_run),
-        ],
-        axis=1,
-    ).tolist()
-    instances = []
-    offset = 0
-    for i, (size, bbox) in enumerate(zip(kept_sizes, bboxes)):
-        instances.append(Instance(i, pixels[offset : offset + size], size, tuple(bbox)))
-        offset += size
-    return instances
+    return InstanceSegments(pixels, sizes[kept])
 
 
 def _runs(mask: np.ndarray, pitch: int) -> tuple[np.ndarray, np.ndarray]:

@@ -127,7 +127,10 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
         raw = data[start : start + width * height]
         if len(raw) != width * height:
             raise ImageIOError(path, f"truncated pixel data: {len(raw)} of {width * height} bytes")
-        return np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy(), maxval
+        arr = np.frombuffer(raw, dtype=np.uint8)
+        if maxval < 255 and arr.max() > maxval:  # every byte is in range at 255
+            raise ImageIOError(path, "sample value out of range")
+        return arr.reshape(height, width).copy(), maxval
 
     values = data[2 + header_end :].split()
     if len(values) != width * height:
@@ -223,10 +226,10 @@ def _unfilter(path, kinds, buf) -> None:
     """Undo the PNG row filters in place: kinds[r] filters buf[r + 1, 1:].
 
     None and Sub rows read nothing outside their row, so all of them are
-    decoded at once (Sub is a cumulative sum that wraps mod 256). Each run
-    of Up rows is a cumulative sum down the columns, starting from the
-    decoded row above the run. Average and Paeth runs go to the wavefront
-    or, when the run is too short for it to pay, to the scalar loop.
+    decoded at once (Sub is a cumulative sum that wraps mod 256). An Up row
+    adds the decoded row above it, one row at a time; the zero column
+    stays zero. Average and Paeth runs go to the wavefront or, when the
+    run is too short for it to pay, to the scalar loop.
     """
     bad = np.flatnonzero(kinds > 4)
     if len(bad):
@@ -241,7 +244,9 @@ def _unfilter(path, kinds, buf) -> None:
     for start, stop in zip(starts, stops):
         kind = int(kinds[start])
         if kind == 2:
-            buf[start : stop + 1, 1:] = np.cumsum(buf[start : stop + 1, 1:], axis=0, dtype=np.uint8)
+            # row by row: a uint8 cumsum down the columns is about twice as slow
+            for r in range(start + 1, stop + 1):
+                np.add(buf[r], buf[r - 1], out=buf[r])
         elif kind > 2:
             rows = stop - start
             if rows * width > _WAVEFRONT_STEP * (rows + width):

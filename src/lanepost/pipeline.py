@@ -5,6 +5,14 @@ curve fitting + back-projection) with a monotonic-clock timing around
 each. Everything downstream of the mask is deterministic, so identical
 mask + config always reproduce identical lanes; only timings vary.
 
+A frame's instances travel as one segmented record from labeling to
+fitting: the labeler's pixel array and instance sizes, one homography
+application that maps the whole array into BEV, one voting pass over
+those points, and one fit of every cluster, with each point labelled by
+its instance's cluster. No per-instance object is built on the way;
+FrameResult.instances builds the Instance list from the record when it
+is first read.
+
 Lane files hold one line per lane: `cluster_id c0 c1 c2 y_min y_max`
 followed by the image-space polyline as `x,y` pairs, all numbers printed
 with 9 significant digits. Truth files are the same records without a
@@ -15,16 +23,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .config import PipelineConfig
 from .curves import LaneCurve, fit_curves, project_curves
 from .errors import ConfigError, FileFormatError
-from .homography import Homography, QuadCorrespondence, estimate_homography
-from .instances import Instance, label_instances
-from .voting import Clustering, bev_instances, cluster_instances
+from .homography import Homography, QuadCorrespondence, estimate_homography, transform_pixels
+from .instances import Instance, InstanceSegments, label_segments
+from .voting import Clustering, cluster_segments
 
 __all__ = [
     "Lane",
@@ -61,14 +69,20 @@ class Lane:
 
 @dataclass(eq=False)
 class FrameResult:
-    instances: list[Instance]
+    segments: InstanceSegments
     clustering: Clustering
     lanes: list[Lane]
     timings: StageTimings
 
+    @cached_property
+    def instances(self) -> list[Instance]:
+        """The frame's instances, as label_instances gives them; built from
+        segments on first access, since lanes never need them."""
+        return self.segments.instances()
+
     @property
     def instance_count(self) -> int:
-        return len(self.instances)
+        return len(self.segments.sizes)
 
     @property
     def cluster_count(self) -> int:
@@ -127,23 +141,20 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
         )
 
     t0 = time.perf_counter()
-    instances = label_instances(mask, cfg.connectivity, cfg.min_instance_size)
+    segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
     t1 = time.perf_counter()
 
     h, h_inv = _homographies(cfg.calibration)
-    bev = bev_instances(h, instances)
+    points = transform_pixels(h, segments.pixels)
     t2 = time.perf_counter()
 
-    clustering = cluster_instances(bev, cfg.eta)
+    labels, count = cluster_segments(points, segments.sizes, cfg.eta)
+    clustering = Clustering(dict(enumerate(labels.tolist())), count)
     t3 = time.perf_counter()
 
     lanes = []
-    if clustering.num_clusters:
-        points = np.concatenate([b.points for b in bev])
-        labels = np.repeat(
-            [clustering.assignment[b.id] for b in bev], [len(b.points) for b in bev]
-        )
-        curves = fit_curves(points, labels, clustering.num_clusters)
+    if count:
+        curves = fit_curves(points, np.repeat(labels, segments.sizes), count)
         polylines = project_curves(h_inv, curves, cfg.sample_count)
         lanes = [Lane(curve, polyline) for curve, polyline in zip(curves, polylines)]
     t4 = time.perf_counter()
@@ -154,7 +165,7 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
         voting_ms=(t3 - t2) * 1e3,
         fitting_ms=(t4 - t3) * 1e3,
     )
-    return FrameResult(instances, clustering, lanes, timings)
+    return FrameResult(segments, clustering, lanes, timings)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,18 @@ lines. Collinear segments of one dashed divider vote ~0 and merge, while
 markings of a neighboring divider stay a lane-width apart. Votes under the
 threshold eta define a graph whose connected components are the dividers.
 
-All instances of a frame are fitted in one array pass: their points lie
-end to end and per-instance sums are folded in index order with
-np.bincount, so an instance's line is the same bits whether it is fitted
-alone (fit_line) or with the rest of the frame. Pairs are scored in
-canonical (min id, max id) order, a block of rows of the vote matrix at a
-time, and the facing-point construction is order-independent, so results
-are bitwise deterministic and invariant to input permutation.
+The voting core, cluster_segments, takes a frame's BEV points as one
+segmented array: the instances' points laid end to end in id order, plus
+each instance's point count. All instances are fitted in one array pass
+with per-instance sums folded in index order by np.bincount, so an
+instance's line is the same bits whether it is fitted alone (fit_line)
+or with the rest of the frame. Pairs are scored in canonical (min id,
+max id) order, a block of rows of the vote matrix at a time, and the
+facing-point construction is order-independent, so results are bitwise
+deterministic and invariant to input permutation. cluster_instances is
+the per-instance view: it sorts BevInstance objects by id and lays their
+points end to end for the same core; BevInstance and the scalar vote()
+remain the reference the vote matrix is tested against.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "facing_point",
     "vote",
     "cluster_instances",
+    "cluster_segments",
 ]
 
 _SAME_Y_TOL = 1e-9  # y spread at or below which points share one y; curves fits use it too
@@ -229,24 +235,42 @@ class Clustering:
 def cluster_instances(instances, eta: float) -> Clustering:
     """Merge instances whose pairwise vote is below eta, then take the
     transitive closure: connected components of the thresholded vote graph.
+
+    The per-instance view of cluster_segments: instances are taken in id
+    order and their points laid end to end.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
     instances = sorted(instances, key=lambda inst: inst.id)
     ids = [inst.id for inst in instances]
     if len(set(ids)) != len(ids):
         raise ValueError("instance ids must be unique")
-    if not instances:
-        return Clustering({}, 0)
-    labels, count = component_labels(len(instances), *_pairs_below(instances, eta))
+    points = np.concatenate([inst.points for inst in instances] or [np.empty((0, 2))])
+    sizes = np.array([len(inst.points) for inst in instances], dtype=np.intp)
+    labels, count = cluster_segments(points, sizes, eta)
     return Clustering(dict(zip(ids, labels.tolist())), count)
 
 
-def _pairs_below(instances, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of id-sorted instances whose vote is
-    below eta."""
+def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
+    """cluster_instances over consecutive BEV point segments of the given
+    sizes, segment i being instance i: (labels, count), where labels[i] is
+    segment i's cluster in 0..count-1.
+    """
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    points, sizes = np.asarray(points), np.asarray(sizes)
+    if points.ndim != 2 or points.shape[1] != 2 or sizes.sum() != len(points):
+        raise ValueError(
+            f"expected (n, 2) points split by sizes summing to n, got shape {points.shape} "
+            f"and sizes summing to {sizes.sum()}"
+        )
+    if not len(sizes):
+        return np.zeros(0, dtype=np.intp), 0
+    return component_labels(len(sizes), *_pairs_below(points, sizes, eta))
+
+
+def _pairs_below(points: np.ndarray, sizes: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of point segments whose vote is below eta."""
     upper, lower = [], []
-    for r0, votes in _vote_rows(instances):
+    for r0, votes in _vote_rows(points, sizes):
         i, j = np.nonzero(votes < eta)
         i += r0
         j += r0
@@ -256,19 +280,18 @@ def _pairs_below(instances, eta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(upper), np.concatenate(lower)
 
 
-def _vote_rows(instances):
-    """The vote matrix of id-sorted instances, a block of rows at a time.
+def _vote_rows(points: np.ndarray, sizes: np.ndarray):
+    """The vote matrix of consecutive point segments, a block of rows at a
+    time; segment i is the instance with the i-th smallest id.
 
-    Yields (r0, votes) where votes[k, m] is the vote of instances r0 + k
+    Yields (r0, votes) where votes[k, m] is the vote of segments r0 + k
     and r0 + m; columns before r0 are left out, so every pair i < j comes
-    up once. All instances are fitted in one batched call, which gives
+    up once. All segments are fitted in one batched call, which gives
     each the same line as fit_line. Bottoms and tops are taken from the
     same points by the exact segment extremes that BevInstance holds.
     Every entry then repeats the scalar vote()'s IEEE operations, so it
     is bitwise the same number.
     """
-    sizes = np.array([len(inst.points) for inst in instances])
-    points = np.concatenate([inst.points for inst in instances])
     a, b = _fit_segments(points, sizes)
     norm = np.sqrt(1.0 + a * a)
     bottom_x, bottom_y, top_x, top_y = _extreme_arrays(points, np.cumsum(sizes) - sizes)
@@ -276,7 +299,7 @@ def _vote_rows(instances):
     # Ids ascend with the index, so for i < j the (bottom y, id) order of
     # facing_point reduces to: i is the lower one iff its bottom y is
     # greater. Entries with i >= j are computed and ignored.
-    n = len(instances)
+    n = len(sizes)
     rows = max(1, _BLOCK_ELEMENTS // n)
     for r0 in range(0, n, rows):
         r = slice(r0, min(r0 + rows, n))

@@ -1,8 +1,10 @@
+import dataclasses
+import json
 import sys
 
 import numpy as np
 
-from lanepost import default_config, format_config, read_lanes, write_pgm
+from lanepost import BenchReport, default_config, format_config, read_lanes, write_pgm
 from lanepost.cli import main
 
 
@@ -98,6 +100,20 @@ def test_run_writes_outputs_before_closed_stdout(tmp_path, capsys, monkeypatch):
 def test_bench_subcommand(tmp_path, capsys):
     assert main(["bench", "--frames", "2", "--reps", "1"]) == 0
     assert "fps=" in capsys.readouterr().out
+
+
+def test_bench_json(capsys):
+    assert main(["bench", "--frames", "2", "--reps", "2", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert set(report) == {field.name for field in dataclasses.fields(BenchReport)}
+    assert (report["frames"], report["repetitions"], report["threads"]) == (2, 2, 1)
+    stages = {"instance_detection", "bev", "voting", "fitting"}
+    for key in ("stage_mean_ms", "stage_std_ms", "stage_median_ms", "stage_p95_ms"):
+        assert set(report[key]) == stages
+    assert report["fps"] == 1000.0 / report["total_mean_ms"]
+    assert report["wall_fps"] > 0
 
 
 def test_bench_mask_dir(tmp_path, capsys):

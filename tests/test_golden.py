@@ -15,6 +15,13 @@ The 40 scenes hold at most about 40 instances each, so they barely
 exercise voting. A third digest covers 12 seeded clutter frames: a scene
 plus 150-500 4x4 blobs on an 8 px pitch below image row 200, where the
 vote matrix has hundreds of rows and many pairs fall near eta.
+
+Nine printed digits hide a change in the last bits of a coefficient, so
+the same frames, plus one with a stop-line streak that the frame refuses,
+are also run through the per-instance public chain (label_instances,
+transform_instance, BevInstance.from_points, cluster_instances, then
+fit_curve, sample_curve and back_project per cluster), and run_frame must
+give bitwise the same instances, clusters and lanes, or the same refusal.
 """
 
 import hashlib
@@ -63,6 +70,16 @@ def clutter_masks():
         yield mask
 
 
+def streak_mask():
+    """The first scene plus an isolated one-row 40 px run below the
+    horizon: a stop line, whose points share one BEV y."""
+    mask = next(corpus_scenes()).mask.copy()
+    r, c = 340, 20
+    assert not mask[r - 1 : r + 2, c - 1 : c + 41].any()
+    mask[r, c : c + 40] = True
+    return mask
+
+
 def lane_text(masks) -> str:
     cfg = lp.default_config()
     chunks = []
@@ -101,3 +118,65 @@ def test_clutter_lane_files_match_golden_digest():
 def test_truth_files_match_golden_digest(tmp_path):
     digest = hashlib.sha256(truth_corpus_bytes(tmp_path)).hexdigest()
     assert digest == TRUTH_SHA256
+
+
+def public_chain(mask, cfg):
+    """run_frame composed from the per-instance public calls: (instances,
+    clustering, lanes)."""
+    h = lp.estimate_homography(cfg.calibration)
+    instances = lp.label_instances(mask, cfg.connectivity, cfg.min_instance_size)
+    bev = [lp.BevInstance.from_points(inst.id, lp.transform_instance(h, inst)) for inst in instances]
+    clustering = lp.cluster_instances(bev, cfg.eta)
+    h_inv = h.inverse()
+    lanes = []
+    for cluster_id, member_ids in enumerate(clustering.members()):
+        curve = lp.fit_curve(np.concatenate([bev[i].points for i in member_ids]), cluster_id)
+        lanes.append(lp.Lane(curve, lp.back_project(h_inv, lp.sample_curve(curve, cfg.sample_count))))
+    return instances, clustering, lanes
+
+
+def refusal(call):
+    """(call(), None), or (None, (class, message)) when the frame is refused."""
+    try:
+        return call(), None
+    except lp.ProcessingError as exc:
+        return None, (type(exc), str(exc))
+
+
+def instance_bits(instances):
+    return [
+        (inst.id, inst.pixels.dtype.str, inst.pixels.tobytes(), inst.size, inst.bbox)
+        for inst in instances
+    ]
+
+
+def lane_bits(lanes):
+    return [
+        (
+            lane.curve.cluster_id,
+            [float(v).hex() for v in (lane.curve.c0, lane.curve.c1, lane.curve.c2)],
+            [float(v).hex() for v in (lane.curve.y_min, lane.curve.y_max)],
+            lane.polyline.shape,
+            lane.polyline.tobytes(),
+        )
+        for lane in lanes
+    ]
+
+
+def test_run_frame_is_bitwise_the_per_instance_chain():
+    cfg = lp.default_config()
+    masks = [scene.mask for scene in corpus_scenes()] + list(clutter_masks()) + [streak_mask()]
+    refused = []
+    for i, mask in enumerate(masks):
+        got, got_refusal = refusal(lambda: lp.run_frame(mask, cfg))
+        want, want_refusal = refusal(lambda: public_chain(mask, cfg))
+        assert got_refusal == want_refusal, i
+        if got_refusal:
+            refused.append(i)
+            continue
+        instances, clustering, lanes = want
+        assert got.instance_count == len(instances), i
+        assert instance_bits(got.instances) == instance_bits(instances), i
+        assert got.clustering == clustering, i
+        assert lane_bits(got.lanes) == lane_bits(lanes), i
+    assert refused[-1] == len(masks) - 1  # the streak

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lanepost import label_instances
+from lanepost import label_instances, label_segments
 from oracles import union_find_components
 
 
@@ -174,3 +174,30 @@ class TestRunLabelerShapes:
         kept = label_instances(mask, 8, min_size=2)
         summary = [(i.id, i.pixels[0].tolist(), i.size) for i in kept]
         assert summary == [(0, [0, 0], 3), (1, [2, 4], 4)]
+
+
+class TestSegmentedRecord:
+    @pytest.mark.parametrize("min_size", [0, 3])
+    def test_instances_are_views_of_the_record_end_to_end(self, min_size):
+        for seed in range(10):
+            mask = np.random.default_rng(seed).random((24, 30)) < 0.35
+            record = label_segments(mask, 8, min_size)
+            instances = label_instances(mask, 8, min_size)
+            assert record.pixels.dtype == np.int32
+            assert record.sizes.tolist() == [inst.size for inst in instances]
+            assert record.starts.tolist() == np.cumsum([0] + record.sizes.tolist())[:-1].tolist()
+            assert record.pixels.tobytes() == np.concatenate([i.pixels for i in instances]).tobytes()
+            for inst, view in zip(instances, record.instances()):
+                assert np.shares_memory(view.pixels, record.pixels)
+                assert (view.id, view.pixels.tobytes(), view.size, view.bbox) == (
+                    inst.id, inst.pixels.tobytes(), inst.size, inst.bbox
+                )
+
+    def test_empty_record(self):
+        for min_size in (0, 10):
+            mask = np.zeros((5, 6), bool)
+            mask[2, 2:4] = min_size > 0  # one instance, dropped as speckle
+            record = label_segments(mask, 8, min_size)
+            assert record.pixels.shape == (0, 2)
+            assert len(record.sizes) == 0
+            assert record.instances() == []

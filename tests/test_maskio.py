@@ -166,6 +166,23 @@ class TestPgm:
             want = [[int(s) * 255 > threshold * maxval for s in samples[0]]]
             assert load_mask(path, threshold).tolist() == want
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"P5\n3 1\n1\n\x00\x01\xff",
+            b"P2\n3 1\n1\n0 1 255\n",
+            b"P5\n2 2\n15\n\x00\x0f\x10\x00",
+            b"P2\n2 2\n15\n0 15 16 0\n",
+        ],
+    )
+    def test_sample_above_maxval_rejected(self, tmp_path, blob):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ImageIOError, match="sample value out of range"):
+            read_gray(path)
+        with pytest.raises(ImageIOError, match="sample value out of range"):
+            load_mask(path, 127)
+
 
 class TestPng:
     @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])

@@ -198,6 +198,16 @@ class TestRunFrame:
             poly = back_project(h_inv, sample_curve(curve, cfg.sample_count))
             assert np.array_equal(poly, result.lanes[cluster_id].polyline)
 
+    def test_instances_built_from_segments_on_first_access(self):
+        cfg = default_config()
+        mask = rasterize_dashes(cfg, DIVIDERS, DASH_SPANS)
+        result = run_frame(mask, cfg)
+        assert "instances" not in vars(result)
+        assert result.instance_count == len(result.segments.sizes) == 12
+        instances = result.instances
+        assert result.instances is instances
+        assert [inst.size for inst in instances] == result.segments.sizes.tolist()
+
     def test_wrong_mask_size_rejected(self):
         with pytest.raises(ValueError):
             run_frame(np.zeros((100, 100), dtype=bool), default_config())

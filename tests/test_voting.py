@@ -9,6 +9,7 @@ from lanepost import (
     DegenerateGeometryError,
     bev_instances,
     cluster_instances,
+    cluster_segments,
     default_config,
     estimate_homography,
     facing_point,
@@ -210,6 +211,13 @@ def vote_matrix_cases(rng):
     return instances
 
 
+def laid_end_to_end(instances):
+    """(points, sizes) of id-sorted instances, as cluster_instances lays
+    them out for the voting core."""
+    points = np.concatenate([inst.points for inst in instances])
+    return points, np.array([len(inst.points) for inst in instances])
+
+
 class TestVoteMatrix:
     @pytest.mark.parametrize("block", [1, 500, 1 << 14])
     def test_bitwise_equal_to_scalar_vote(self, monkeypatch, block):
@@ -217,7 +225,7 @@ class TestVoteMatrix:
         instances = vote_matrix_cases(np.random.default_rng(block))
         n = len(instances)
         matrix = np.full((n, n), np.nan)
-        for r0, votes in voting._vote_rows(instances):
+        for r0, votes in voting._vote_rows(*laid_end_to_end(instances)):
             matrix[r0 : r0 + len(votes), r0:] = votes
         for i in range(n):
             for j in range(i + 1, n):
@@ -234,10 +242,29 @@ class TestVoteMatrix:
         # stays out, and one ulp more lets it in
         picked = rng.choice(sorted(votes.values()), 6, replace=False)
         for eta in [float(v) for v in picked] + [float(np.nextafter(v, np.inf)) for v in picked]:
-            upper, lower = voting._pairs_below(instances, eta)
+            upper, lower = voting._pairs_below(*laid_end_to_end(instances), eta)
             assert sorted(zip(upper.tolist(), lower.tolist())) == sorted(
                 pair for pair, v in votes.items() if v < eta
             ), f"eta {eta!r}"
+
+    def test_segment_core_clusters_like_cluster_instances(self):
+        instances = vote_matrix_cases(np.random.default_rng(9))
+        points, sizes = laid_end_to_end(instances)
+        for eta in (0.5, 5.0, 50.0):
+            labels, count = cluster_segments(points, sizes, eta)
+            clustering = cluster_instances(instances[::-1], eta)
+            assert dict(enumerate(labels.tolist())) == clustering.assignment
+            assert count == clustering.num_clusters
+
+    def test_segment_core_rejects_sizes_that_do_not_split_the_points(self):
+        points, sizes = laid_end_to_end(vote_matrix_cases(np.random.default_rng(9)))
+        for bad_sizes in (sizes[:-1], np.append(sizes, 1)):
+            with pytest.raises(ValueError, match="sizes summing to n"):
+                cluster_segments(points, bad_sizes, 20.0)
+        with pytest.raises(ValueError, match="sizes summing to n"):
+            cluster_segments(points[:, :1], sizes, 20.0)
+        labels, count = cluster_segments(np.empty((0, 2)), np.empty(0, dtype=int), 20.0)
+        assert (labels.tolist(), count) == ([], 0)
 
     def test_streak_still_raises(self):
         streak = BevInstance.from_points(1, [(x, 50.0) for x in (0.0, 1.0, 2.0)])
