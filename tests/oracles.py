@@ -313,3 +313,49 @@ def png_unfilter(stream):
         decoded.append(row)
         prev = row
     return decoded
+
+
+# ---------------------------------------------------------------------------
+# Cluster purity counted pixel by pixel
+# ---------------------------------------------------------------------------
+
+def cluster_purity(instance_pixels, cluster_of, assignment, noise_id):
+    """Share of instances whose truth label is their cluster's label.
+
+    instance_pixels[i] lists instance i's (row, col) pixels, cluster_of[i]
+    is its cluster and assignment[row][col] the truth id of a pixel (0 for
+    background, noise_id for noise). An instance's label is the truth id
+    that most of its marking pixels carry, ties going to the smallest id,
+    weighted by that pixel count; an instance with no marking pixel is
+    labelled noise_id, weighted by its size. A cluster's label is the label
+    of largest total weight among its instances, ties going to the smallest
+    label. 1.0 when there are no instances.
+    """
+    labels = []
+    cluster_weights = {}
+    for pixels, cluster in zip(instance_pixels, cluster_of):
+        counts = {}
+        for r, c in pixels:
+            value = int(assignment[r][c])
+            if value != 0 and value != noise_id:
+                counts[value] = counts.get(value, 0) + 1
+        if counts:
+            label = min(counts, key=lambda k: (-counts[k], k))
+            weight = counts[label]
+        else:
+            label = noise_id
+            weight = len(pixels)
+        labels.append(label)
+        weights = cluster_weights.setdefault(cluster, {})
+        weights[label] = weights.get(label, 0) + weight
+    if not labels:
+        return 1.0
+    cluster_label = {
+        cluster: min(weights, key=lambda k: (-weights[k], k))
+        for cluster, weights in cluster_weights.items()
+    }
+    pure = 0
+    for label, cluster in zip(labels, cluster_of):
+        if label == cluster_label[cluster]:
+            pure += 1
+    return pure / len(labels)

@@ -32,6 +32,25 @@ class TestRoundTrip:
         )
         assert parse_config(format_config(cfg)) == cfg
 
+    def test_default_text(self):
+        assert format_config(default_config()) == (
+            "crop.top=0\n"
+            "crop.bottom=0\n"
+            "crop.left=0\n"
+            "crop.right=0\n"
+            "resize.rows=360\n"
+            "resize.cols=480\n"
+            "mask.threshold=127\n"
+            "instances.connectivity=8\n"
+            "instances.min_size=15\n"
+            "calibration.src=100.0,200.0 380.0,200.0 460.0,360.0 20.0,360.0\n"
+            "calibration.dst=120.0,0.0 360.0,0.0 360.0,480.0 120.0,480.0\n"
+            "cluster.eta=20.0\n"
+            "curve.samples=50\n"
+            "loss.alpha=0.01\n"
+            "loss.epsilon=1e-05\n"
+        )
+
     def test_file_round_trip(self, tmp_path):
         cfg = dataclasses.replace(default_config(), eta=11.5)
         path = tmp_path / "pipeline.cfg"

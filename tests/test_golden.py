@@ -22,6 +22,10 @@ are also run through the per-instance public chain (label_instances,
 transform_instance, BevInstance.from_points, cluster_instances, then
 fit_curve, sample_curve and back_project per cluster), and run_frame must
 give bitwise the same instances, clusters and lanes, or the same refusal.
+LANE_BITS_SHA256 pins those bits themselves: every coefficient and extent
+by float.hex() and every polyline by its bytes, over the 40 scenes and the
+12 clutter frames, so a refactor that moves the last bit of a lane shows
+even when both paths move together.
 """
 
 import hashlib
@@ -33,6 +37,7 @@ import lanepost as lp
 GOLDEN_SHA256 = "5f36ffc908749b0166a1ee72ed3cfbb0dcc12d057b47158e93234ea2b00cb446"
 TRUTH_SHA256 = "d90f617d2946d86ddb4562f39f80527da97d7523a41bff637b309fb422980b8c"
 CLUTTER_SHA256 = "6be717dd0d61631e30104b2af1cb1d1fb6e54ab17c3cfe18d1787dc42a07262a"
+LANE_BITS_SHA256 = "7a5b407c03f8a5bcdbb87607b05357b8d45ea9b3460763344ff802e206e1f7d6"
 
 _NOISE = (0.0, 0.0005, 0.002, 0.01)
 _OCCLUSION = (0.0, 0.2, 0.5)
@@ -180,3 +185,14 @@ def test_run_frame_is_bitwise_the_per_instance_chain():
         assert got.clustering == clustering, i
         assert lane_bits(got.lanes) == lane_bits(lanes), i
     assert refused[-1] == len(masks) - 1  # the streak
+
+
+def test_lane_bits_match_golden_digest():
+    cfg = lp.default_config()
+    digest = hashlib.sha256()
+    masks = [scene.mask for scene in corpus_scenes()] + list(clutter_masks())
+    for i, mask in enumerate(masks):
+        lanes, why = refusal(lambda: lp.run_frame(mask, cfg).lanes)
+        bits = lane_bits(lanes) if why is None else why[0].__name__
+        digest.update(f"# frame {i}\n{bits!r}\n".encode("utf-8"))
+    assert digest.hexdigest() == LANE_BITS_SHA256

@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from lanepost import (
+    Clustering,
     ConfigError,
+    FrameResult,
     SceneParams,
+    StageTimings,
+    SyntheticScene,
     default_config,
     evaluate,
     generate_scene,
+    label_segments,
     read_truth_curves,
     run_frame,
     write_truth_curves,
 )
 from lanepost.synthetic import NOISE_ID
+
+from oracles import cluster_purity
 
 
 class TestGeneration:
@@ -114,6 +121,57 @@ class TestEvaluate:
         result = run_frame(scene_a.mask, cfg)
         with pytest.raises(ValueError):
             evaluate(result, scene_b)
+
+
+def oracle_purity(result, scene):
+    instances = result.segments.instances()
+    return cluster_purity(
+        [inst.pixels.tolist() for inst in instances],
+        [result.clustering.assignment[inst.id] for inst in instances],
+        scene.truth_assignment.tolist(),
+        NOISE_ID,
+    )
+
+
+def clustered_at_random(mask, min_size, clusters, seed):
+    """A FrameResult for mask's instances, put into clusters at random."""
+    segments = label_segments(mask, 8, min_size)
+    cluster_of = np.random.default_rng(seed).integers(0, clusters, len(segments.sizes))
+    clustering = Clustering(dict(enumerate(cluster_of.tolist())), clusters)
+    return FrameResult(segments, clustering, [], StageTimings(0.0, 0.0, 0.0, 0.0))
+
+
+class TestPurityOracle:
+    """evaluate's purity is exactly the pixel-by-pixel oracle's."""
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_noise_only_instances(self, seed):
+        cfg = default_config()
+        params = SceneParams(num_lanes=4, noise_rate=0.01, occlusion_rate=0.2)
+        scene = generate_scene(params, seed, cfg)
+        result = clustered_at_random(scene.mask, 0, 5, seed)
+        assert evaluate(result, scene).purity == oracle_purity(result, scene)
+
+    @pytest.mark.parametrize("lanes", [2, 3, 5])
+    def test_one_cluster(self, lanes):
+        cfg = dataclasses.replace(default_config(), eta=1e9)
+        scene = generate_scene(SceneParams(num_lanes=lanes, noise_rate=0.0005), 20 + lanes, cfg)
+        result = run_frame(scene.mask, cfg)
+        assert result.cluster_count == 1
+        assert evaluate(result, scene).purity == oracle_purity(result, scene)
+
+    def test_ties_and_ids_above_255(self):
+        # small instances over a few ids, many clusters: majority ties at
+        # both levels, and truth ids that do not fit a byte
+        rng = np.random.default_rng(11)
+        mask = rng.random((40, 60)) < 0.2
+        ids = np.array([0, 1, 2, 256, 300, NOISE_ID], dtype=np.uint16)
+        assignment = ids[rng.integers(0, len(ids), mask.shape)]
+        scene = SyntheticScene(mask, [], assignment)
+        result = clustered_at_random(mask, 0, 40, 12)
+        purity = evaluate(result, scene).purity
+        assert 0.0 < purity < 1.0
+        assert purity == oracle_purity(result, scene)
 
 
 class TestTruthFiles:
