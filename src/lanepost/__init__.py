@@ -67,7 +67,6 @@ from .voting import (
     BevInstance,
     Clustering,
     FittedLine,
-    bev_instances,
     cluster_instances,
     cluster_segments,
     facing_point,

@@ -5,19 +5,13 @@ repetitions, so cold caches and lazy allocations do not pollute the
 statistics. Each stage, and the total, is reported as mean, std, median
 and p95 over every frame of every measured pass. fps is defined as
 1000 / (mean total ms per frame); wall_fps is frames processed over the
-wall-clock time of the measured passes.
-
-Frames can run on a thread pool; every frame is still processed
-single-threaded, and single-threaded mode is the reference configuration
-for reported throughput. Under threads, frames overlap and each frame's
-latency includes time spent waiting for the interpreter lock, so fps
-understates throughput and wall_fps is the number to read.
+wall-clock time of the measured passes. Frames run one after another in
+the calling thread.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +29,6 @@ _STAGES = ("instance_detection", "bev", "voting", "fitting")
 class BenchReport:
     frames: int
     repetitions: int
-    threads: int
     stage_mean_ms: dict
     stage_std_ms: dict
     stage_median_ms: dict
@@ -48,26 +41,17 @@ class BenchReport:
     wall_fps: float
 
 
-def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, threads: int = 1) -> BenchReport:
+def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1) -> BenchReport:
     masks = list(masks)
     if not masks:
         raise ConfigError("benchmark needs at least one frame")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
 
-    def run_pass():
-        if threads == 1:
-            return [run_frame(m, cfg).timings for m in masks]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [r.timings for r in pool.map(lambda m: run_frame(m, cfg), masks)]
-
-    run_pass()  # warm-up, excluded from statistics
-    timings = []
+    for mask in masks:  # warm-up, excluded from statistics
+        run_frame(mask, cfg)
     start = time.perf_counter()
-    for _ in range(repetitions):
-        timings.extend(run_pass())
+    timings = [run_frame(mask, cfg).timings for _ in range(repetitions) for mask in masks]
     elapsed = time.perf_counter() - start
 
     per_stage = {
@@ -78,7 +62,6 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, threads: int = 1
     return BenchReport(
         frames=len(masks),
         repetitions=repetitions,
-        threads=threads,
         stage_mean_ms={k: float(v.mean()) for k, v in per_stage.items()},
         stage_std_ms={k: float(v.std()) for k, v in per_stage.items()},
         stage_median_ms={k: float(np.median(v)) for k, v in per_stage.items()},
@@ -94,7 +77,7 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, threads: int = 1
 
 def format_report(report: BenchReport) -> str:
     lines = [
-        f"frames={report.frames} repetitions={report.repetitions} threads={report.threads}",
+        f"frames={report.frames} repetitions={report.repetitions}",
         f"{'stage':<20}{'mean ms':>12}{'std ms':>12}{'median ms':>12}{'p95 ms':>12}",
     ]
     rows = [

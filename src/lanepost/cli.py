@@ -108,7 +108,7 @@ def _cmd_bench(args) -> int:
         masks = [
             generate_scene(SceneParams(), seed, cfg).mask for seed in range(args.frames)
         ]
-    report = benchmark(masks, cfg, repetitions=args.reps, threads=args.threads)
+    report = benchmark(masks, cfg, repetitions=args.reps)
     print(json.dumps(dataclasses.asdict(report)) if args.json else format_report(report))
     return EXIT_OK
 
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--frames", type=int, help="number of synthetic frames")
     group.add_argument("--mask-dir", help="directory of mask files")
     p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--config", help="config file (defaults apply when omitted)")
     p_bench.add_argument(
         "--json", action="store_true", help="print the report as one JSON object, not a table"

@@ -84,52 +84,44 @@ def _parse_quad(value: str, key: str):
     return tuple(points)
 
 
-_INT_KEYS = {
-    "crop.top": "crop_top",
-    "crop.bottom": "crop_bottom",
-    "crop.left": "crop_left",
-    "crop.right": "crop_right",
-    "resize.rows": "target_rows",
-    "resize.cols": "target_cols",
-    "mask.threshold": "mask_threshold",
-    "instances.connectivity": "connectivity",
-    "instances.min_size": "min_instance_size",
-    "curve.samples": "sample_count",
-}
-
-_FLOAT_KEYS = {
-    "cluster.eta": "eta",
-    "loss.alpha": "loss_alpha",
-    "loss.epsilon": "loss_epsilon",
-}
+# every key in file order: (key, PipelineConfig field, type); the two
+# tuple keys are the quads of the calibration, which hold src and dst
+_KEYS = (
+    ("crop.top", "crop_top", int),
+    ("crop.bottom", "crop_bottom", int),
+    ("crop.left", "crop_left", int),
+    ("crop.right", "crop_right", int),
+    ("resize.rows", "target_rows", int),
+    ("resize.cols", "target_cols", int),
+    ("mask.threshold", "mask_threshold", int),
+    ("instances.connectivity", "connectivity", int),
+    ("instances.min_size", "min_instance_size", int),
+    ("calibration.src", "src", tuple),
+    ("calibration.dst", "dst", tuple),
+    ("cluster.eta", "eta", float),
+    ("curve.samples", "sample_count", int),
+    ("loss.alpha", "loss_alpha", float),
+    ("loss.epsilon", "loss_epsilon", float),
+)
 
 
 def format_config(cfg: PipelineConfig) -> str:
-    lines = [
-        f"crop.top={cfg.crop_top}",
-        f"crop.bottom={cfg.crop_bottom}",
-        f"crop.left={cfg.crop_left}",
-        f"crop.right={cfg.crop_right}",
-        f"resize.rows={cfg.target_rows}",
-        f"resize.cols={cfg.target_cols}",
-        f"mask.threshold={cfg.mask_threshold}",
-        f"instances.connectivity={cfg.connectivity}",
-        f"instances.min_size={cfg.min_instance_size}",
-        f"calibration.src={_format_quad(cfg.calibration.src)}",
-        f"calibration.dst={_format_quad(cfg.calibration.dst)}",
-        f"cluster.eta={cfg.eta!r}",
-        f"curve.samples={cfg.sample_count}",
-        f"loss.alpha={cfg.loss_alpha!r}",
-        f"loss.epsilon={cfg.loss_epsilon!r}",
-    ]
+    lines = []
+    for key, name, kind in _KEYS:
+        if kind is tuple:
+            value = _format_quad(getattr(cfg.calibration, name))
+        else:
+            value = repr(kind(getattr(cfg, name)))
+        lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse the key-value format, starting from defaults. Unknown keys and
     malformed values raise ConfigError."""
+    table = {key: (name, kind) for key, name, kind in _KEYS}
     fields = {}
-    src = dst = None
+    quads = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -139,27 +131,22 @@ def parse_config(text: str) -> PipelineConfig:
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key in _INT_KEYS:
-            try:
-                fields[_INT_KEYS[key]] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                fields[_FLOAT_KEYS[key]] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs a number, got {value!r}") from None
-        elif key == "calibration.src":
-            src = _parse_quad(value, key)
-        elif key == "calibration.dst":
-            dst = _parse_quad(value, key)
-        else:
+        if key not in table:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    if (src is None) != (dst is None):
-        raise ConfigError("calibration.src and calibration.dst must be given together")
-    if src is not None:
+        name, kind = table[key]
+        if kind is tuple:
+            quads[name] = _parse_quad(value, key)
+            continue
         try:
-            fields["calibration"] = QuadCorrespondence(src, dst)
+            fields[name] = kind(value)
+        except ValueError:
+            wanted = "an integer" if kind is int else "a number"
+            raise ConfigError(f"line {lineno}: {key} needs {wanted}, got {value!r}") from None
+    if len(quads) == 1:
+        raise ConfigError("calibration.src and calibration.dst must be given together")
+    if quads:
+        try:
+            fields["calibration"] = QuadCorrespondence(quads["src"], quads["dst"])
         except CalibrationError as exc:
             raise ConfigError(f"bad calibration: {exc}") from exc
     return PipelineConfig(**fields)

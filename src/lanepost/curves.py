@@ -18,7 +18,9 @@ products on the same memory layout: the x column must stay the stride-16
 column view of the sorted (n, 2) points, because BLAS rounds a contiguous
 copy differently. Likewise project_curves samples and back-projects all
 curves at once with the same sampling code and duplicate-collapse rule as
-sample_curve and back_project.
+sample_curve and back_project. When the batch is refused, project_curves
+replays that per-curve chain in order, so the first curve the chain
+refuses decides the error.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ProcessingError, ProjectionError
+from .errors import DegenerateGeometryError, ProcessingError
 from .homography import Homography
 from .voting import _SAME_Y_TOL
 
@@ -168,16 +170,12 @@ def _fit_grouped(points: np.ndarray, order: np.ndarray, sizes) -> list[tuple]:
 
 def sample_curve(curve: LaneCurve, n: int) -> np.ndarray:
     """n points on the curve, y uniformly spaced over its extent."""
-    samples, error = _sample([curve], n)
-    if error:
-        raise error
-    return samples[0]
+    return _sample([curve], n)[0]
 
 
-def _sample(curves, n: int) -> tuple[np.ndarray, Exception | None]:
-    """(k, n, 2) samples of the curves before the first one whose extent is
-    a single y value, and the error that curve raises (None if there is
-    none).
+def _sample(curves, n: int) -> np.ndarray:
+    """(k, n, 2) samples of the curves; the first curve whose extent is a
+    single y value raises.
 
     y is spaced as np.linspace(y_min, y_max, n) spaces it, row by row:
     np.linspace itself switches every row to another formula as soon as
@@ -185,14 +183,11 @@ def _sample(curves, n: int) -> tuple[np.ndarray, Exception | None]:
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    error = None
-    for k, curve in enumerate(curves):
+    for curve in curves:
         if curve.y_min == curve.y_max:
-            error = DegenerateGeometryError(
+            raise DegenerateGeometryError(
                 f"curve extent is a single y value ({curve.y_min}); nothing to sample"
             )
-            curves = curves[:k]
-            break
     c0, c1, c2, lo, hi = np.array(
         [(c.c0, c.c1, c.c2, c.y_min, c.y_max) for c in curves], dtype=np.float64
     ).reshape(-1, 5, 1).transpose(1, 0, 2)
@@ -211,7 +206,7 @@ def _sample(curves, n: int) -> tuple[np.ndarray, Exception | None]:
     xs += c1
     xs *= ys
     xs += c0
-    return samples, error
+    return samples
 
 
 def back_project(h_inv: Homography, samples) -> np.ndarray:
@@ -229,24 +224,21 @@ def project_curves(h_inv: Homography, curves, n: int) -> list[np.ndarray]:
     """back_project(h_inv, sample_curve(curve, n)) for every curve, bit for
     bit, with one sampling pass and one homography application.
 
-    Errors come as from that per-curve chain run in order: the first curve
+    Errors come as from that per-curve chain run in order: when the batch
+    is refused, the chain is replayed curve by curve, so the first curve
     that it refuses decides the exception.
     """
-    samples, error = _sample(list(curves), n)
+    curves = list(curves)
     try:
+        samples = _sample(curves, n)
         mapped = h_inv.apply(samples.reshape(-1, 2)).reshape(samples.shape)
-    except ProjectionError:
-        # some curve reaches projective infinity; an earlier one may
-        # collapse first, and only the per-curve chain tells
-        for lane in samples:
-            back_project(h_inv, lane)
+        d = np.diff(mapped, axis=1)
+        steps = np.hypot(d[:, :, 0], d[:, :, 1])
+        return [_collapse(m, s) for m, s in zip(mapped, steps)]
+    except ProcessingError:
+        for curve in curves:
+            back_project(h_inv, sample_curve(curve, n))
         raise
-    d = np.diff(mapped, axis=1)
-    steps = np.hypot(d[:, :, 0], d[:, :, 1])
-    polylines = [_collapse(m, s) for m, s in zip(mapped, steps)]
-    if error:
-        raise error
-    return polylines
 
 
 def _collapse(mapped: np.ndarray, steps: np.ndarray) -> np.ndarray:

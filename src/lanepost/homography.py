@@ -42,6 +42,8 @@ class Homography:
         if abs(m[2, 2]) <= _W_TOL:
             raise CalibrationError("matrix cannot be normalized: m[2][2] ~ 0")
         m = m / m[2, 2]
+        if not np.isfinite(m).all():
+            raise CalibrationError("matrix has non-finite entries")
         if abs(np.linalg.det(m)) <= 1e-12:
             raise CalibrationError("matrix is singular")
         m.setflags(write=False)
@@ -50,17 +52,6 @@ class Homography:
     @classmethod
     def identity(cls) -> "Homography":
         return cls(np.eye(3))
-
-    def apply_point(self, p) -> tuple[float, float]:
-        """Map a single (x, y) point."""
-        x, y = float(p[0]), float(p[1])
-        w = self.m[2, 0] * x + self.m[2, 1] * y + self.m[2, 2]
-        if abs(w) <= _W_TOL:
-            raise ProjectionError(f"point ({x}, {y}) maps to projective infinity")
-        return (
-            (self.m[0, 0] * x + self.m[0, 1] * y + self.m[0, 2]) / w,
-            (self.m[1, 0] * x + self.m[1, 1] * y + self.m[1, 2]) / w,
-        )
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map an (n, 2) array of points, preserving order. A point maps to
@@ -72,11 +63,14 @@ class Homography:
             # BLAS may route a one-row product through a matrix-vector
             # kernel that rounds differently; two rows round like any batch
             return self.apply(np.concatenate([pts, pts]))[:1]
-        hom = pts @ self.m[:2, :2].T + self.m[:2, 2]
-        w = pts @ self.m[2, :2] + self.m[2, 2]
+        hom = pts @ self.m[:2, :2].T
+        hom += self.m[:2, 2]
+        w = pts @ self.m[2, :2]
+        w += self.m[2, 2]
         if not np.all(np.abs(w) > _W_TOL):
             raise ProjectionError("some points map to projective infinity")
-        return hom / w[:, None]
+        hom /= w[:, None]
+        return hom
 
     def inverse(self) -> "Homography":
         try:
@@ -156,8 +150,6 @@ def transform_pixels(h: Homography, pixels) -> np.ndarray:
     Pixel (row, col) enters as the center point (col + 0.5, row + 0.5);
     the output (n, 2) array keeps pixel order and stays real-valued.
     """
-    pixels = np.asarray(pixels, dtype=np.float64)
-    points = np.empty_like(pixels)
-    points[:, 0] = pixels[:, 1] + 0.5
-    points[:, 1] = pixels[:, 0] + 0.5
+    # a fresh C-contiguous float64 array, so BLAS sees one layout
+    points = np.add(np.asarray(pixels)[:, ::-1], 0.5, dtype=np.float64)
     return h.apply(points)

@@ -10,8 +10,8 @@ fitting: the labeler's pixel array and instance sizes, one homography
 application that maps the whole array into BEV, one voting pass over
 those points, and one fit of every cluster, with each point labelled by
 its instance's cluster. No per-instance object is built on the way;
-FrameResult.instances builds the Instance list from the record when it
-is first read.
+FrameResult.segments.instances() gives the Instance list when one is
+wanted.
 
 Lane files hold one line per lane: `cluster_id c0 c1 c2 y_min y_max`
 followed by the image-space polyline as `x,y` pairs, all numbers printed
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .config import PipelineConfig
 from .curves import LaneCurve, fit_curves, project_curves
 from .errors import ConfigError, FileFormatError
 from .homography import Homography, QuadCorrespondence, estimate_homography, transform_pixels
-from .instances import Instance, InstanceSegments, label_segments
+from .instances import InstanceSegments, label_segments
 from .voting import Clustering, cluster_segments
 
 __all__ = [
@@ -73,12 +73,6 @@ class FrameResult:
     clustering: Clustering
     lanes: list[Lane]
     timings: StageTimings
-
-    @cached_property
-    def instances(self) -> list[Instance]:
-        """The frame's instances, as label_instances gives them; built from
-        segments on first access, since lanes never need them."""
-        return self.segments.instances()
 
     @property
     def instance_count(self) -> int:
@@ -193,7 +187,7 @@ def parse_lanes(text: str, source: str = "<string>") -> list[Lane]:
 def _parse_records(text: str, source, polyline: bool) -> list[Lane]:
     """Lane records, one per line; blank lines and # comments are skipped.
     With polyline False the records must have no points at all, as in a
-    truth file."""
+    truth file. Every number must be finite, and y_min at most y_max."""
     lanes = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -214,8 +208,12 @@ def _parse_records(text: str, source, polyline: bool) -> list[Lane]:
                 points.append((float(xs), float(ys)))
         except ValueError as exc:
             raise FileFormatError(source, f"line {lineno}: {exc}") from exc
-        curve = LaneCurve(c0, c1, c2, y_min, y_max, cluster_id)
-        lanes.append(Lane(curve, np.array(points, dtype=np.float64).reshape(-1, 2)))
+        xy = np.array(points, dtype=np.float64).reshape(-1, 2)
+        if not (np.isfinite([c0, c1, c2, y_min, y_max]).all() and np.isfinite(xy).all()):
+            raise FileFormatError(source, f"line {lineno}: numbers must be finite")
+        if y_min > y_max:
+            raise FileFormatError(source, f"line {lineno}: y_min {y_min!r} exceeds y_max {y_max!r}")
+        lanes.append(Lane(LaneCurve(c0, c1, c2, y_min, y_max, cluster_id), xy))
     return lanes
 
 

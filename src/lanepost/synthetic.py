@@ -203,41 +203,12 @@ def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: floa
     error are those of match_dividers over the fitted curves.
     """
     rows, cols = scene.truth_assignment.shape
-    for inst in result.instances:
-        r = inst.pixels[:, 0]
-        c = inst.pixels[:, 1]
-        if r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols:
-            raise ValueError("result does not match scene: instance pixel out of bounds")
-        if not scene.mask[r, c].all():
-            raise ValueError("result does not match scene: instance pixel not in mask")
-
-    # majority truth divider per instance, then pixel-weighted per cluster
-    inst_label = {}
-    cluster_votes: dict[int, dict[int, int]] = {}
-    for inst in result.instances:
-        vals = scene.truth_assignment[inst.pixels[:, 0], inst.pixels[:, 1]]
-        marking = vals[(vals != 0) & (vals != NOISE_ID)]
-        ids, counts = np.unique(marking, return_counts=True)
-        if len(ids):
-            label = int(ids[counts.argmax()])  # ties go to the smallest id
-            weight = int(counts.max())
-        else:
-            label = NOISE_ID
-            weight = inst.size
-        inst_label[inst.id] = label
-        cid = result.clustering.assignment[inst.id]
-        votes = cluster_votes.setdefault(cid, {})
-        votes[label] = votes.get(label, 0) + weight
-
-    cluster_label = {
-        cid: max(votes, key=lambda k: (votes[k], -k)) for cid, votes in cluster_votes.items()
-    }
-    pure = sum(
-        1
-        for inst in result.instances
-        if inst_label[inst.id] == cluster_label[result.clustering.assignment[inst.id]]
-    )
-    purity = pure / len(result.instances) if result.instances else 1.0
+    r, c = result.segments.pixels[:, 0], result.segments.pixels[:, 1]
+    if len(r) and (r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols):
+        raise ValueError("result does not match scene: instance pixel out of bounds")
+    if not scene.mask[r, c].all():
+        raise ValueError("result does not match scene: instance pixel not in mask")
+    purity = _purity(result, scene.truth_assignment[r, c])
 
     matched, recall, mean_err = match_dividers(
         scene.truth_curves, [lane.curve for lane in result.lanes], lateral_tolerance
@@ -252,6 +223,48 @@ def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: floa
         divider_count=len(scene.truth_curves),
         matched_dividers=matched,
     )
+
+
+def _purity(result: FrameResult, truth) -> float:
+    """Share of instances whose label is their cluster's, given the truth
+    id of every pixel of result.segments.
+
+    An instance's label is the marking id most of its pixels carry, ties
+    going to the smallest id, weighted by that pixel count; an instance
+    with no marking pixel is labelled NOISE_ID, weighted by its size. A
+    cluster's label is the label of largest total weight among its
+    instances, ties going to the smallest label.
+    """
+    sizes = result.segments.sizes
+    count = len(sizes)
+    if not count:
+        return 1.0
+    instance = np.repeat(np.arange(count), sizes)
+    marking = (truth != 0) & (truth != NOISE_ID)
+    ids, id_code = np.unique(truth[marking], return_inverse=True)
+    owner, code, votes = _majority(instance[marking], id_code, None, len(ids))
+    label = np.full(count, NOISE_ID, dtype=np.int64)
+    label[owner] = ids[code]  # int64 truncates like int() would
+    weight = sizes.astype(np.float64)
+    weight[owner] = votes
+
+    cluster = [result.clustering.assignment[i] for i in range(count)]
+    _, cluster_code = np.unique(cluster, return_inverse=True)
+    labels, label_code = np.unique(label, return_inverse=True)
+    _, majority, _ = _majority(cluster_code, label_code, weight, len(labels))
+    return int((label_code == majority[cluster_code]).sum()) / count
+
+
+def _majority(group, member, weight, width: int):
+    """(groups, members, totals): for each group present, the member code
+    in [0, width) of largest summed weight, ties going to the smallest
+    code, and that sum. weight None counts each item once."""
+    cells, cell = np.unique(group * width + member, return_inverse=True)
+    totals = np.bincount(cell, weight, len(cells))
+    owner = cells // width
+    order = np.lexsort((cells, -totals, owner))
+    first = order[np.diff(owner[order], prepend=-1) != 0]  # the heaviest cell of each group
+    return owner[first], cells[first] % width, totals[first]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ max id) order, a block of rows of the vote matrix at a time, and the
 facing-point construction is order-independent, so results are bitwise
 deterministic and invariant to input permutation. cluster_instances is
 the per-instance view: it sorts BevInstance objects by id and lays their
-points end to end for the same core; BevInstance and the scalar vote()
-remain the reference the vote matrix is tested against.
+points end to end for the same core. BevInstance.from_points takes its
+bottom and top from the same exact segment extremes as the vote matrix,
+so BevInstance and the scalar vote() remain the reference the vote
+matrix is tested against.
 """
 
 from __future__ import annotations
@@ -32,13 +34,11 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .graph import component_labels
-from .homography import Homography, transform_pixels
 
 __all__ = [
     "BevInstance",
     "FittedLine",
     "Clustering",
-    "bev_instances",
     "fit_line",
     "facing_point",
     "vote",
@@ -68,8 +68,9 @@ class BevInstance:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
             raise ValueError(f"expected a non-empty (n, 2) point array, got shape {pts.shape}")
-        (bottom,), (top,) = _extremes(pts, [0])
-        return cls(instance_id, pts, bottom, top)
+        bottom_x, bottom_y, top_x, top_y = _extreme_arrays(pts, [0])
+        bottom = (float(bottom_x[0]), float(bottom_y[0]))
+        return cls(instance_id, pts, bottom, (float(top_x[0]), float(top_y[0])))
 
 
 def _extreme_arrays(points: np.ndarray, starts) -> tuple[np.ndarray, ...]:
@@ -90,40 +91,6 @@ def _extreme_arrays(points: np.ndarray, starts) -> tuple[np.ndarray, ...]:
     top = np.minimum.reduceat(key, starts)
     # contiguous copies: the vote matrix broadcasts these arrays n times
     return -bottom.imag, bottom.real.copy(), top.imag.copy(), top.real.copy()
-
-
-def _extremes(points: np.ndarray, starts) -> list[list[tuple[float, float]]]:
-    """[bottoms, tops] of _extreme_arrays as lists of (x, y) float pairs."""
-    bottom_x, bottom_y, top_x, top_y = _extreme_arrays(points, starts)
-    return [
-        list(zip(bottom_x.tolist(), bottom_y.tolist())),
-        list(zip(top_x.tolist(), top_y.tolist())),
-    ]
-
-
-def bev_instances(h: Homography, instances) -> list[BevInstance]:
-    """Map every instance into BEV with one homography application.
-
-    Bitwise equal to `BevInstance.from_points(inst.id, transform_instance(h,
-    inst))` per instance: Homography.apply rounds a point the same in any
-    batch, and bottom/top come from the same exact segment extremes.
-    """
-    instances = list(instances)
-    if not instances:
-        return []
-    sizes = np.array([len(inst.pixels) for inst in instances])
-    if not sizes.all():
-        raise ValueError("every instance needs at least one pixel")
-    stops = np.cumsum(sizes)
-    starts = stops - sizes
-    pixels = np.concatenate([inst.pixels for inst in instances])
-    points = transform_pixels(h, pixels)
-    bottoms, tops = _extremes(points, starts)
-    spans = zip(starts.tolist(), stops.tolist())
-    return [
-        BevInstance(inst.id, points[start:stop], bottom, top)
-        for inst, (start, stop), bottom, top in zip(instances, spans, bottoms, tops)
-    ]
 
 
 @dataclass(frozen=True)

@@ -244,7 +244,7 @@ def test_throughput():
     masks = [
         lp.generate_scene(lp.SceneParams(num_lanes=3), seed, cfg).mask for seed in range(100)
     ]
-    report = lp.benchmark(masks, cfg, repetitions=1, threads=1)
+    report = lp.benchmark(masks, cfg, repetitions=1)
     _report(
         "throughput",
         report.fps >= 20.0,

@@ -38,16 +38,9 @@ def test_fps_identity():
     )
 
 
-def test_thread_pool_mode():
+def test_wall_fps_reported():
     cfg = default_config()
-    report = benchmark(make_masks(4), cfg, repetitions=1, threads=2)
-    assert report.threads == 2
-    assert report.fps > 0.0
-
-
-def test_wall_fps_reported_with_threads():
-    cfg = default_config()
-    report = benchmark(make_masks(4), cfg, repetitions=2, threads=2)
+    report = benchmark(make_masks(4), cfg, repetitions=2)
     assert report.wall_fps > 0.0
     assert f"wall_fps={report.wall_fps:.2f}" in format_report(report)
 
@@ -66,5 +59,3 @@ def test_parameter_validation():
         benchmark([], cfg)
     with pytest.raises(ConfigError):
         benchmark(make_masks(1), cfg, repetitions=0)
-    with pytest.raises(ConfigError):
-        benchmark(make_masks(1), cfg, threads=0)

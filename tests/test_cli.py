@@ -1,11 +1,40 @@
 import dataclasses
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lanepost import BenchReport, default_config, format_config, read_lanes, write_pgm
-from lanepost.cli import main
+from lanepost.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The argument lists of the `lanepost ...` lines in README's CLI
+    block, with continued lines joined and comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["lanepost"]:
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_lines_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"synth", "run", "eval", "bench"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: lanepost {shlex.join(argv)}")
 
 
 def test_synth_run_eval_flow(tmp_path, capsys):
@@ -108,7 +137,7 @@ def test_bench_json(capsys):
     assert out.count("\n") == 1
     report = json.loads(out)
     assert set(report) == {field.name for field in dataclasses.fields(BenchReport)}
-    assert (report["frames"], report["repetitions"], report["threads"]) == (2, 2, 1)
+    assert (report["frames"], report["repetitions"]) == (2, 2)
     stages = {"instance_detection", "bev", "voting", "fitting"}
     for key in ("stage_mean_ms", "stage_std_ms", "stage_median_ms", "stage_p95_ms"):
         assert set(report[key]) == stages

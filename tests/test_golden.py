@@ -181,7 +181,7 @@ def test_run_frame_is_bitwise_the_per_instance_chain():
             continue
         instances, clustering, lanes = want
         assert got.instance_count == len(instances), i
-        assert instance_bits(got.instances) == instance_bits(instances), i
+        assert instance_bits(got.segments.instances()) == instance_bits(instances), i
         assert got.clustering == clustering, i
         assert lane_bits(got.lanes) == lane_bits(lanes), i
     assert refused[-1] == len(masks) - 1  # the streak

@@ -40,7 +40,7 @@ class TestEstimate:
         corr = QuadCorrespondence(ROAD_TRAPEZOID, BEV_RECTANGLE)
         h = estimate_homography(corr)
         for s, d in zip(corr.src, corr.dst):
-            u, v = h.apply_point(s)
+            u, v = h.apply(np.array([s]))[0]
             assert abs(u - d[0]) < 1e-9 and abs(v - d[1]) < 1e-9
         reference = np.array(homography_from_quads(corr.src, corr.dst))
         assert np.allclose(h.m, reference, rtol=1e-9, atol=1e-9)
@@ -61,11 +61,11 @@ class TestEstimate:
 class TestTransform:
     def test_identity_point(self):
         h = Homography.identity()
-        assert h.apply_point((3.5, -2.0)) == (3.5, -2.0)
+        assert tuple(h.apply(np.array([(3.5, -2.0)]))[0]) == (3.5, -2.0)
 
     def test_diag_scale_point(self):
         h = Homography(np.diag([2.0, 2.0, 1.0]))
-        assert h.apply_point((3, 4)) == (6.0, 8.0)
+        assert tuple(h.apply(np.array([(3, 4)]))[0]) == (6.0, 8.0)
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(0)
@@ -81,13 +81,13 @@ class TestTransform:
         for _ in range(10):
             x, y = rng.uniform(-50, 50, 2)
             ox, oy = apply_homography(h.m.tolist(), x, y)
-            mx, my = h.apply_point((x, y))
+            mx, my = h.apply(np.array([(x, y)]))[0]
             assert abs(mx - ox) < 1e-9 and abs(my - oy) < 1e-9
 
     def test_point_at_infinity_raises(self):
         h = Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 1.0]]))
         with pytest.raises(ProjectionError):
-            h.apply_point((-1.0, 5.0))
+            h.apply(np.array([(-1.0, 5.0)]))
         with pytest.raises(ProjectionError):
             h.apply(np.array([[0.0, 0.0], [-1.0, 5.0]]))
 
@@ -136,6 +136,19 @@ class TestInvert:
     def test_singular_matrix_rejected(self):
         with pytest.raises(CalibrationError):
             Homography(np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.full((3, 3), np.nan),
+            np.array([[1.0, 0, np.inf], [0, 1.0, 0], [0, 0, 1.0]]),
+            np.array([[1.0, 0, 0], [0, 1.0, 0], [-np.inf, 0, 1.0]]),
+            np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, np.nan]]),
+        ],
+    )
+    def test_non_finite_matrix_rejected(self, m):
+        with pytest.raises(CalibrationError):
+            Homography(m)
 
 
 class TestTransformInstance:

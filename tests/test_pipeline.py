@@ -17,6 +17,7 @@ from lanepost import (
     format_lanes,
     label_instances,
     parse_lanes,
+    read_lanes,
     run_frame,
     sample_curve,
     transform_instance,
@@ -198,16 +199,6 @@ class TestRunFrame:
             poly = back_project(h_inv, sample_curve(curve, cfg.sample_count))
             assert np.array_equal(poly, result.lanes[cluster_id].polyline)
 
-    def test_instances_built_from_segments_on_first_access(self):
-        cfg = default_config()
-        mask = rasterize_dashes(cfg, DIVIDERS, DASH_SPANS)
-        result = run_frame(mask, cfg)
-        assert "instances" not in vars(result)
-        assert result.instance_count == len(result.segments.sizes) == 12
-        instances = result.instances
-        assert result.instances is instances
-        assert [inst.size for inst in instances] == result.segments.sizes.tolist()
-
     def test_wrong_mask_size_rejected(self):
         with pytest.raises(ValueError):
             run_frame(np.zeros((100, 100), dtype=bool), default_config())
@@ -273,6 +264,30 @@ class TestLaneFiles:
             parse_lanes("0 1.0 2.0\n")
         with pytest.raises(FileFormatError):
             parse_lanes("0 a b c 0 1 1,2 3,4\n")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "0 nan 0 0 0 10 1,2 3,4",
+            "0 240 inf 0 0 10 1,2 3,4",
+            "0 240 0 -inf 0 10 1,2 3,4",
+            "0 240 0 0 nan 10 1,2 3,4",
+            "0 240 0 0 0 inf 1,2 3,4",
+            "0 240 0 0 0 10 nan,2 3,4",
+            "0 240 0 0 0 10 1,2 3,-inf",
+            "0 240 0 0 10 0 1,2 3,4",
+        ],
+    )
+    def test_non_finite_or_inverted_record_rejected(self, record, tmp_path):
+        from lanepost import FileFormatError
+
+        text = f"0 240 0 0 0 10 1,2 3,4\n{record}\n"
+        with pytest.raises(FileFormatError, match="line 2"):
+            parse_lanes(text)
+        path = tmp_path / "bad.lanes"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="line 2"):
+            read_lanes(path)
 
     def test_record_without_full_polyline_rejected(self):
         from lanepost import FileFormatError

@@ -160,18 +160,27 @@ class TestPurityOracle:
         assert result.cluster_count == 1
         assert evaluate(result, scene).purity == oracle_purity(result, scene)
 
-    def test_ties_and_ids_above_255(self):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ties_and_ids_above_255(self, seed):
         # small instances over a few ids, many clusters: majority ties at
         # both levels, and truth ids that do not fit a byte
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(seed)
         mask = rng.random((40, 60)) < 0.2
         ids = np.array([0, 1, 2, 256, 300, NOISE_ID], dtype=np.uint16)
         assignment = ids[rng.integers(0, len(ids), mask.shape)]
         scene = SyntheticScene(mask, [], assignment)
-        result = clustered_at_random(mask, 0, 40, 12)
+        result = clustered_at_random(mask, 0, 40, seed + 1)
         purity = evaluate(result, scene).purity
         assert 0.0 < purity < 1.0
         assert purity == oracle_purity(result, scene)
+
+    def test_no_marking_pixel_at_all(self):
+        rng = np.random.default_rng(7)
+        mask = rng.random((40, 60)) < 0.2
+        assignment = np.where(mask, NOISE_ID, 0).astype(np.uint8)
+        scene = SyntheticScene(mask, [], assignment)
+        result = clustered_at_random(mask, 0, 3, 8)
+        assert evaluate(result, scene).purity == oracle_purity(result, scene)
 
 
 class TestTruthFiles:
@@ -204,6 +213,17 @@ class TestTruthFiles:
         path = tmp_path / "lanes.truth"
         path.write_text("0 240 0 0 0 480 1,2 3,4\n")
         with pytest.raises(FileFormatError):
+            read_truth_curves(path)
+
+    @pytest.mark.parametrize(
+        "record", ["0 nan 0 0 0 480", "0 240 0 inf 0 480", "0 240 0 0 -inf 480", "0 240 0 0 480 0"]
+    )
+    def test_non_finite_or_inverted_record_rejected(self, record, tmp_path):
+        from lanepost import FileFormatError
+
+        path = tmp_path / "bad.truth"
+        path.write_text(f"0 240 0 0 0 480\n{record}\n")
+        with pytest.raises(FileFormatError, match="line 2"):
             read_truth_curves(path)
 
     def test_written_like_lane_records_without_polyline(self, tmp_path):

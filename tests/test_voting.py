@@ -7,7 +7,6 @@ import pytest
 from lanepost import (
     BevInstance,
     DegenerateGeometryError,
-    bev_instances,
     cluster_instances,
     cluster_segments,
     default_config,
@@ -15,12 +14,12 @@ from lanepost import (
     facing_point,
     fit_line,
     generate_scene,
-    label_instances,
+    label_segments,
     SceneParams,
-    transform_instance,
     vote,
 )
 from lanepost import voting
+from lanepost.homography import transform_pixels
 from oracles import line_fit_normal_eq, threshold_graph_components
 
 
@@ -273,29 +272,11 @@ class TestVoteMatrix:
 
 
 class TestBevInstances:
-    def test_bitwise_equal_to_per_instance_path(self):
-        cfg = default_config()
-        h = estimate_homography(cfg.calibration)
-        mask = generate_scene(SceneParams(num_lanes=4, noise_rate=0.01), 3, cfg).mask
-        instances = label_instances(mask, 8, 0)  # keeps single-pixel noise
-        assert any(inst.size == 1 for inst in instances)
-        batched = bev_instances(h, instances)
-        assert len(batched) == len(instances)
-        for inst, got in zip(instances, batched):
-            want = BevInstance.from_points(inst.id, transform_instance(h, inst))
-            assert got.id == want.id
-            assert got.points.tobytes() == want.points.tobytes()
-            assert np.array(got.bottom).tobytes() == np.array(want.bottom).tobytes()
-            assert np.array(got.top).tobytes() == np.array(want.top).tobytes()
-
     def test_extreme_ties_break_to_min_x(self):
         points = [(3.0, 9.0), (1.0, 9.0), (2.0, 0.0), (-1.0, 0.0), (5.0, 4.0)]
         inst = BevInstance.from_points(0, points)
         assert inst.bottom == (1.0, 9.0)
         assert inst.top == (-1.0, 0.0)
-
-    def test_empty(self):
-        assert bev_instances(estimate_homography(default_config().calibration), []) == []
 
 
 class TestBatchedFit:
@@ -378,7 +359,12 @@ class TestBatchedFit:
         seen = set()
         for seed in range(8):
             mask = generate_scene(SceneParams(num_lanes=4, noise_rate=0.002), seed, cfg).mask
-            batched = bev_instances(h, label_instances(mask, 8, 0))  # keeps single pixels
+            segments = label_segments(mask, 8, 0)  # keeps single pixels
+            points = transform_pixels(h, segments.pixels)
+            batched = [
+                BevInstance.from_points(i, p)
+                for i, p in enumerate(np.split(points, segments.starts[1:]))
+            ]
             separate = [BevInstance.from_points(b.id, b.points.copy()) for b in batched]
             want = outcome(batched)
             assert outcome(separate) == want, seed
