@@ -41,7 +41,8 @@ class Homography:
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
         if abs(m[2, 2]) <= _W_TOL:
             raise CalibrationError("matrix cannot be normalized: m[2][2] ~ 0")
-        m = m / m[2, 2]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            m = m / m[2, 2]
         if not np.isfinite(m).all():
             raise CalibrationError("matrix has non-finite entries")
         if abs(np.linalg.det(m)) <= 1e-12:

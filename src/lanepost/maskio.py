@@ -2,8 +2,8 @@
 (P6), and 8-bit grayscale PNG reading. No image library dependency.
 
 Reading the mask is the first step of every frame, and for a large PNG it
-is the costliest one, so PNG row filters are undone with array operations
-over the whole image (see `_unfilter`), not pixel by pixel.
+is the costliest one, so PNG rows are undone with array operations, and
+Average and Paeth rows visit only the pixels that change (see `_unfilter`).
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ def _pgm_tokens(data):
             while i < n and not data[i : i + 1].isspace() and data[i : i + 1] != b"#":
                 i += 1
             yield data[start:i], i
-    return
 
 
 def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
@@ -149,11 +148,9 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 # One wavefront step (an anti-diagonal) costs about as much as this many
-# pixels of the scalar rows, so an Average or Paeth run of rows x width
-# pixels takes the wavefront when rows * width > _WAVEFRONT_STEP * (rows +
-# width). Ratios measured on runs of 16-256 rows and 64-1280 columns: 28-42
-# for Average; 16-30 for Paeth on random bytes, and 31-318 on mask-like
-# images, whose scalar rows skip most pixels (see `_paeth_row`).
+# pixels visited by `_walk` on dense content. Ratios measured on random
+# bytes, 16-8192 rows by 64-4096 columns: 15-67 for Average (the narrowest
+# images lowest) and 22-46 for Paeth.
 _WAVEFRONT_STEP = 50
 
 
@@ -225,34 +222,92 @@ def _inflate(path, idat, size: int) -> bytes:
 def _unfilter(path, kinds, buf) -> None:
     """Undo the PNG row filters in place: kinds[r] filters buf[r + 1, 1:].
 
-    None and Sub rows read nothing outside their row, so all of them are
-    decoded at once (Sub is a cumulative sum that wraps mod 256). An Up row
-    adds the decoded row above it, one row at a time; the zero column
-    stays zero. Average and Paeth runs go to the wavefront or, when the
-    run is too short for it to pay, to the scalar loop.
+    A run of Sub rows is one in-place cumulative sum along the rows; an Up
+    row adds the decoded row above it; Average and Paeth runs go to `_walk`.
+    Under the zero row above the image, Paeth predicts from the left, so a
+    Paeth first row is decoded as Sub.
     """
     bad = np.flatnonzero(kinds > 4)
     if len(bad):
         raise ImageIOError(path, f"unknown row filter {kinds[bad[0]]} in row {bad[0]}")
-    sub = np.flatnonzero(kinds == 1) + 1
-    buf[sub, 1:] = np.cumsum(buf[sub, 1:], axis=1, dtype=np.uint8)
-
-    edges = np.flatnonzero(kinds[1:] != kinds[:-1]) + 1
-    starts = [0, *edges.tolist()]
-    stops = [*edges.tolist(), len(kinds)]
-    width = buf.shape[1] - 1
-    for start, stop in zip(starts, stops):
+    if kinds[0] == 4:
+        kinds[0] = 1
+    edges = [0, *(np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist(), len(kinds)]
+    for start, stop in zip(edges[:-1], edges[1:]):
         kind = int(kinds[start])
-        if kind == 2:
-            # row by row: a uint8 cumsum down the columns is about twice as slow
+        if kind == 1:
+            np.cumsum(buf[start + 1 : stop + 1], axis=1, dtype=np.uint8, out=buf[start + 1 : stop + 1])
+        elif kind == 2:  # row by row: a uint8 cumsum down the columns is about twice as slow
             for r in range(start + 1, stop + 1):
                 np.add(buf[r], buf[r - 1], out=buf[r])
         elif kind > 2:
-            rows = stop - start
-            if rows * width > _WAVEFRONT_STEP * (rows + width):
-                _wavefront(buf, start + 1, stop + 1, kind)
-            else:
-                _scalar_rows(buf, start + 1, stop + 1, kind)
+            _walk(buf, start + 1, stop + 1, kind)
+
+
+def _walk(buf, first: int, stop: int, kind: int) -> None:
+    """Decode buf rows first..stop-1, one Average (3) or Paeth (4) run,
+    visiting only the pixels that can differ from the pixel above.
+
+    A pixel is in step when its left and up-left neighbours are equal. In
+    step, Paeth predicts up, and so does Average if up equals up-left: a
+    zero residual repeats the pixel above and keeps the next one in step.
+    So a row copies the row above but for walks from its events (nonzero
+    residuals and, for Average, columns where the row above changes), each
+    until a pixel equals the one above it. The rest of the run goes to
+    `_wavefront` once projected (a unit per row and visit) to cost more here.
+    """
+    width = buf.shape[1] - 1
+    busy = buf[first:stop].any(axis=1).tolist()  # rows with a nonzero residual
+    line = buf[first - 1].tolist()  # the decoded row above row a
+    written, visits = first, 0  # rows written..a-1 are copies of row written - 1
+    zero_above = False  # Average: the row above is known to be all zero
+    for a in range(first, stop):
+        done, rows_left = a - first, stop - a
+        if (done + visits) * rows_left >= max(done, 1) * _WAVEFRONT_STEP * (rows_left + width):
+            _wavefront(buf, written, stop, kind)
+            return
+        if not busy[a - first] and (kind == 4 or zero_above):
+            continue
+        buf[written:a] = buf[written - 1]
+        written = a
+        row, prev = buf[a], buf[a - 1]
+        events = (row if kind == 4 else row[1:] | (prev[1:] ^ prev[:-1])).nonzero()[0] + (kind == 3)
+        zero_above = not len(events)  # an Average row of zeros under zeros
+        if zero_above:
+            continue
+        written = a + 1
+        if kind == 3 and 2 * len(events) > width:  # mostly events: half the cost per pixel
+            left, out = 0, [0]
+            for up, r in zip(line[1:], row[1:].tolist()):
+                left = (r + ((left + up) >> 1)) & 0xFF
+                out.append(left)
+            row[:] = line = out
+            visits += width
+            continue
+        cols, residuals = events.tolist(), row[events].tolist()
+        row[:] = prev
+        start = end = 0  # the last walk decoded [start, end), out of step at end
+        for x, nxt, r in zip(cols, cols[1:] + [width + 1], residuals):
+            if x != end:  # in step: the last walk is over
+                row[start:end] = line[start:end]
+                visits += end - start
+                left = diag = line[x - 1]
+                start = x
+            while True:
+                up = line[x]
+                if kind == 3:
+                    v = (r + ((left + up) >> 1)) & 0xFF
+                else:  # the specification's ties: left, then up, then up-left
+                    pa, pb, pc = abs(up - diag), abs(left - diag), abs(left + up - diag - diag)
+                    v = (r + (left if pa <= pb and pa <= pc else up if pb <= pc else diag)) & 0xFF
+                line[x] = left = v
+                diag, r, x = up, 0, x + 1
+                if v == up or x == nxt:
+                    break
+            end = x
+        row[start:end] = line[start:end]
+        visits += end - start
+    buf[written:stop] = buf[written - 1]
 
 
 def _wavefront(buf, first: int, stop: int, kind: int) -> None:
@@ -295,58 +350,3 @@ def _wavefront(buf, first: int, stop: int, kind: int) -> None:
         cur += pred
         cur &= 0xFF
     buf[first:stop] = block[1:]
-
-
-def _scalar_rows(buf, first: int, stop: int, kind: int) -> None:
-    """Decode buf rows first..stop-1, one Average (3) or Paeth (4) run,
-    row by row."""
-    decode_row = _average_row if kind == 3 else _paeth_row
-    for a in range(first, stop):
-        decode_row(buf[a], buf[a - 1])
-
-
-def _average_row(row, prev) -> None:
-    """Decode one Average row in place, given the decoded row above it."""
-    out = [0]  # the zero column
-    left = 0
-    for x, up in zip(row[1:].tolist(), prev[1:].tolist()):
-        left = (x + ((left + up) >> 1)) & 0xFF
-        out.append(left)
-    row[:] = out
-
-
-def _paeth_row(row, prev) -> None:
-    """Decode one Paeth row in place, given the decoded row above it.
-
-    Where up equals up-left, |p - left| = 0 and the pixel predicts from
-    its left neighbour, whatever that is: a stretch of such pixels is a
-    running sum, as in Sub. Only the other pixels are visited one by one;
-    each stretch then adds the running sum to the value before it.
-    """
-    sums = np.cumsum(row, dtype=np.uint8)  # row[0] is the zero column
-    cols = np.flatnonzero(prev[1:] != prev[:-1]) + 1
-    values = []
-    base = 0  # last visited value minus the running sum there
-    for x, up, diag, before, here in zip(
-        row[cols].tolist(), prev[cols].tolist(), prev[cols - 1].tolist(),
-        sums[cols - 1].tolist(), sums[cols].tolist(),
-    ):
-        left = (base + before) & 0xFF
-        pa = abs(up - diag)
-        pb = abs(left - diag)
-        pc = abs(left + up - diag - diag)
-        if pa <= pb and pa <= pc:
-            pred = left
-        elif pb <= pc:
-            pred = up
-        else:
-            pred = diag
-        value = (x + pred) & 0xFF
-        base = value - here
-        values.append(value)
-    offset = np.zeros_like(row)
-    offset[cols] = np.array(values, dtype=np.uint8) - sums[cols]
-    last = np.zeros(len(row), dtype=np.intp)
-    last[cols] = cols
-    np.maximum.accumulate(last, out=last)
-    row[:] = sums + offset[last]

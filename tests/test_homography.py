@@ -144,8 +144,10 @@ class TestInvert:
             np.array([[1.0, 0, np.inf], [0, 1.0, 0], [0, 0, 1.0]]),
             np.array([[1.0, 0, 0], [0, 1.0, 0], [-np.inf, 0, 1.0]]),
             np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, np.nan]]),
+            np.diag([1e300, 1.0, 1e-11]),  # finite, but overflows when normalized
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_matrix_rejected(self, m):
         with pytest.raises(CalibrationError):
             Homography(m)

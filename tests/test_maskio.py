@@ -4,7 +4,8 @@ import zlib
 import numpy as np
 import pytest
 
-from lanepost import ImageIOError, load_mask, read_gray, write_pgm, write_ppm
+from lanepost import ImageIOError, SceneParams, default_config, generate_scene
+from lanepost import load_mask, read_gray, write_pgm, write_ppm
 from lanepost import maskio
 from oracles import png_unfilter
 
@@ -82,6 +83,51 @@ def random_stream(rng, height, width, kinds=(0, 1, 2, 3, 4)):
     stream = rng.integers(0, 256, (height, width + 1), dtype=np.uint8)
     stream[:, 0] = rng.choice(kinds, height)
     return stream
+
+
+def filtered_stream(gray: np.ndarray, kinds) -> np.ndarray:
+    """The image stream of `gray` with row r filtered as kinds[r]; kind 5
+    picks per row the type with the least sum of |signed residual|, the
+    specification's adaptive heuristic."""
+    x = gray.astype(np.int16)
+    up = np.zeros_like(x)
+    up[1:] = x[:-1]
+    left = np.zeros_like(x)
+    left[:, 1:] = x[:, :-1]
+    diag = np.zeros_like(x)
+    diag[1:, 1:] = x[:-1, :-1]
+    pa, pb, pc = np.abs(up - diag), np.abs(left - diag), np.abs(left + up - 2 * diag)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, diag))
+    residuals = np.stack([(x - pred) & 0xFF for pred in (0, left, up, (left + up) >> 1, paeth)])
+    cost = np.abs(residuals.astype(np.uint8).astype(np.int8).astype(np.int32)).sum(axis=2)
+    kinds = np.asarray(kinds)
+    kinds = np.where(kinds == 5, cost.argmin(axis=0), kinds)
+    stream = np.empty((x.shape[0], x.shape[1] + 1), np.uint8)
+    stream[:, 0] = kinds
+    stream[:, 1:] = residuals[kinds, np.arange(len(kinds))]
+    return stream
+
+
+def lane_image(seed: int, shape=(360, 640)) -> np.ndarray:
+    """The lower half of a synthetic lane mask (0/255), upscaled to `shape`
+    by repeating rows and columns, as camera-sized masks are."""
+    mask = generate_scene(SceneParams(num_lanes=3), seed, default_config()).mask[180:]
+    rows = np.arange(shape[0]) * mask.shape[0] // shape[0]
+    cols = np.arange(shape[1]) * mask.shape[1] // shape[1]
+    return np.where(mask[np.ix_(rows, cols)], 255, 0).astype(np.uint8)
+
+
+def spy_wavefront(monkeypatch) -> list:
+    """Record the (first, stop) rows of every `_wavefront` call."""
+    calls = []
+    real = maskio._wavefront
+
+    def spy(buf, first, stop, kind):
+        calls.append((first, stop))
+        real(buf, first, stop, kind)
+
+    monkeypatch.setattr(maskio, "_wavefront", spy)
+    return calls
 
 
 def decode_stream(tmp_path, stream) -> np.ndarray:
@@ -310,20 +356,70 @@ class TestPngUnfilter:
 
     @pytest.mark.parametrize("kind", [3, 4])
     def test_both_sides_of_the_wavefront_switch(self, tmp_path, monkeypatch, kind):
-        calls = []
-        for name in ("_wavefront", "_scalar_rows"):
-            real = getattr(maskio, name)
-            monkeypatch.setattr(
-                maskio, name, lambda *args, _real=real, _name=name: (calls.append(_name), _real(*args))
-            )
-        rng = np.random.default_rng(kind)
-        side = 2 * maskio._WAVEFRONT_STEP  # rows * width == step * (rows + width) for a square
-        for rows, path_taken in ((side - 4, "_scalar_rows"), (side + 4, "_wavefront")):
-            stream = random_stream(rng, rows + 1, rows, kinds=(kind,))
-            stream[0, 0] = 2  # an Up row, then one Average/Paeth run
+        calls = spy_wavefront(monkeypatch)
+        # buf row 1 is an Up row, the run takes buf rows 2..
+        lanes = filtered_stream(lane_image(kind, (200, 200)), [2] + [kind] * 199)
+        dense = random_stream(np.random.default_rng(kind), 200, 200, kinds=(kind,))
+        dense[0, 0] = 2
+        for step, stream, want in (
+            (None, lanes, []),  # sparse: the walker decodes the whole run
+            (None, dense, [(3, 201)]),  # dense: the wavefront takes over after one row
+            (0, lanes, [(2, 201)]),  # a step of 0: all wavefront
+            (10**9, dense, []),  # a huge step: all walker
+        ):
+            if step is not None:
+                monkeypatch.setattr(maskio, "_WAVEFRONT_STEP", step)
             calls.clear()
             assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
-            assert calls == [path_taken]
+            assert calls == want
+
+    @pytest.mark.parametrize("kind", [3, 4])
+    def test_walker_hands_off_mid_run(self, tmp_path, monkeypatch, kind):
+        calls = spy_wavefront(monkeypatch)
+        gray = lane_image(kind, (160, 320))
+        gray[8:] = np.random.default_rng(kind).integers(0, 256, (152, 320), dtype=np.uint8)
+        stream = filtered_stream(gray, [kind] * 160)
+        assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+        assert len(calls) == 1 and 9 < calls[0][0] < 20 and calls[0][1] == 161
+
+    @pytest.mark.parametrize("mode", [0, 1, 2, 3, 4, 5])  # 5: adaptive
+    def test_lane_masks_match_oracle(self, tmp_path, mode):
+        for seed in (1, 2):
+            gray = lane_image(seed)
+            stream = filtered_stream(gray, [mode] * len(gray))
+            if mode == 5:
+                assert len(set(stream[:, 0].tolist())) > 2
+            decoded = decode_stream(tmp_path, stream)
+            assert np.array_equal(decoded, gray)
+            assert decoded.tolist() == png_unfilter(stream)
+
+    @pytest.mark.parametrize("step", [None, 0, 10**9])
+    def test_sparse_residuals_match_oracle(self, tmp_path, monkeypatch, step):
+        # few nonzero residuals under random, constant and zero rows, with
+        # runs starting right after a dense random row
+        if step is not None:
+            monkeypatch.setattr(maskio, "_WAVEFRONT_STEP", step)
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            height, width = rng.integers(1, 24, 2)
+            stream = random_stream(rng, height, width, kinds=(3, 4))
+            stream[:, 1:] *= rng.random((height, width)) < rng.choice([0.0, 0.05, 0.3])
+            dense = rng.random(height) < 0.2
+            stream[dense, 0] = 0  # a random row for the rows below to repeat
+            stream[dense, 1:] = rng.integers(0, 256, (dense.sum(), width))
+            assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+
+    @pytest.mark.parametrize("kind", [3, 4])
+    def test_walks_reaching_the_last_column(self, tmp_path, kind):
+        width = 40
+        stream = np.zeros((6, width + 1), np.uint8)
+        stream[:, 0] = (0, kind, kind, kind, kind, kind)
+        stream[0, 1:] = 7  # a constant row, then rows off it up to the last column
+        stream[1, 1] = 5
+        stream[2, width] = 200
+        stream[3, width - 1 :] = (3, 9)
+        stream[4, 1:] = 1
+        assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
 
     @pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
     def test_edge_shapes_and_wrapping(self, tmp_path, kind):
@@ -353,6 +449,21 @@ class TestPngUnfilter:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * width * height + (1 << 20)
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_sub_and_up_decode_in_place(self, tmp_path, kind):
+        # inflated stream, buffer and result: no further image-sized block
+        gray = lane_image(3, (720, 1280))
+        path = tmp_path / "lanes.png"
+        path.write_bytes(stream_png(filtered_stream(gray, [kind] * 720)))
+        tracemalloc.start()
+        try:
+            decoded = read_gray(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decoded, gray)
+        assert peak < 2.5 * gray.size
 
 
 class TestPpm:
