@@ -14,15 +14,18 @@ segmented array: the instances' points laid end to end in id order, plus
 each instance's point count. All instances are fitted in one array pass
 with per-instance sums folded in index order by np.bincount, so an
 instance's line is the same bits whether it is fitted alone (fit_line)
-or with the rest of the frame. Pairs are scored in canonical (min id,
-max id) order, a block of rows of the vote matrix at a time, and the
-facing-point construction is order-independent, so results are bitwise
-deterministic and invariant to input permutation. cluster_instances is
-the per-instance view: it sorts BevInstance objects by id and lays their
-points end to end for the same core. BevInstance.from_points takes its
-bottom and top from the same exact segment extremes as the vote matrix,
-so BevInstance and the scalar vote() remain the reference the vote
-matrix is tested against.
+or with the rest of the frame. Pairs are scored in facing order: the
+instances are sorted once by descending (bottom y, id), the order in which
+facing_point picks the lower of two instances, so in every pair of that
+order the first is the lower one and the facing point needs no selection.
+The upper triangle of the vote matrix is then computed a block of rows at
+a time, in buffers reused from block to block. Every vote repeats the
+scalar vote()'s IEEE operations, so results are bitwise deterministic and
+invariant to input permutation. cluster_instances is the per-instance
+view: it sorts BevInstance objects by id and lays their points end to end
+for the same core. BevInstance.from_points takes its bottom and top from
+the same exact segment extremes as the vote matrix, so BevInstance and
+the scalar vote() remain the reference the vote matrix is tested against.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ __all__ = [
 ]
 
 _SAME_Y_TOL = 1e-9  # y spread at or below which points share one y; curves fits use it too
-_BLOCK_ELEMENTS = 1 << 14  # vote-matrix entries computed at once; bounds the temporaries
+_BLOCK_ELEMENTS = 1 << 14  # vote-matrix entries per block; sizes the reused block buffers
 
 
 @dataclass(eq=False)
@@ -89,8 +92,7 @@ def _extreme_arrays(points: np.ndarray, starts) -> tuple[np.ndarray, ...]:
     bottom = np.maximum.reduceat(key, starts)
     key.imag = points[:, 0]
     top = np.minimum.reduceat(key, starts)
-    # contiguous copies: the vote matrix broadcasts these arrays n times
-    return -bottom.imag, bottom.real.copy(), top.imag.copy(), top.real.copy()
+    return -bottom.imag, bottom.real, top.imag, top.real
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,6 @@ def _fit_segments(points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np
     batch. A single point gives the vertical fallback (a = 0, b = x0); the
     first multi-point segment whose points share one y raises.
     """
-    if not sizes.all():
-        raise ValueError("every segment needs at least one point")
     xs = points[:, 0]
     ys = points[:, 1]
     n = len(sizes)
@@ -220,10 +220,17 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     """cluster_instances over consecutive BEV point segments of the given
     sizes, segment i being instance i: (labels, count), where labels[i] is
     segment i's cluster in 0..count-1.
+
+    sizes may have any integer dtype; every size must be positive.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     points, sizes = np.asarray(points), np.asarray(sizes)
+    if sizes.ndim != 1 or sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() <= 0):
+        raise ValueError(
+            f"sizes must be a 1-d array of positive integers, got {sizes.dtype} {sizes.shape}"
+        )
+    sizes = sizes.astype(np.intp, copy=False)
     if points.ndim != 2 or points.shape[1] != 2 or sizes.sum() != len(points):
         raise ValueError(
             f"expected (n, 2) points split by sizes summing to n, got shape {points.shape} "
@@ -235,59 +242,83 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
 
 
 def _pairs_below(points: np.ndarray, sizes: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of point segments whose vote is below eta."""
-    upper, lower = [], []
-    for r0, votes in _vote_rows(points, sizes):
-        i, j = np.nonzero(votes < eta)
-        i += r0
-        j += r0
-        above = i < j
-        upper.append(i[above])
-        lower.append(j[above])
+    """Index pairs (i, j), i < j, of point segments whose vote is below eta.
+
+    The votes come in facing order (see _vote_blocks); each edge found is
+    mapped back through the permutation to (min id, max id). A NaN vote,
+    from an instance with a NaN or infinite point, is not below eta, as in
+    the scalar rule, and the arithmetic that makes it warns nothing.
+    """
+    upper, lower = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    with np.errstate(all="ignore"):
+        for row_ids, col_ids, votes in _vote_blocks(points, sizes):
+            k, c = divmod(np.flatnonzero(votes < eta), votes.shape[1])
+            facing = c >= k
+            i, j = row_ids[k[facing]], col_ids[c[facing]]
+            upper.append(np.minimum(i, j))
+            lower.append(np.maximum(i, j))
     return np.concatenate(upper), np.concatenate(lower)
 
 
-def _vote_rows(points: np.ndarray, sizes: np.ndarray):
-    """The vote matrix of consecutive point segments, a block of rows at a
-    time; segment i is the instance with the i-th smallest id.
+def _vote_blocks(points: np.ndarray, sizes: np.ndarray):
+    """The vote matrix of consecutive point segments in facing order, a
+    block of rows of its strict upper triangle at a time; segment i is the
+    instance with the i-th smallest id.
 
-    Yields (r0, votes) where votes[k, m] is the vote of segments r0 + k
-    and r0 + m; columns before r0 are left out, so every pair i < j comes
-    up once. All segments are fitted in one batched call, which gives
-    each the same line as fit_line. Bottoms and tops are taken from the
-    same points by the exact segment extremes that BevInstance holds.
-    Every entry then repeats the scalar vote()'s IEEE operations, so it
-    is bitwise the same number.
+    Facing order sorts the instances by descending (bottom y, id): of two
+    instances, the one facing_point takes as the lower comes first. Yields
+    (row_ids, col_ids, votes), where votes[k, c] is the vote of segments
+    row_ids[k] and col_ids[c] for c >= k; entries with c < k lie below
+    the diagonal and hold no vote. Every pair comes up once. votes is a
+    view of a buffer that the next block overwrites.
+
+    All segments are fitted in one batched call, which gives each the same
+    line as fit_line, and bottoms and tops are the exact segment extremes
+    that BevInstance holds. For facing positions p < q, p is the lower
+    instance, so P = ((top_x[p] + bottom_x[q]) / 2, (top_y[p] + bottom_y[q]) / 2)
+    with no selection (halving by * 0.5 rounds exactly as / 2), and the vote
+    is d_p + d_q, which IEEE addition makes the scalar vote()'s d_i + d_j.
+    So every vote is bitwise the number vote() gives.
     """
     a, b = _fit_segments(points, sizes)
     norm = np.sqrt(1.0 + a * a)
     bottom_x, bottom_y, top_x, top_y = _extreme_arrays(points, np.cumsum(sizes) - sizes)
+    # the stable sort keeps equal bottom y in id order, so reversed, the
+    # larger id comes first, as facing_point breaks ties
+    order = np.argsort(bottom_y, kind="stable")[::-1]
+    a, b, norm, bottom_x, bottom_y, top_x, top_y = np.array(
+        (a, b, norm, bottom_x, bottom_y, top_x, top_y)
+    ).take(order, axis=1)
 
-    # Ids ascend with the index, so for i < j the (bottom y, id) order of
-    # facing_point reduces to: i is the lower one iff its bottom y is
-    # greater. Entries with i >= j are computed and ignored.
-    n = len(sizes)
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    for r0 in range(0, n, rows):
-        r = slice(r0, min(r0 + rows, n))
-        c = slice(r0, n)
-        row_lower = bottom_y[r, None] > bottom_y[None, c]
-        px = np.where(row_lower, top_x[r, None], top_x[None, c])
-        px += np.where(row_lower, bottom_x[None, c], bottom_x[r, None])
-        px /= 2.0
-        py = np.where(row_lower, top_y[r, None], top_y[None, c])
-        py += np.where(row_lower, bottom_y[None, c], bottom_y[r, None])
-        py /= 2.0
-        votes = _distances(px, py, a[r, None], b[r, None], norm[r, None])
-        votes += _distances(px, py, a[None, c], b[None, c], norm[None, c])
-        yield r0, votes
+    # rows p0..p0+rows against columns p0+1..n-1, as many rows as fill
+    # _BLOCK_ELEMENTS entries with the columns left
+    n = len(order)
+    size = min(max(_BLOCK_ELEMENTS, n - 1), (n - 1) ** 2)
+    px, py, d = np.empty(size), np.empty(size), np.empty(size)
+    p0 = 0
+    while p0 < n - 1:
+        cols = n - 1 - p0
+        rows = min(max(1, _BLOCK_ELEMENTS // cols), cols)
+        r, c = slice(p0, p0 + rows), slice(p0 + 1, n)
+        x = px[: rows * cols].reshape(rows, cols)
+        y = py[: rows * cols].reshape(rows, cols)
+        votes = d[: rows * cols].reshape(rows, cols)
+        np.add(top_x[r, None], bottom_x[None, c], out=x)
+        x *= 0.5
+        np.add(top_y[r, None], bottom_y[None, c], out=y)
+        y *= 0.5
+        _distances(x, y, a[r, None], b[r, None], norm[r, None], out=votes)
+        votes += _distances(x, y, a[None, c], b[None, c], norm[None, c], out=y)
+        yield order[r], order[c], votes
+        p0 += rows
 
 
-def _distances(px, py, a, b, norm):
-    """FittedLine.distance_to, elementwise: |px - a*py - b| / norm."""
-    d = a * py
-    np.subtract(px, d, out=d)
-    d -= b
-    np.abs(d, out=d)
-    d /= norm
-    return d
+def _distances(px, py, a, b, norm, out):
+    """FittedLine.distance_to, elementwise: |px - a*py - b| / norm, written
+    into out, which may be py."""
+    np.multiply(a, py, out=out)
+    np.subtract(px, out, out=out)
+    out -= b
+    np.abs(out, out=out)
+    out /= norm
+    return out

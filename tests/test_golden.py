@@ -25,7 +25,8 @@ give bitwise the same instances, clusters and lanes, or the same refusal.
 LANE_BITS_SHA256 pins those bits themselves: every coefficient and extent
 by float.hex() and every polyline by its bytes, over the 40 scenes and the
 12 clutter frames, so a refactor that moves the last bit of a lane shows
-even when both paths move together.
+even when both paths move together. The clutter frames also pin the
+blocked vote matrix: their clusters must not depend on the block size.
 """
 
 import hashlib
@@ -33,6 +34,8 @@ import hashlib
 import numpy as np
 
 import lanepost as lp
+from lanepost import voting
+from lanepost.homography import transform_pixels
 
 GOLDEN_SHA256 = "5f36ffc908749b0166a1ee72ed3cfbb0dcc12d057b47158e93234ea2b00cb446"
 TRUTH_SHA256 = "d90f617d2946d86ddb4562f39f80527da97d7523a41bff637b309fb422980b8c"
@@ -196,3 +199,29 @@ def test_lane_bits_match_golden_digest():
         bits = lane_bits(lanes) if why is None else why[0].__name__
         digest.update(f"# frame {i}\n{bits!r}\n".encode("utf-8"))
     assert digest.hexdigest() == LANE_BITS_SHA256
+
+
+def test_clutter_clusters_do_not_depend_on_the_vote_block_size(monkeypatch):
+    """The clutter frames put hundreds of instances and many near-eta pairs
+    into the vote matrix: cluster_segments labels them alike at any block
+    size, and as cluster_instances does."""
+    cfg = lp.default_config()
+    h = lp.estimate_homography(cfg.calibration)
+    frames = []
+    for mask in clutter_masks():
+        segments = lp.label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+        points = transform_pixels(h, segments.pixels)
+        bev = [
+            lp.BevInstance.from_points(k, pts)
+            for k, pts in enumerate(np.split(points, np.cumsum(segments.sizes)[:-1]))
+        ]
+        frames.append((points, segments.sizes, refusal(lambda: lp.cluster_instances(bev, cfg.eta))))
+    for block in (1, 500, 1 << 14):
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+        for i, (points, sizes, (want, want_refusal)) in enumerate(frames):
+            got, got_refusal = refusal(lambda: lp.cluster_segments(points, sizes, cfg.eta))
+            assert got_refusal == want_refusal, (block, i)
+            if want_refusal is None:
+                labels, count = got
+                assert dict(enumerate(labels.tolist())) == want.assignment, (block, i)
+                assert count == want.num_clusters, (block, i)

@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +212,37 @@ def vote_matrix_cases(rng):
     return instances
 
 
+def tied_bottom_cases(rng):
+    """Id-sorted instances whose bottoms all share one y, so facing_point
+    decides every pair by id: slanted dashes of random length and single
+    points, all ending at y = 100."""
+    instances = []
+    for k in range(30):
+        if k % 5 == 4:
+            instances.append(BevInstance.from_points(k, [(rng.uniform(0.0, 120.0), 100.0)]))
+            continue
+        ys = np.linspace(rng.uniform(0.0, 95.0), 100.0, int(rng.integers(2, 9)))
+        xs = rng.uniform(0.0, 120.0) + rng.uniform(-0.5, 0.5) * ys + rng.normal(0.0, 0.2, len(ys))
+        instances.append(BevInstance.from_points(k, np.stack([xs, ys], axis=1)))
+    return instances
+
+
+def non_finite_cases(rng):
+    """vote_matrix_cases plus instances holding a NaN or infinite point,
+    whose votes are NaN or infinite, never below any eta."""
+    instances = vote_matrix_cases(rng)
+    bad = [
+        [(5.0, 0.0), (np.nan, 10.0), (6.0, 20.0)],
+        [(5.0, 0.0), (6.0, np.inf)],
+        [(-np.inf, 40.0), (7.0, 60.0)],
+        [(30.0, np.inf)],
+        [(np.inf, 50.0)],
+        [(30.0, -np.inf)],
+    ]
+    first = len(instances)
+    return instances + [BevInstance.from_points(first + k, pts) for k, pts in enumerate(bad)]
+
+
 def laid_end_to_end(instances):
     """(points, sizes) of id-sorted instances, as cluster_instances lays
     them out for the voting core."""
@@ -217,19 +250,55 @@ def laid_end_to_end(instances):
     return points, np.array([len(inst.points) for inst in instances])
 
 
+def facing_vote_matrix(instances):
+    """The symmetric vote matrix that voting._vote_blocks yields in facing
+    order, and how many times each entry came up."""
+    n = len(instances)
+    matrix = np.full((n, n), np.nan)
+    seen = np.zeros((n, n), dtype=int)
+    for row_ids, col_ids, votes in voting._vote_blocks(*laid_end_to_end(instances)):
+        for k, i in enumerate(row_ids):
+            matrix[i, col_ids[k:]] = matrix[col_ids[k:], i] = votes[k, k:]
+            seen[i, col_ids[k:]] += 1
+            seen[col_ids[k:], i] += 1
+    return matrix, seen
+
+
+def scalar_pairs_below(instances, eta):
+    """The scalar rule: id pairs i < j with vote(i, j) < eta."""
+    n = len(instances)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return [(i, j) for i, j in pairs if vote(instances[i], instances[j]) < eta]
+
+
 class TestVoteMatrix:
     @pytest.mark.parametrize("block", [1, 500, 1 << 14])
     def test_bitwise_equal_to_scalar_vote(self, monkeypatch, block):
         monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
-        instances = vote_matrix_cases(np.random.default_rng(block))
-        n = len(instances)
-        matrix = np.full((n, n), np.nan)
-        for r0, votes in voting._vote_rows(*laid_end_to_end(instances)):
-            matrix[r0 : r0 + len(votes), r0:] = votes
-        for i in range(n):
-            for j in range(i + 1, n):
-                scalar = np.float64(vote(instances[i], instances[j]))
-                assert matrix[i, j].tobytes() == scalar.tobytes(), (i, j)
+        for cases in (vote_matrix_cases, tied_bottom_cases):
+            instances = cases(np.random.default_rng(block))
+            n = len(instances)
+            matrix, seen = facing_vote_matrix(instances)
+            assert (seen == 1 - np.eye(n, dtype=int)).all(), cases.__name__
+            for i in range(n):
+                for j in range(i + 1, n):
+                    scalar = np.float64(vote(instances[i], instances[j]))
+                    assert matrix[i, j].tobytes() == scalar.tobytes(), (cases.__name__, i, j)
+
+    @pytest.mark.parametrize("block", [1, 500, 1 << 14])
+    def test_non_finite_points_vote_like_the_scalar_rule_without_warnings(self, monkeypatch, block):
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+        instances = non_finite_cases(np.random.default_rng(block))
+        points, sizes = laid_end_to_end(instances)
+        for eta in (0.5, 5.0, 50.0, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                upper, lower = voting._pairs_below(points, sizes, eta)
+            assert sorted(zip(upper.tolist(), lower.tolist())) == scalar_pairs_below(instances, eta)
+        first_bad = len(vote_matrix_cases(np.random.default_rng(block)))
+        assert not any(j >= first_bad for _, j in scalar_pairs_below(instances, 1e300))
 
     def test_same_edges_as_scalar_vote(self):
         rng = np.random.default_rng(5)
@@ -264,6 +333,37 @@ class TestVoteMatrix:
             cluster_segments(points[:, :1], sizes, 20.0)
         labels, count = cluster_segments(np.empty((0, 2)), np.empty(0, dtype=int), 20.0)
         assert (labels.tolist(), count) == ([], 0)
+
+    def test_segment_core_refuses_sizes_that_are_not_positive_integers(self):
+        points = np.array([(0.0, 0.0), (0.0, 5.0), (1.0, 1.0), (1.0, 9.0)])
+        # [3, -1, 2] sums to the point count, but is a caller's error, not a
+        # degenerate frame
+        for bad_sizes in ([3, -1, 2], [0, 4], [2.0, 2.0], [2.5, 1.5], [True] * 4, [[2, 2]]):
+            with pytest.raises(ValueError, match="positive integers"):
+                cluster_segments(points, bad_sizes, 20.0)
+
+    def test_segment_core_accepts_any_integer_dtype(self):
+        points, sizes = laid_end_to_end(vote_matrix_cases(np.random.default_rng(9)))
+        labels, count = cluster_segments(points, sizes, 20.0)
+        for dtype in (np.uint8, np.int16, np.uint32, np.int64, np.uint64):
+            again, again_count = cluster_segments(points, sizes.astype(dtype), 20.0)
+            assert (again.tolist(), again_count) == (labels.tolist(), count), dtype
+
+    def test_scratch_stays_bounded(self):
+        # 3000 two-point dashes 100 BEV px apart: no pair votes below eta,
+        # and a whole vote matrix would take 3000**2 * 8 bytes = 72 MB
+        n = 3000
+        xs = np.repeat(100.0 * np.arange(n), 2)
+        points = np.stack([xs, np.tile([0.0, 10.0], n)], axis=1)
+        sizes = np.full(n, 2)
+        tracemalloc.start()
+        try:
+            labels, count = cluster_segments(points, sizes, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count, labels.tolist()) == (n, list(range(n)))
+        assert peak < 2 << 20, peak
 
     def test_streak_still_raises(self):
         streak = BevInstance.from_points(1, [(x, 50.0) for x in (0.0, 1.0, 2.0)])
