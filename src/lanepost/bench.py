@@ -7,6 +7,11 @@ and p95 over every frame of every measured pass. fps is defined as
 1000 / (mean total ms per frame); wall_fps is frames processed over the
 wall-clock time of the measured passes. Frames run one after another in
 the calling thread.
+
+Frames given as sources with a `load` call (mask files, say) are loaded
+in every pass, and that call is timed as one more stage, `load`. The
+total and fps cover the four run_frame stages only, with or without it,
+so they compare across both kinds of input.
 """
 
 from __future__ import annotations
@@ -41,23 +46,37 @@ class BenchReport:
     wall_fps: float
 
 
-def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1) -> BenchReport:
+def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, load=None) -> BenchReport:
+    """Time run_frame over the frames. With `load`, the frames are sources
+    and load(source) gives each one's mask at target size, timed as the
+    `load` stage."""
     masks = list(masks)
     if not masks:
         raise ConfigError("benchmark needs at least one frame")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
 
-    for mask in masks:  # warm-up, excluded from statistics
-        run_frame(mask, cfg)
+    def frame(source):
+        """(load ms, run_frame timings) of one frame."""
+        if load is None:
+            return 0.0, run_frame(source, cfg).timings
+        t0 = time.perf_counter()
+        mask = load(source)
+        load_ms = (time.perf_counter() - t0) * 1e3
+        return load_ms, run_frame(mask, cfg).timings
+
+    for source in masks:  # warm-up, excluded from statistics
+        frame(source)
     start = time.perf_counter()
-    timings = [run_frame(mask, cfg).timings for _ in range(repetitions) for mask in masks]
+    samples = [frame(source) for _ in range(repetitions) for source in masks]
     elapsed = time.perf_counter() - start
 
     per_stage = {
-        stage: np.array([getattr(t, f"{stage}_ms") for t in timings]) for stage in _STAGES
+        stage: np.array([getattr(t, f"{stage}_ms") for _, t in samples]) for stage in _STAGES
     }
     totals = sum(per_stage.values())
+    if load is not None:
+        per_stage = {"load": np.array([load_ms for load_ms, _ in samples]), **per_stage}
     total_mean = float(totals.mean())
     return BenchReport(
         frames=len(masks),
@@ -71,7 +90,7 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1) -> BenchReport:
         total_median_ms=float(np.median(totals)),
         total_p95_ms=float(np.percentile(totals, 95)),
         fps=1000.0 / total_mean,
-        wall_fps=len(timings) / elapsed,
+        wall_fps=len(samples) / elapsed,
     )
 
 
@@ -80,13 +99,15 @@ def format_report(report: BenchReport) -> str:
         f"frames={report.frames} repetitions={report.repetitions}",
         f"{'stage':<20}{'mean ms':>12}{'std ms':>12}{'median ms':>12}{'p95 ms':>12}",
     ]
-    rows = [
-        (stage, report.stage_mean_ms[stage], report.stage_std_ms[stage],
-         report.stage_median_ms[stage], report.stage_p95_ms[stage])
-        for stage in _STAGES
-    ]
+    def row(stage):
+        return (stage, report.stage_mean_ms[stage], report.stage_std_ms[stage],
+                report.stage_median_ms[stage], report.stage_p95_ms[stage])
+
+    rows = [row(stage) for stage in _STAGES]
     rows.append(("total", report.total_mean_ms, report.total_std_ms,
                  report.total_median_ms, report.total_p95_ms))
+    if "load" in report.stage_mean_ms:  # after the total, which does not include it
+        rows.append(row("load"))
     for name, *values in rows:
         lines.append(f"{name:<20}" + "".join(f"{v:>12.4f}" for v in values))
     lines.append(f"fps={report.fps:.2f} wall_fps={report.wall_fps:.2f}")

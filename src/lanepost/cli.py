@@ -103,12 +103,17 @@ def _cmd_bench(args) -> int:
         )
         if not paths:
             raise ImageIOError(args.mask_dir, "no .pgm or .png masks found")
-        masks = [crop_and_resize(load_mask(p, cfg.mask_threshold), cfg) for p in paths]
+        report = benchmark(
+            paths,
+            cfg,
+            repetitions=args.reps,
+            load=lambda path: crop_and_resize(load_mask(path, cfg.mask_threshold), cfg),
+        )
     else:
         masks = [
             generate_scene(SceneParams(), seed, cfg).mask for seed in range(args.frames)
         ]
-    report = benchmark(masks, cfg, repetitions=args.reps)
+        report = benchmark(masks, cfg, repetitions=args.reps)
     print(json.dumps(dataclasses.asdict(report)) if args.json else format_report(report))
     return EXIT_OK
 
@@ -169,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="measure pipeline throughput")
     group = p_bench.add_mutually_exclusive_group(required=True)
     group.add_argument("--frames", type=int, help="number of synthetic frames")
-    group.add_argument("--mask-dir", help="directory of mask files")
+    group.add_argument(
+        "--mask-dir",
+        help="directory of mask files, read, decoded and resized in every pass (the load stage)",
+    )
     p_bench.add_argument("--reps", type=int, default=3)
     p_bench.add_argument("--config", help="config file (defaults apply when omitted)")
     p_bench.add_argument(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scratch import borrow
 from .graph import component_labels
 
 __all__ = ["Instance", "InstanceSegments", "label_instances", "label_segments"]
@@ -118,12 +119,20 @@ def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSe
     order = order[kept[run_label[order]]]
     run_start, run_len = starts[order], lengths[order]
 
-    # one pixel array for all kept components, laid out run after run
-    pixel_start = np.cumsum(run_len) - run_len
-    flat_pos = np.arange(int(run_len.sum())) + np.repeat(run_start - pixel_start, run_len)
-    pixels = np.empty((len(flat_pos), 2), dtype=np.int32)
-    pixels[:, 0] = flat_pos // pitch
-    pixels[:, 1] = flat_pos % pitch
+    # one pixel array for all kept components, laid out run after run; each
+    # column is the running sum of its steps from pixel to pixel, which
+    # are 0 (rows) and 1 (columns) within a run
+    run_row, run_col = np.divmod(run_start, pitch)
+    first = np.cumsum(run_len[:-1])  # each later run's first pixel
+    pixels = np.empty((int(run_len.sum()), 2), dtype=np.int32)
+    step = np.zeros(len(pixels), dtype=np.int32)
+    step[:1] = run_row[:1]
+    step[first] = np.diff(run_row)
+    np.cumsum(step, dtype=np.int32, out=pixels[:, 0])
+    step[:] = 1
+    step[:1] = run_col[:1]
+    step[first] = run_col[1:] - (run_col[:-1] + run_len[:-1] - 1)
+    np.cumsum(step, dtype=np.int32, out=pixels[:, 1])
     return InstanceSegments(pixels, sizes[kept])
 
 
@@ -136,11 +145,20 @@ def _runs(mask: np.ndarray, pitch: int) -> tuple[np.ndarray, np.ndarray]:
     wrapping into the next row, and a leading false cell makes a value
     change between cells p and p + 1 of the padded grid a run boundary at
     position p. Boundaries alternate between starts and stops.
+
+    The padded grid and the boundary flags are this thread's pooled
+    scratch (see `_scratch`), so a steady stream of frames reuses the
+    same pages; the mask is read, never written.
     """
     height, width = mask.shape
-    flat = np.zeros(height * pitch + 1, dtype=bool)
-    flat[1:].reshape(height, pitch)[:, :width] = mask
-    boundaries = np.flatnonzero(flat[1:] != flat[:-1])
+    size = height * pitch
+    with borrow("runs.grid", size + 1, bool) as flat, borrow("runs.flags", size, bool) as flags:
+        grid = flat[1:].reshape(height, pitch)
+        flat[0] = False
+        grid[:, width] = False
+        grid[:, :width] = mask
+        np.not_equal(flat[1:], flat[:-1], out=flags)
+        boundaries = np.flatnonzero(flags)
     return boundaries[0::2], boundaries[1::2]
 
 

@@ -4,6 +4,11 @@
 Reading the mask is the first step of every frame, and for a large PNG it
 is the costliest one, so PNG rows are undone with array operations, and
 Average and Paeth rows visit only the pixels that change (see `_unfilter`).
+
+No image-sized temporary is made that a caller does not keep. P5 samples
+are read in place, as a read-only view of the file's bytes, and a PNG is
+decoded into this thread's pooled buffer (see `_scratch`); `load_mask`
+thresholds either directly, and only `read_gray` copies the samples out.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import zlib
 
 import numpy as np
 
+from ._scratch import borrow
 from .errors import ImageIOError
 
 __all__ = ["read_gray", "load_mask", "write_pgm", "write_ppm"]
@@ -25,9 +31,10 @@ def read_gray(path) -> np.ndarray:
 
     Accepts P2/P5 graymaps and 8-bit grayscale PNG, dispatched on the file
     signature. Samples are returned as stored: a graymap whose maxval is
-    below 255 is not rescaled.
+    below 255 is not rescaled. The array is the caller's own: writable,
+    C-contiguous and shared with no other read.
     """
-    return _read_samples(path)[0]
+    return _read_samples(path, lambda gray, maxval: np.array(gray, order="C"))
 
 
 def load_mask(path, threshold: int = 127) -> np.ndarray:
@@ -39,21 +46,24 @@ def load_mask(path, threshold: int = 127) -> np.ndarray:
     every PNG) it is s > threshold. Binary graymaps with maxval 1 thus
     read as marked where the sample is 1.
     """
-    gray, maxval = _read_samples(path)
-    return gray > (threshold * maxval) // 255
+    return _read_samples(path, lambda gray, maxval: gray > (threshold * maxval) // 255)
 
 
-def _read_samples(path) -> tuple[np.ndarray, int]:
-    """(samples, maxval) of a graymap or grayscale PNG file."""
+def _read_samples(path, use):
+    """use(samples, maxval) for a graymap or grayscale PNG file.
+
+    samples is valid only during the call: a read-only view of the file's
+    bytes for P5, and a view of this thread's pooled decode buffer for PNG.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ImageIOError(path, f"cannot read file: {exc}") from exc
     if data.startswith(_PNG_SIGNATURE):
-        return _decode_png_gray(path, data), 255
+        return _decode_png_gray(path, data, use)
     if data[:2] in (b"P2", b"P5"):
-        return _decode_pgm(path, data)
+        return use(*_decode_pgm(path, data))
     raise ImageIOError(path, "unsupported format (want P2/P5 graymap or grayscale PNG)")
 
 
@@ -79,9 +89,10 @@ def write_ppm(path, rgb) -> None:
 # portable graymap
 # ---------------------------------------------------------------------------
 
-def _pgm_tokens(data):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    i = 0
+def _pgm_tokens(data, i: int):
+    """Yield (token, end) for the whitespace-separated header tokens from
+    offset i on, skipping # comments; end is the offset just past the
+    token."""
     n = len(data)
     while i < n:
         ch = data[i : i + 1]
@@ -99,7 +110,7 @@ def _pgm_tokens(data):
 
 def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
     magic = data[:2]
-    tokens = _pgm_tokens(data[2:])
+    tokens = _pgm_tokens(data, 2)
 
     def next_int(what):
         try:
@@ -122,16 +133,18 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
         raise ImageIOError(path, f"unsupported maxval {maxval} (8-bit only)")
 
     if magic == b"P5":
-        start = 2 + header_end + 1  # single whitespace byte after maxval
-        raw = data[start : start + width * height]
-        if len(raw) != width * height:
-            raise ImageIOError(path, f"truncated pixel data: {len(raw)} of {width * height} bytes")
-        arr = np.frombuffer(raw, dtype=np.uint8)
+        start = header_end + 1  # single whitespace byte after maxval
+        count = width * height
+        if len(data) - start < count:
+            raise ImageIOError(
+                path, f"truncated pixel data: {max(len(data) - start, 0)} of {count} bytes"
+            )
+        arr = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
         if maxval < 255 and arr.max() > maxval:  # every byte is in range at 255
             raise ImageIOError(path, "sample value out of range")
-        return arr.reshape(height, width).copy(), maxval
+        return arr.reshape(height, width), maxval
 
-    values = data[2 + header_end :].split()
+    values = data[header_end:].split()
     if len(values) != width * height:
         raise ImageIOError(path, f"expected {width * height} samples, found {len(values)}")
     try:
@@ -154,7 +167,9 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
 _WAVEFRONT_STEP = 50
 
 
-def _decode_png_gray(path, data) -> np.ndarray:
+def _decode_png_gray(path, data, use):
+    """use(samples, 255) for a grayscale PNG file's bytes, samples being a
+    view of this thread's pooled decode buffer."""
     view = memoryview(data)  # chunk payloads are views, not copies
     pos = len(_PNG_SIGNATURE)
     ihdr = None
@@ -195,11 +210,14 @@ def _decode_png_gray(path, data) -> np.ndarray:
     # filter reads its left, up and up-left neighbours without edge cases.
     stream = np.frombuffer(raw, dtype=np.uint8).reshape(height, width + 1)
     kinds = stream[:, 0].copy()
-    buf = np.zeros((height + 1, width + 1), dtype=np.uint8)
-    buf[1:, 1:] = stream[:, 1:]
-    del raw, stream
-    _unfilter(path, kinds, buf)
-    return buf[1:, 1:].copy()
+    with borrow("png", (height + 1) * (width + 1)) as flat:
+        buf = flat.reshape(height + 1, width + 1)
+        buf[0] = 0
+        buf[1:, 0] = 0
+        buf[1:, 1:] = stream[:, 1:]
+        del raw, stream
+        _unfilter(path, kinds, buf)
+        return use(buf[1:, 1:], 255)
 
 
 def _inflate(path, idat, size: int) -> bytes:
@@ -253,12 +271,15 @@ def _walk(buf, first: int, stop: int, kind: int) -> None:
     zero residual repeats the pixel above and keeps the next one in step.
     So a row copies the row above but for walks from its events (nonzero
     residuals and, for Average, columns where the row above changes), each
-    until a pixel equals the one above it. The rest of the run goes to
-    `_wavefront` once projected (a unit per row and visit) to cost more here.
+    until a pixel equals the one above it. The row is decoded in a
+    bytearray that starts as the row above, and is written to buf once. The
+    rest of the run goes to `_wavefront` once projected (a unit per row and
+    visit) to cost more here.
     """
     width = buf.shape[1] - 1
     busy = buf[first:stop].any(axis=1).tolist()  # rows with a nonzero residual
-    line = buf[first - 1].tolist()  # the decoded row above row a
+    line = bytearray(buf[first - 1])  # the decoded row above row a, then row a
+    decoded = np.frombuffer(line, dtype=np.uint8)  # line, as an array
     written, visits = first, 0  # rows written..a-1 are copies of row written - 1
     zero_above = False  # Average: the row above is known to be all zero
     for a in range(first, stop):
@@ -271,7 +292,8 @@ def _walk(buf, first: int, stop: int, kind: int) -> None:
         buf[written:a] = buf[written - 1]
         written = a
         row, prev = buf[a], buf[a - 1]
-        events = (row if kind == 4 else row[1:] | (prev[1:] ^ prev[:-1])).nonzero()[0] + (kind == 3)
+        changed = row != 0 if kind == 4 else (row[1:] | (prev[1:] ^ prev[:-1])) != 0
+        events = np.flatnonzero(changed) + (kind == 3)  # bool: about 8x faster than uint8
         zero_above = not len(events)  # an Average row of zeros under zeros
         if zero_above:
             continue
@@ -281,15 +303,14 @@ def _walk(buf, first: int, stop: int, kind: int) -> None:
             for up, r in zip(line[1:], row[1:].tolist()):
                 left = (r + ((left + up) >> 1)) & 0xFF
                 out.append(left)
-            row[:] = line = out
+            line[:] = out
+            row[:] = decoded
             visits += width
             continue
         cols, residuals = events.tolist(), row[events].tolist()
-        row[:] = prev
         start = end = 0  # the last walk decoded [start, end), out of step at end
         for x, nxt, r in zip(cols, cols[1:] + [width + 1], residuals):
             if x != end:  # in step: the last walk is over
-                row[start:end] = line[start:end]
                 visits += end - start
                 left = diag = line[x - 1]
                 start = x
@@ -305,7 +326,7 @@ def _walk(buf, first: int, stop: int, kind: int) -> None:
                 if v == up or x == nxt:
                     break
             end = x
-        row[start:end] = line[start:end]
+        row[:] = decoded  # out of the walks, line still holds the row above
         visits += end - start
     buf[written:stop] = buf[written - 1]
 

@@ -98,10 +98,16 @@ def crop_and_resize(mask, cfg: PipelineConfig) -> np.ndarray:
             f"({cfg.crop_top},{cfg.crop_bottom},{cfg.crop_left},{cfg.crop_right})"
         )
     # gather the target grid's source pixels, then threshold only those;
-    # taking whole rows first and then columns beats one np.ix_ gather
+    # taking whole rows first and then columns beats one np.ix_ gather, and
+    # np.take beats indexing for the columns. astype(bool) is the same
+    # truth as != 0 for every numeric dtype, and copies, so the result
+    # never aliases the input, but a gathered boolean grid is not copied
+    # again.
     rows = _nearest(top, bottom, cfg.target_rows)
     cols = _nearest(left, right, cfg.target_cols)
-    return mask[rows][:, cols] != 0
+    if isinstance(cols, slice):
+        return mask[rows, cols].astype(bool)
+    return np.take(mask[rows], cols, axis=1).astype(bool, copy=False)
 
 
 def _nearest(lo: int, hi: int, n: int):

@@ -19,13 +19,14 @@ instances are sorted once by descending (bottom y, id), the order in which
 facing_point picks the lower of two instances, so in every pair of that
 order the first is the lower one and the facing point needs no selection.
 The upper triangle of the vote matrix is then computed a block of rows at
-a time, in buffers reused from block to block. Every vote repeats the
-scalar vote()'s IEEE operations, so results are bitwise deterministic and
-invariant to input permutation. cluster_instances is the per-instance
-view: it sorts BevInstance objects by id and lays their points end to end
-for the same core. BevInstance.from_points takes its bottom and top from
-the same exact segment extremes as the vote matrix, so BevInstance and
-the scalar vote() remain the reference the vote matrix is tested against.
+a time, in buffers reused from block to block and, per thread, from call
+to call. Every vote repeats the scalar vote()'s IEEE operations, so
+results are bitwise deterministic and invariant to input permutation.
+cluster_instances is the per-instance view: it sorts BevInstance objects
+by id and lays their points end to end for the same core.
+BevInstance.from_points takes its bottom and top from the same exact
+segment extremes as the vote matrix, so BevInstance and the scalar vote()
+remain the reference the vote matrix is tested against.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scratch import borrow
 from .errors import DegenerateGeometryError
 from .graph import component_labels
 
@@ -125,7 +127,7 @@ def fit_line(points) -> FittedLine:
     return FittedLine(float(a), float(b), vertical_fallback=len(pts) == 1)
 
 
-def _fit_segments(points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fit_segments(points: np.ndarray, sizes: np.ndarray, spread=None) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares lines x = a*y + b through consecutive non-empty point
     segments of the given sizes, as arrays a and b, one entry per segment.
 
@@ -133,13 +135,19 @@ def _fit_segments(points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np
     segment's line does not depend on which other segments share the
     batch. A single point gives the vertical fallback (a = 0, b = x0); the
     first multi-point segment whose points share one y raises.
+
+    spread, when given, is each segment's y spread from `_extreme_arrays`
+    (bottom y - top y), which saves two reductions. A point with a NaN x
+    is both extremes of its segment, so that spread can only read low; a
+    segment it finds flat is checked again from the points themselves.
     """
     xs = points[:, 0]
     ys = points[:, 1]
     n = len(sizes)
     starts = np.cumsum(sizes) - sizes
     single = sizes == 1
-    spread = np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
+    if spread is None or ((spread <= _SAME_Y_TOL) & ~single).any():
+        spread = np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
     flat = (spread <= _SAME_Y_TOL) & ~single
     if flat.any():
         k = int(np.argmax(flat))
@@ -270,7 +278,10 @@ def _vote_blocks(points: np.ndarray, sizes: np.ndarray):
     (row_ids, col_ids, votes), where votes[k, c] is the vote of segments
     row_ids[k] and col_ids[c] for c >= k; entries with c < k lie below
     the diagonal and hold no vote. Every pair comes up once. votes is a
-    view of a buffer that the next block overwrites.
+    view of this thread's pooled block buffer (see `_scratch`), which the
+    next block, or the next call on this thread, overwrites. The buffers
+    go back to the pool when the generator finishes or is closed; one
+    left unfinished keeps its own, and the next call allocates afresh.
 
     All segments are fitted in one batched call, which gives each the same
     line as fit_line, and bottoms and tops are the exact segment extremes
@@ -280,9 +291,9 @@ def _vote_blocks(points: np.ndarray, sizes: np.ndarray):
     is d_p + d_q, which IEEE addition makes the scalar vote()'s d_i + d_j.
     So every vote is bitwise the number vote() gives.
     """
-    a, b = _fit_segments(points, sizes)
-    norm = np.sqrt(1.0 + a * a)
     bottom_x, bottom_y, top_x, top_y = _extreme_arrays(points, np.cumsum(sizes) - sizes)
+    a, b = _fit_segments(points, sizes, bottom_y - top_y)
+    norm = np.sqrt(1.0 + a * a)
     # the stable sort keeps equal bottom y in id order, so reversed, the
     # larger id comes first, as facing_point breaks ties
     order = np.argsort(bottom_y, kind="stable")[::-1]
@@ -294,23 +305,24 @@ def _vote_blocks(points: np.ndarray, sizes: np.ndarray):
     # _BLOCK_ELEMENTS entries with the columns left
     n = len(order)
     size = min(max(_BLOCK_ELEMENTS, n - 1), (n - 1) ** 2)
-    px, py, d = np.empty(size), np.empty(size), np.empty(size)
-    p0 = 0
-    while p0 < n - 1:
-        cols = n - 1 - p0
-        rows = min(max(1, _BLOCK_ELEMENTS // cols), cols)
-        r, c = slice(p0, p0 + rows), slice(p0 + 1, n)
-        x = px[: rows * cols].reshape(rows, cols)
-        y = py[: rows * cols].reshape(rows, cols)
-        votes = d[: rows * cols].reshape(rows, cols)
-        np.add(top_x[r, None], bottom_x[None, c], out=x)
-        x *= 0.5
-        np.add(top_y[r, None], bottom_y[None, c], out=y)
-        y *= 0.5
-        _distances(x, y, a[r, None], b[r, None], norm[r, None], out=votes)
-        votes += _distances(x, y, a[None, c], b[None, c], norm[None, c], out=y)
-        yield order[r], order[c], votes
-        p0 += rows
+    with borrow("votes", 3 * size, np.float64) as scratch:
+        px, py, d = scratch.reshape(3, size)
+        p0 = 0
+        while p0 < n - 1:
+            cols = n - 1 - p0
+            rows = min(max(1, _BLOCK_ELEMENTS // cols), cols)
+            r, c = slice(p0, p0 + rows), slice(p0 + 1, n)
+            x = px[: rows * cols].reshape(rows, cols)
+            y = py[: rows * cols].reshape(rows, cols)
+            votes = d[: rows * cols].reshape(rows, cols)
+            np.add(top_x[r, None], bottom_x[None, c], out=x)
+            x *= 0.5
+            np.add(top_y[r, None], bottom_y[None, c], out=y)
+            y *= 0.5
+            _distances(x, y, a[r, None], b[r, None], norm[r, None], out=votes)
+            votes += _distances(x, y, a[None, c], b[None, c], norm[None, c], out=y)
+            yield order[r], order[c], votes
+            p0 += rows
 
 
 def _distances(px, py, a, b, norm, out):

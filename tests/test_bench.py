@@ -59,3 +59,23 @@ def test_parameter_validation():
         benchmark([], cfg)
     with pytest.raises(ConfigError):
         benchmark(make_masks(1), cfg, repetitions=0)
+
+
+def test_load_stage_is_timed_beside_the_total():
+    cfg = default_config()
+    masks = make_masks(2)
+    loaded = []
+
+    def load(i):
+        loaded.append(i)
+        return masks[i]
+
+    report = benchmark([0, 1], cfg, repetitions=2, load=load)
+    assert loaded == [0, 1] * 3  # the warm-up pass and two measured passes
+    assert list(report.stage_mean_ms) == ["load", "instance_detection", "bev", "voting", "fitting"]
+    assert report.stage_mean_ms["load"] > 0.0
+    run_stages = sum(v for k, v in report.stage_mean_ms.items() if k != "load")
+    assert report.total_mean_ms == pytest.approx(run_stages, rel=1e-9)
+    assert report.fps == pytest.approx(1000.0 / report.total_mean_ms, rel=1e-12)
+    names = [line.split()[0] for line in format_report(report).splitlines()[2:-1]]
+    assert names == ["instance_detection", "bev", "voting", "fitting", "total", "load"]

@@ -152,6 +152,17 @@ def test_bench_mask_dir(tmp_path, capsys):
     assert "fps=" in capsys.readouterr().out
 
 
+def test_bench_mask_dir_json_times_the_load_stage(tmp_path, capsys):
+    for i in range(2):
+        write_pgm(tmp_path / f"m{i}.pgm", np.zeros((360, 480), np.uint8))
+    assert main(["bench", "--mask-dir", str(tmp_path), "--reps", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    stages = {"load", "instance_detection", "bev", "voting", "fitting"}
+    for key in ("stage_mean_ms", "stage_std_ms", "stage_median_ms", "stage_p95_ms"):
+        assert set(report[key]) == stages
+    assert report["fps"] == 1000.0 / report["total_mean_ms"]
+
+
 def test_run_with_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "pipeline.cfg"
     cfg_path.write_text(format_config(default_config()) + "cluster.eta=25.0\n")

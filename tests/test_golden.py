@@ -30,6 +30,8 @@ blocked vote matrix: their clusters must not depend on the block size.
 """
 
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -225,3 +227,24 @@ def test_clutter_clusters_do_not_depend_on_the_vote_block_size(monkeypatch):
                 labels, count = got
                 assert dict(enumerate(labels.tolist())) == want.assignment, (block, i)
                 assert count == want.num_clusters, (block, i)
+
+
+def test_run_frame_on_two_threads_is_bitwise_the_sequential_result():
+    """The labeler and the vote matrix borrow per-thread scratch buffers, so
+    frames running at once on two threads must not see each other's."""
+    cfg = lp.default_config()
+    masks = list(clutter_masks())
+
+    def frame_bits(mask):
+        result = lp.run_frame(mask, cfg)
+        return instance_bits(result.segments.instances()), result.clustering, lane_bits(result.lanes)
+
+    want = [frame_bits(mask) for mask in masks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(frame_bits, masks * 3, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 3

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lanepost import label_instances, label_segments
+from lanepost import SceneParams, default_config, generate_scene, label_instances, label_segments
 from oracles import union_find_components
 
 
@@ -201,3 +203,21 @@ class TestSegmentedRecord:
             assert record.pixels.shape == (0, 2)
             assert len(record.sizes) == 0
             assert record.instances() == []
+
+
+def test_steady_state_labeling_memory_is_bounded():
+    # the padded grid and boundary flags (173 KB each at 360x480) are
+    # pooled per thread: a second frame allocates only what scales with
+    # its runs and pixels
+    cfg = default_config()
+    mask = generate_scene(SceneParams(num_lanes=5), 504, cfg).mask
+    want = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+    tracemalloc.start()
+    try:
+        got = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.pixels.tobytes() == want.pixels.tobytes()
+    assert got.sizes.tolist() == want.sizes.tolist()
+    assert peak < 128 << 10, peak

@@ -230,6 +230,79 @@ class TestPgm:
             load_mask(path, 127)
 
 
+class TestSamplesInPlace:
+    """P5 samples are read in place and PNG samples decoded into a pooled
+    buffer; read_gray still hands out an array of the caller's own."""
+
+    @pytest.mark.parametrize("kind", ["p2", "p5", "png"])
+    def test_read_gray_returns_a_writable_array_of_its_own(self, tmp_path, kind):
+        gray = np.random.default_rng(4).integers(0, 256, (9, 13), dtype=np.uint8)
+        path = tmp_path / f"img.{kind}"
+        if kind == "p2":
+            rows = "\n".join(" ".join(map(str, row)) for row in gray.tolist())
+            path.write_text(f"P2\n13 9\n255\n{rows}\n")
+        elif kind == "p5":
+            write_pgm(path, gray)
+        else:
+            path.write_bytes(make_gray_png(gray, [3] * 9))
+        first = read_gray(path)
+        assert first.flags.writeable and first.flags.c_contiguous
+        first[:] = 7
+        second = read_gray(path)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, gray)
+        assert np.array_equal(load_mask(path, 127), gray > 127)
+        assert (first == 7).all()
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5\r\n# " + b"a long comment, " * 6 + b"\r\n3\r\n# between width and height\r\n"
+            b"2 # after the height\r\n# before maxval\r\n255\n",
+            b"P5 # right after the magic\n3\n2\r\n255\r",  # one whitespace byte ends the header
+        ],
+    )
+    def test_p5_header_comments_and_line_ends(self, tmp_path, header):
+        samples = b"\n\r#\x20\x00\xff"  # header-like bytes are samples here
+        path = tmp_path / "commented.pgm"
+        path.write_bytes(header + samples)
+        assert read_gray(path).tolist() == [[10, 13, 35], [32, 0, 255]]
+        assert load_mask(path, 127).tolist() == [[False, False, False], [False, False, True]]
+
+    def test_truncated_message_counts_the_bytes_found(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
+        with pytest.raises(ImageIOError, match="truncated pixel data: 2 of 16 bytes"):
+            load_mask(path, 127)
+        path.write_bytes(b"P5\n4 4\n255")
+        with pytest.raises(ImageIOError, match="truncated pixel data: 0 of 16 bytes"):
+            load_mask(path, 127)
+
+    def test_p5_load_mask_memory_is_the_file_and_the_mask(self, tmp_path):
+        gray = lane_image(5, (360, 480))
+        path = tmp_path / "frame.pgm"
+        write_pgm(path, gray)
+        load_mask(path, 127)  # first-call set-up stays out of the figure
+        tracemalloc.start()
+        try:
+            mask = load_mask(path, 127)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mask, gray > 127)
+        assert peak < 2.2 * gray.size, peak  # the file's bytes plus the boolean mask
+
+    def test_png_decode_buffer_is_zeroed_between_images(self, tmp_path):
+        # a pooled buffer left full of 0xff by a first image must decode a
+        # second, smaller image as if it were fresh zeros
+        full = tmp_path / "full.png"
+        full.write_bytes(make_gray_png(np.full((9, 12), 0xFF, np.uint8)))
+        assert (read_gray(full) == 0xFF).all()
+        for kind in (1, 2, 3, 4):
+            stream = random_stream(np.random.default_rng(kind), 6, 7, kinds=(kind,))
+            assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+
+
 class TestPng:
     @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
     def test_each_filter_type(self, tmp_path, ftype):

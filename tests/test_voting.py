@@ -349,6 +349,29 @@ class TestVoteMatrix:
             again, again_count = cluster_segments(points, sizes.astype(dtype), 20.0)
             assert (again.tolist(), again_count) == (labels.tolist(), count), dtype
 
+    def test_interleaved_generators_keep_their_own_votes(self, monkeypatch):
+        # the block buffers are borrowed from a per-thread pool; a second
+        # generator running while the first is open must get its own
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", 200)
+        frames = [laid_end_to_end(vote_matrix_cases(np.random.default_rng(seed))) for seed in (3, 4)]
+
+        def blocks(frame):
+            return [(r.tolist(), c.tolist(), v.tobytes()) for r, c, v in voting._vote_blocks(*frame)]
+
+        alone = [blocks(frame) for frame in frames]
+        assert min(len(a) for a in alone) > 3
+        gens = [voting._vote_blocks(*frame) for frame in frames]
+        got = [[], []]
+        while any(len(g) < len(a) for g, a in zip(got, alone)):
+            held = []
+            for k in (0, 1):
+                if len(got[k]) < len(alone[k]):
+                    r, c, v = next(gens[k])
+                    held.append(v)
+                    got[k].append((r.tolist(), c.tolist(), v.tobytes()))
+            assert len(held) < 2 or not np.shares_memory(*held)
+        assert got == alone
+
     def test_scratch_stays_bounded(self):
         # 3000 two-point dashes 100 BEV px apart: no pair votes below eta,
         # and a whole vote matrix would take 3000**2 * 8 bytes = 72 MB
