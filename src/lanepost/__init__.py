@@ -63,15 +63,6 @@ from .synthetic import (
     read_truth_curves,
     write_truth_curves,
 )
-from .voting import (
-    BevInstance,
-    Clustering,
-    FittedLine,
-    cluster_instances,
-    cluster_segments,
-    facing_point,
-    fit_line,
-    vote,
-)
+from .voting import BevInstance, Clustering, cluster_instances, cluster_segments, vote
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, ProcessingError
 from .homography import Homography
-from .voting import _SAME_Y_TOL
+from .voting import _SAME_Y_TOL, _point_array
 
 __all__ = ["LaneCurve", "fit_curve", "fit_curves", "sample_curve", "back_project", "project_curves"]
 
@@ -257,10 +257,3 @@ def _collapse(mapped: np.ndarray, steps: np.ndarray) -> np.ndarray:
     if len(mapped) < 2:
         raise ProcessingError("back-projected polyline collapsed to fewer than 2 points")
     return mapped
-
-
-def _point_array(points, what: str) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError(f"expected a non-empty (n, 2) {what} array, got shape {pts.shape}")
-    return pts

@@ -8,10 +8,11 @@ mask + config always reproduce identical lanes; only timings vary.
 A frame's instances travel as one segmented record from labeling to
 fitting: the labeler's pixel array and instance sizes, one homography
 application that maps the whole array into BEV, one voting pass over
-those points, and one fit of every cluster, with each point labelled by
-its instance's cluster. No per-instance object is built on the way;
-FrameResult.segments.instances() gives the Instance list when one is
-wanted.
+those points, which labels every instance with its cluster, and one fit
+of every cluster, with each point labelled by its instance's cluster. No
+per-instance object is built on the way: FrameResult keeps the record and
+the label array, and FrameResult.segments.instances() gives the Instance
+list when one is wanted.
 
 Lane files hold one line per lane: `cluster_id c0 c1 c2 y_min y_max`
 followed by the image-space polyline as `x,y` pairs, all numbers printed
@@ -32,7 +33,7 @@ from .curves import LaneCurve, fit_curves, project_curves
 from .errors import ConfigError, FileFormatError
 from .homography import Homography, QuadCorrespondence, estimate_homography, transform_pixels
 from .instances import InstanceSegments, label_segments
-from .voting import Clustering, cluster_segments
+from .voting import cluster_segments
 
 __all__ = [
     "Lane",
@@ -70,7 +71,7 @@ class Lane:
 @dataclass(eq=False)
 class FrameResult:
     segments: InstanceSegments
-    clustering: Clustering
+    labels: np.ndarray  # np.intp; labels[i] is instance i's cluster, dense in 0..cluster_count-1
     lanes: list[Lane]
     timings: StageTimings
 
@@ -80,7 +81,7 @@ class FrameResult:
 
     @property
     def cluster_count(self) -> int:
-        return self.clustering.num_clusters
+        return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
 def crop_and_resize(mask, cfg: PipelineConfig) -> np.ndarray:
@@ -149,7 +150,6 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     t2 = time.perf_counter()
 
     labels, count = cluster_segments(points, segments.sizes, cfg.eta)
-    clustering = Clustering(dict(enumerate(labels.tolist())), count)
     t3 = time.perf_counter()
 
     lanes = []
@@ -165,7 +165,7 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
         voting_ms=(t3 - t2) * 1e3,
         fitting_ms=(t4 - t3) * 1e3,
     )
-    return FrameResult(segments, clustering, lanes, timings)
+    return FrameResult(segments, labels, lanes, timings)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ road a detector could not possibly report.
 
 Assignment map encoding: 0 = background, divider_id + 1 = marking pixel,
 255 = noise pixel.
+
+Scoring reads a FrameResult as arrays: the truth id under every instance
+pixel of its segmented record, and its cluster label array.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: floa
         raise ValueError("result does not match scene: instance pixel out of bounds")
     if not scene.mask[r, c].all():
         raise ValueError("result does not match scene: instance pixel not in mask")
-    purity = _purity(result, scene.truth_assignment[r, c])
+    purity = _purity(result.segments.sizes, result.labels, scene.truth_assignment[r, c])
 
     matched, recall, mean_err = match_dividers(
         scene.truth_curves, [lane.curve for lane in result.lanes], lateral_tolerance
@@ -225,9 +228,10 @@ def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: floa
     )
 
 
-def _purity(result: FrameResult, truth) -> float:
-    """Share of instances whose label is their cluster's, given the truth
-    id of every pixel of result.segments.
+def _purity(sizes, clusters, truth) -> float:
+    """Share of instances whose label is their cluster's, given each
+    instance's pixel count and cluster, and the truth id of every pixel,
+    the instances' pixels laid end to end.
 
     An instance's label is the marking id most of its pixels carry, ties
     going to the smallest id, weighted by that pixel count; an instance
@@ -235,7 +239,6 @@ def _purity(result: FrameResult, truth) -> float:
     cluster's label is the label of largest total weight among its
     instances, ties going to the smallest label.
     """
-    sizes = result.segments.sizes
     count = len(sizes)
     if not count:
         return 1.0
@@ -248,8 +251,7 @@ def _purity(result: FrameResult, truth) -> float:
     weight = sizes.astype(np.float64)
     weight[owner] = votes
 
-    cluster = [result.clustering.assignment[i] for i in range(count)]
-    _, cluster_code = np.unique(cluster, return_inverse=True)
+    _, cluster_code = np.unique(clusters, return_inverse=True)
     labels, label_code = np.unique(label, return_inverse=True)
     _, majority, _ = _majority(cluster_code, label_code, weight, len(labels))
     return int((label_code == majority[cluster_code]).sum()) / count

@@ -3,35 +3,27 @@
 Every instance gets a straight line fitted through its BEV points
 (x as a function of y, because markings are near-vertical in BEV and
 regressing y on x would be degenerate). For a pair of instances, the
-facing point P sits midway between their nearest facing endpoints; the
-pair's vote is the sum of P's perpendicular distances to the two fitted
-lines. Collinear segments of one dashed divider vote ~0 and merge, while
-markings of a neighboring divider stay a lane-width apart. Votes under the
-threshold eta define a graph whose connected components are the dividers.
+facing point P sits midway between the top of the lower instance and the
+bottom of the upper one; the pair's vote is the sum of P's perpendicular
+distances to the two fitted lines. Collinear segments of one dashed
+divider vote ~0 and merge, while markings of a neighboring divider stay a
+lane-width apart. Votes under the threshold eta define a graph whose
+connected components are the dividers.
 
-The voting core, cluster_segments, takes a frame's BEV points as one
-segmented array: the instances' points laid end to end in id order, plus
-each instance's point count. All instances are fitted in one array pass
-with per-instance sums folded in index order by np.bincount, so an
-instance's line is the same bits whether it is fitted alone (fit_line)
-or with the rest of the frame. Pairs are scored in facing order: the
-instances are sorted once by descending (bottom y, id), the order in which
-facing_point picks the lower of two instances, so in every pair of that
-order the first is the lower one and the facing point needs no selection.
-The upper triangle of the vote matrix is then computed a block of rows at
-a time, in buffers reused from block to block and, per thread, from call
-to call. Every vote repeats the scalar vote()'s IEEE operations, so
-results are bitwise deterministic and invariant to input permutation.
-cluster_instances is the per-instance view: it sorts BevInstance objects
-by id and lays their points end to end for the same core.
-BevInstance.from_points takes its bottom and top from the same exact
-segment extremes as the vote matrix, so BevInstance and the scalar vote()
-remain the reference the vote matrix is tested against.
+The core, cluster_segments, takes a frame's BEV points as one segmented
+array: the instances' points laid end to end in id order, plus each
+instance's point count. All instances are fitted in one array pass, with
+per-instance sums folded in index order by np.bincount, so an instance's
+line does not depend on the rest of the frame. Pairs are scored in facing
+order, a block of rows of the vote matrix's upper triangle at a time, in
+buffers reused from block to block and, per thread, from call to call.
+The votes are bitwise deterministic and invariant to input permutation.
+cluster_instances and vote are the per-instance views of the same core:
+they lay BevInstance points end to end in id order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +34,7 @@ from .graph import component_labels
 
 __all__ = [
     "BevInstance",
-    "FittedLine",
     "Clustering",
-    "fit_line",
-    "facing_point",
     "vote",
     "cluster_instances",
     "cluster_segments",
@@ -57,25 +46,21 @@ _BLOCK_ELEMENTS = 1 << 14  # vote-matrix entries per block; sizes the reused blo
 
 @dataclass(eq=False)
 class BevInstance:
-    """An instance's pixels mapped into BEV space.
-
-    bottom is the member point with maximum y (nearest the camera), top the
-    minimum; ties break toward minimum x.
-    """
+    """An instance's pixels mapped into BEV space."""
 
     id: int
     points: np.ndarray
-    bottom: tuple[float, float]
-    top: tuple[float, float]
 
     @classmethod
     def from_points(cls, instance_id: int, points) -> "BevInstance":
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-            raise ValueError(f"expected a non-empty (n, 2) point array, got shape {pts.shape}")
-        bottom_x, bottom_y, top_x, top_y = _extreme_arrays(pts, [0])
-        bottom = (float(bottom_x[0]), float(bottom_y[0]))
-        return cls(instance_id, pts, bottom, (float(top_x[0]), float(top_y[0])))
+        return cls(instance_id, _point_array(points, "point"))
+
+
+def _point_array(points, what: str) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError(f"expected a non-empty (n, 2) {what} array, got shape {pts.shape}")
+    return pts
 
 
 def _extreme_arrays(points: np.ndarray, starts) -> tuple[np.ndarray, ...]:
@@ -95,36 +80,6 @@ def _extreme_arrays(points: np.ndarray, starts) -> tuple[np.ndarray, ...]:
     key.imag = points[:, 0]
     top = np.minimum.reduceat(key, starts)
     return -bottom.imag, bottom.real, top.imag, top.real
-
-
-@dataclass(frozen=True)
-class FittedLine:
-    """x = a*y + b. vertical_fallback marks the single-point case, where the
-    line degenerates to the vertical through that point (a = 0, b = x0)."""
-
-    a: float
-    b: float
-    vertical_fallback: bool = False
-
-    def distance_to(self, x: float, y: float) -> float:
-        """Perpendicular distance from (x, y) to the line."""
-        return abs(x - self.a * y - self.b) / math.sqrt(1.0 + self.a * self.a)
-
-
-def fit_line(points) -> FittedLine:
-    """Least-squares line x = a*y + b through a point set.
-
-    A single point yields the vertical fallback. Multiple points sharing
-    one y value (within 1e-9) describe a horizontal marking, which cannot
-    occur for real lanes in BEV and signals upstream mislabeling. This is
-    the one-segment case of the batched fit the vote matrix uses, so both
-    give the same line bit for bit.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError(f"expected a non-empty (n, 2) point array, got shape {pts.shape}")
-    (a,), (b,) = _fit_segments(pts, np.array([len(pts)]))
-    return FittedLine(float(a), float(b), vertical_fallback=len(pts) == 1)
 
 
 def _fit_segments(points: np.ndarray, sizes: np.ndarray, spread=None) -> tuple[np.ndarray, np.ndarray]:
@@ -165,33 +120,6 @@ def _fit_segments(points: np.ndarray, sizes: np.ndarray, spread=None) -> tuple[n
     return a, b
 
 
-def facing_point(li: BevInstance, lj: BevInstance) -> tuple[float, float]:
-    """Midpoint between the two instances' nearest facing endpoints.
-
-    The instance with the larger maximum y is the lower one; P is the
-    midpoint of (top of lower, bottom of upper). Ties on y break by id, so
-    the construction is exactly symmetric in its arguments.
-    """
-    if li.id == lj.id:
-        raise ValueError(f"facing point needs two distinct instances, both have id {li.id}")
-    if (li.bottom[1], li.id) > (lj.bottom[1], lj.id):
-        lower, upper = li, lj
-    else:
-        lower, upper = lj, li
-    return (
-        (lower.top[0] + upper.bottom[0]) / 2.0,
-        (lower.top[1] + upper.bottom[1]) / 2.0,
-    )
-
-
-def vote(li: BevInstance, lj: BevInstance) -> float:
-    """Pairwise vote: sum of the facing point's perpendicular distances to
-    the two instances' fitted lines. Symmetric and non-negative; 0 for
-    collinear segments of one divider."""
-    px, py = facing_point(li, lj)
-    return fit_line(li.points).distance_to(px, py) + fit_line(lj.points).distance_to(px, py)
-
-
 @dataclass
 class Clustering:
     """Partition of instance ids into lane dividers. Cluster ids are dense
@@ -205,6 +133,23 @@ class Clustering:
         for inst_id in sorted(self.assignment):
             groups[self.assignment[inst_id]].append(inst_id)
         return groups
+
+
+def vote(li: BevInstance, lj: BevInstance) -> float:
+    """Pairwise vote: sum of the facing point's perpendicular distances to
+    the two instances' fitted lines, read from the pair's vote matrix.
+    Symmetric and non-negative; 0 for collinear segments of one divider."""
+    if li.id == lj.id:
+        raise ValueError(f"a vote needs two distinct instances, both have id {li.id}")
+    first, second = sorted((li, lj), key=lambda inst: inst.id)
+    points, sizes = _segments(
+        np.concatenate((first.points, second.points)), [len(first.points), len(second.points)]
+    )
+    with np.errstate(all="ignore"):
+        for _, _, votes in _vote_blocks(points, sizes):
+            # returned from inside the loop: the pooled buffer is read
+            # before closing the generator gives it back
+            return float(votes[0, 0])
 
 
 def cluster_instances(instances, eta: float) -> Clustering:
@@ -233,6 +178,15 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
+    points, sizes = _segments(points, sizes)
+    if not len(sizes):
+        return np.zeros(0, dtype=np.intp), 0
+    return component_labels(len(sizes), *_pairs_below(points, sizes, eta))
+
+
+def _segments(points, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(points, sizes) as arrays, sizes as np.intp, once they are checked to
+    split (n, 2) points into segments of positive sizes."""
     points, sizes = np.asarray(points), np.asarray(sizes)
     if sizes.ndim != 1 or sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() <= 0):
         raise ValueError(
@@ -244,9 +198,7 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
             f"expected (n, 2) points split by sizes summing to n, got shape {points.shape} "
             f"and sizes summing to {sizes.sum()}"
         )
-    if not len(sizes):
-        return np.zeros(0, dtype=np.intp), 0
-    return component_labels(len(sizes), *_pairs_below(points, sizes, eta))
+    return points, sizes
 
 
 def _pairs_below(points: np.ndarray, sizes: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +207,7 @@ def _pairs_below(points: np.ndarray, sizes: np.ndarray, eta: float) -> tuple[np.
     The votes come in facing order (see _vote_blocks); each edge found is
     mapped back through the permutation to (min id, max id). A NaN vote,
     from an instance with a NaN or infinite point, is not below eta, as in
-    the scalar rule, and the arithmetic that makes it warns nothing.
+    vote, and the arithmetic that makes it warns nothing.
     """
     upper, lower = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     with np.errstate(all="ignore"):
@@ -273,29 +225,26 @@ def _vote_blocks(points: np.ndarray, sizes: np.ndarray):
     block of rows of its strict upper triangle at a time; segment i is the
     instance with the i-th smallest id.
 
-    Facing order sorts the instances by descending (bottom y, id): of two
-    instances, the one facing_point takes as the lower comes first. Yields
-    (row_ids, col_ids, votes), where votes[k, c] is the vote of segments
-    row_ids[k] and col_ids[c] for c >= k; entries with c < k lie below
-    the diagonal and hold no vote. Every pair comes up once. votes is a
-    view of this thread's pooled block buffer (see `_scratch`), which the
-    next block, or the next call on this thread, overwrites. The buffers
-    go back to the pool when the generator finishes or is closed; one
-    left unfinished keeps its own, and the next call allocates afresh.
-
-    All segments are fitted in one batched call, which gives each the same
-    line as fit_line, and bottoms and tops are the exact segment extremes
-    that BevInstance holds. For facing positions p < q, p is the lower
-    instance, so P = ((top_x[p] + bottom_x[q]) / 2, (top_y[p] + bottom_y[q]) / 2)
-    with no selection (halving by * 0.5 rounds exactly as / 2), and the vote
-    is d_p + d_q, which IEEE addition makes the scalar vote()'s d_i + d_j.
-    So every vote is bitwise the number vote() gives.
+    Facing order sorts the instances by descending (bottom y, id), where
+    an instance's bottom is its point of largest y and its top its point of
+    smallest y, ties going to the smaller x. Of two instances, the one that
+    comes first is the lower, so in facing positions p < q the facing point
+    is P = ((top_x[p] + bottom_x[q]) / 2, (top_y[p] + bottom_y[q]) / 2),
+    with no per-pair selection (halving by * 0.5 rounds exactly as / 2),
+    and the vote is P's distance to p's line plus its distance to q's.
+    Yields (row_ids, col_ids, votes), where votes[k, c] is the vote of
+    segments row_ids[k] and col_ids[c] for c >= k; entries with c < k lie
+    below the diagonal and hold no vote. Every pair comes up once. votes
+    is a view of this thread's pooled block buffer (see `_scratch`), which
+    the next block, or the next call on this thread, overwrites. The
+    buffers go back to the pool when the generator finishes or is closed;
+    one left unfinished keeps its own, and the next call allocates afresh.
     """
     bottom_x, bottom_y, top_x, top_y = _extreme_arrays(points, np.cumsum(sizes) - sizes)
     a, b = _fit_segments(points, sizes, bottom_y - top_y)
     norm = np.sqrt(1.0 + a * a)
     # the stable sort keeps equal bottom y in id order, so reversed, the
-    # larger id comes first, as facing_point breaks ties
+    # larger id of a tie comes first, as the lower instance
     order = np.argsort(bottom_y, kind="stable")[::-1]
     a, b, norm, bottom_x, bottom_y, top_x, top_y = np.array(
         (a, b, norm, bottom_x, bottom_y, top_x, top_y)
@@ -326,8 +275,8 @@ def _vote_blocks(points: np.ndarray, sizes: np.ndarray):
 
 
 def _distances(px, py, a, b, norm, out):
-    """FittedLine.distance_to, elementwise: |px - a*py - b| / norm, written
-    into out, which may be py."""
+    """Perpendicular distances |px - a*py - b| / norm from points (px, py)
+    to lines x = a*y + b, elementwise, written into out, which may be py."""
     np.multiply(a, py, out=out)
     np.subtract(px, out, out=out)
     out -= b

@@ -359,3 +359,80 @@ def cluster_purity(instance_pixels, cluster_of, assignment, noise_id):
         if label == cluster_label[cluster]:
             pure += 1
     return pure / len(labels)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise votes by the scalar rule, one pair at a time
+# ---------------------------------------------------------------------------
+
+def _running_sum(values):
+    """Left-to-right sum, one addition at a time, from 0.0."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def scalar_fit_line(points):
+    """(a, b) of the least-squares line x = a*y + b through (x, y) points.
+
+    Means and centred sums are added from the first point to the last. A
+    single point gives the vertical through it, (0.0, x0). Several points
+    whose y values (none NaN) span at most 1e-9 lie on a horizontal, which
+    raises DegenerateGeometryError.
+    """
+    from lanepost.errors import DegenerateGeometryError
+
+    xs = [float(p[0]) for p in points]
+    ys = [float(p[1]) for p in points]
+    n = len(xs)
+    if n == 1:
+        return 0.0, xs[0]
+    if all(y == y for y in ys) and max(ys) - min(ys) <= 1e-9:
+        raise DegenerateGeometryError(f"all {n} points share y ~ {ys[0]}")
+    x_mean = _running_sum(xs) / n
+    y_mean = _running_sum(ys) / n
+    sxy = _running_sum((y - y_mean) * (x - x_mean) for x, y in zip(xs, ys))
+    syy = _running_sum((y - y_mean) * (y - y_mean) for y in ys)
+    a = sxy / syy
+    return a, x_mean - a * y_mean
+
+
+def scalar_extremes(points):
+    """(bottom, top) of (x, y) points: the point of largest y and the point
+    of smallest y, ties going to the smaller x."""
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    bottom = min(pts, key=lambda p: (-p[1], p[0]))
+    top = min(pts, key=lambda p: (p[1], p[0]))
+    return bottom, top
+
+
+def scalar_facing_point(id_i, points_i, id_j, points_j):
+    """Midpoint of the lower instance's top and the upper instance's bottom.
+
+    The lower instance is the one whose bottom has the larger y, ties going
+    to the larger id. Raises ValueError when the ids are equal.
+    """
+    if id_i == id_j:
+        raise ValueError(f"two distinct instances needed, both have id {id_i}")
+    bottom_i, top_i = scalar_extremes(points_i)
+    bottom_j, top_j = scalar_extremes(points_j)
+    if (bottom_i[1], id_i) > (bottom_j[1], id_j):
+        lower_top, upper_bottom = top_i, bottom_j
+    else:
+        lower_top, upper_bottom = top_j, bottom_i
+    return (lower_top[0] + upper_bottom[0]) / 2.0, (lower_top[1] + upper_bottom[1]) / 2.0
+
+
+def scalar_line_distance(a, b, x, y):
+    """Perpendicular distance from (x, y) to the line x = a*y + b."""
+    return abs(x - a * y - b) / math.sqrt(1.0 + a * a)
+
+
+def scalar_vote(id_i, points_i, id_j, points_j):
+    """The facing point's distance to instance i's line plus its distance to
+    instance j's line."""
+    px, py = scalar_facing_point(id_i, points_i, id_j, points_j)
+    a_i, b_i = scalar_fit_line(points_i)
+    a_j, b_j = scalar_fit_line(points_j)
+    return scalar_line_distance(a_i, b_i, px, py) + scalar_line_distance(a_j, b_j, px, py)

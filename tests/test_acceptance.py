@@ -91,7 +91,7 @@ def test_gradient_correctness():
         pred = rng.uniform(0.0, 1.0, gt.shape)
         grad = lp.penalized_dice_loss_gradient(gt, pred, params)
         fd = central_diff_gradient(
-            lambda q: scalar_dice_loss(gt, q, params.alpha, params.epsilon), pred, h=1e-6
+            lambda q: scalar_dice_loss(gt.tolist(), q.tolist(), params.alpha, params.epsilon), pred, h=1e-6
         )
         # absolute floor 1e-4 covers entries whose true derivative is ~0,
         # where central differences return only cancellation noise (~1e-10)

@@ -12,12 +12,11 @@ from lanepost import (
     estimate_homography,
     fit_curve,
     fit_curves,
-    fit_line,
     project_curves,
     sample_curve,
 )
 from lanepost.curves import _sample
-from oracles import poly_fit_normal_eq, poly_residual
+from oracles import line_fit_normal_eq, poly_fit_normal_eq, poly_residual
 
 ROAD_TRAPEZOID = ((100, 200), (380, 200), (460, 360), (20, 360))
 BEV_RECTANGLE = ((120, 0), (360, 0), (360, 480), (120, 480))
@@ -109,8 +108,8 @@ class TestFitCurve:
         for _ in range(10):
             pts = random_cluster(rng)
             quad = fit_curve(pts, 0)
-            line = fit_line(pts)
-            line_curve = LaneCurve(line.b, line.a, 0.0, quad.y_min, quad.y_max, 0)
+            a, b = line_fit_normal_eq(pts.tolist())
+            line_curve = LaneCurve(b, a, 0.0, quad.y_min, quad.y_max, 0)
             assert rss(quad, pts) <= rss(line_curve, pts) * (1.0 + 1e-12)
 
     def test_exact_inputs_reproduced(self):

@@ -160,6 +160,10 @@ def instance_bits(instances):
     ]
 
 
+def label_bits(labels, count):
+    return labels.dtype.str, labels.tobytes(), count
+
+
 def lane_bits(lanes):
     return [
         (
@@ -187,7 +191,10 @@ def test_run_frame_is_bitwise_the_per_instance_chain():
         instances, clustering, lanes = want
         assert got.instance_count == len(instances), i
         assert instance_bits(got.segments.instances()) == instance_bits(instances), i
-        assert got.clustering == clustering, i
+        labels = np.array([clustering.assignment[inst.id] for inst in instances], dtype=np.intp)
+        assert label_bits(got.labels, got.cluster_count) == label_bits(
+            labels, clustering.num_clusters
+        ), i
         assert lane_bits(got.lanes) == lane_bits(lanes), i
     assert refused[-1] == len(masks) - 1  # the streak
 
@@ -201,6 +208,21 @@ def test_lane_bits_match_golden_digest():
         bits = lane_bits(lanes) if why is None else why[0].__name__
         digest.update(f"# frame {i}\n{bits!r}\n".encode("utf-8"))
     assert digest.hexdigest() == LANE_BITS_SHA256
+
+
+def test_frame_labels_are_the_cluster_segments_labels():
+    """run_frame keeps cluster_segments' labels as they come, one cluster
+    per lane."""
+    cfg = lp.default_config()
+    h = lp.estimate_homography(cfg.calibration)
+    masks = [scene.mask for scene in corpus_scenes()] + list(clutter_masks())
+    for i, mask in enumerate(masks):
+        result = lp.run_frame(mask, cfg)
+        segments = lp.label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+        labels, count = lp.cluster_segments(transform_pixels(h, segments.pixels), segments.sizes, cfg.eta)
+        assert result.labels.dtype == np.intp, i
+        assert label_bits(result.labels, result.cluster_count) == label_bits(labels, count), i
+        assert result.cluster_count == len(result.lanes), i
 
 
 def test_clutter_clusters_do_not_depend_on_the_vote_block_size(monkeypatch):
@@ -237,7 +259,11 @@ def test_run_frame_on_two_threads_is_bitwise_the_sequential_result():
 
     def frame_bits(mask):
         result = lp.run_frame(mask, cfg)
-        return instance_bits(result.segments.instances()), result.clustering, lane_bits(result.lanes)
+        return (
+            instance_bits(result.segments.instances()),
+            label_bits(result.labels, result.cluster_count),
+            lane_bits(result.lanes),
+        )
 
     want = [frame_bits(mask) for mask in masks]
     interval = sys.getswitchinterval()

@@ -198,7 +198,7 @@ class TestRunFrame:
         for la, lb in zip(a.lanes, b.lanes):
             assert la.curve == lb.curve
             assert np.array_equal(la.polyline, lb.polyline)
-        assert a.clustering.assignment == b.clustering.assignment
+        assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_equals_manual_stage_chain(self):
         cfg = default_config()
@@ -209,7 +209,7 @@ class TestRunFrame:
         instances = label_instances(mask, cfg.connectivity, cfg.min_instance_size)
         bev = [BevInstance.from_points(i.id, transform_instance(h, i)) for i in instances]
         clustering = cluster_instances(bev, cfg.eta)
-        assert clustering.assignment == result.clustering.assignment
+        assert clustering.assignment == dict(enumerate(result.labels.tolist()))
         by_id = {b.id: b for b in bev}
         h_inv = h.inverse()
         for cluster_id, member_ids in enumerate(clustering.members()):

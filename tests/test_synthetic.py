@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lanepost import (
-    Clustering,
     ConfigError,
     FrameResult,
     SceneParams,
@@ -127,18 +126,18 @@ def oracle_purity(result, scene):
     instances = result.segments.instances()
     return cluster_purity(
         [inst.pixels.tolist() for inst in instances],
-        [result.clustering.assignment[inst.id] for inst in instances],
+        result.labels.tolist(),
         scene.truth_assignment.tolist(),
         NOISE_ID,
     )
 
 
 def clustered_at_random(mask, min_size, clusters, seed):
-    """A FrameResult for mask's instances, put into clusters at random."""
+    """A FrameResult for mask's instances, put into clusters 0..clusters-1
+    at random; a cluster may have no member."""
     segments = label_segments(mask, 8, min_size)
-    cluster_of = np.random.default_rng(seed).integers(0, clusters, len(segments.sizes))
-    clustering = Clustering(dict(enumerate(cluster_of.tolist())), clusters)
-    return FrameResult(segments, clustering, [], StageTimings(0.0, 0.0, 0.0, 0.0))
+    labels = np.random.default_rng(seed).integers(0, clusters, len(segments.sizes))
+    return FrameResult(segments, labels.astype(np.intp), [], StageTimings(0.0, 0.0, 0.0, 0.0))
 
 
 class TestPurityOracle:
@@ -173,6 +172,19 @@ class TestPurityOracle:
         purity = evaluate(result, scene).purity
         assert 0.0 < purity < 1.0
         assert purity == oracle_purity(result, scene)
+
+    def test_clusters_without_members(self):
+        # labels need not be dense: spreading the clusters over every third
+        # id leaves ids with no member and moves no purity
+        rng = np.random.default_rng(11)
+        mask = rng.random((40, 60)) < 0.2
+        ids = np.array([0, 1, 2, NOISE_ID], dtype=np.uint8)
+        scene = SyntheticScene(mask, [], ids[rng.integers(0, len(ids), mask.shape)])
+        dense = clustered_at_random(mask, 0, 6, 12)
+        sparse = FrameResult(dense.segments, dense.labels * 3 + 2, [], dense.timings)
+        purity = evaluate(sparse, scene).purity
+        assert 0.0 < purity < 1.0
+        assert purity == evaluate(dense, scene).purity == oracle_purity(sparse, scene)
 
     def test_no_marking_pixel_at_all(self):
         rng = np.random.default_rng(7)

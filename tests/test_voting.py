@@ -13,8 +13,6 @@ from lanepost import (
     cluster_segments,
     default_config,
     estimate_homography,
-    facing_point,
-    fit_line,
     generate_scene,
     label_segments,
     SceneParams,
@@ -22,7 +20,14 @@ from lanepost import (
 )
 from lanepost import voting
 from lanepost.homography import transform_pixels
-from oracles import line_fit_normal_eq, threshold_graph_components
+from oracles import (
+    line_fit_normal_eq,
+    scalar_extremes,
+    scalar_facing_point,
+    scalar_fit_line,
+    scalar_vote,
+    threshold_graph_components,
+)
 
 
 def vertical(instance_id, x, ys):
@@ -39,60 +44,94 @@ def random_dash(rng, instance_id):
     return BevInstance.from_points(instance_id, np.stack([xs, ys], axis=1))
 
 
+def oracle_vote(a, b):
+    """The scalar rule's vote of two BevInstances."""
+    return scalar_vote(a.id, a.points.tolist(), b.id, b.points.tolist())
+
+
+def batched_line(points):
+    """(a, b) of voting._fit_segments for one point segment, as floats."""
+    pts = np.asarray(points, dtype=np.float64)
+    (a,), (b,) = voting._fit_segments(pts, np.array([len(pts)]))
+    return float(a), float(b)
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
 class TestFitLine:
+    """The batched fit of one segment, and the scalar oracle it must equal."""
+
     def test_exact_recovery(self):
         ys = np.array([0.0, 1.0, 2.0, 5.0, 9.0])
-        line = fit_line(np.stack([2 * ys + 1, ys], axis=1))
-        assert line.a == pytest.approx(2.0, abs=1e-9)
-        assert line.b == pytest.approx(1.0, abs=1e-9)
-        assert not line.vertical_fallback
+        pts = np.stack([2 * ys + 1, ys], axis=1)
+        a, b = batched_line(pts)
+        assert a == pytest.approx(2.0, abs=1e-9)
+        assert b == pytest.approx(1.0, abs=1e-9)
+        assert (a, b) == scalar_fit_line(pts.tolist())
 
     def test_single_point_vertical_fallback(self):
-        line = fit_line([(5.0, 7.0)])
-        assert (line.a, line.b, line.vertical_fallback) == (0.0, 5.0, True)
+        assert batched_line([(5.0, 7.0)]) == scalar_fit_line([(5.0, 7.0)]) == (0.0, 5.0)
 
     def test_matches_normal_equation_oracle(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)
             ys = rng.uniform(0.0, 30.0, 20)
             xs = -0.5 * ys + 40.0 + rng.normal(0.0, 0.4, 20)
-            line = fit_line(np.stack([xs, ys], axis=1))
-            oa, ob = line_fit_normal_eq(list(zip(xs.tolist(), ys.tolist())))
-            assert abs(line.a - oa) < 1e-12
-            assert abs(line.b - ob) < 1e-12
+            pts = list(zip(xs.tolist(), ys.tolist()))
+            a, b = batched_line(pts)
+            oa, ob = line_fit_normal_eq(pts)
+            assert abs(a - oa) < 1e-12
+            assert abs(b - ob) < 1e-12
+            sa, sb = scalar_fit_line(pts)
+            assert same_bits(a, sa) and same_bits(b, sb)
 
     def test_horizontal_multi_point_rejected(self):
+        flat = [(0.0, 5.0), (3.0, 5.0), (9.0, 5.0)]
         with pytest.raises(DegenerateGeometryError):
-            fit_line([(0.0, 5.0), (3.0, 5.0), (9.0, 5.0)])
+            batched_line(flat)
+        with pytest.raises(DegenerateGeometryError):
+            scalar_fit_line(flat)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_line(np.empty((0, 2)))
+            BevInstance.from_points(0, np.empty((0, 2)))
 
 
 class TestFacingPoint:
+    """The scalar oracle's facing point, which the vote matrix takes in
+    facing order without a per-pair selection."""
+
+    def facing(self, a, b):
+        return scalar_facing_point(a.id, a.points.tolist(), b.id, b.points.tolist())
+
     def test_stacked_instances(self):
         low = vertical(0, 0.0, (20, 25, 30))
         high = vertical(1, 0.0, (0, 5, 10))
-        assert facing_point(low, high) == (0.0, 15.0)
+        assert self.facing(low, high) == (0.0, 15.0)
+        assert vote(low, high) == 0.0
 
     def test_offset_instances(self):
         low = vertical(0, 0.0, (20, 25, 30))
         high = vertical(1, 4.0, (0, 5, 10))
-        assert facing_point(low, high) == (2.0, 15.0)
+        assert self.facing(low, high) == (2.0, 15.0)
+        assert vote(low, high) == 4.0
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(0)
         for i in range(30):
             a = random_dash(rng, 2 * i)
             b = random_dash(rng, 2 * i + 1)
-            assert facing_point(a, b) == facing_point(b, a)
+            assert self.facing(a, b) == self.facing(b, a)
 
     def test_same_id_rejected(self):
         a = vertical(3, 0.0, (0, 5))
         b = vertical(3, 2.0, (10, 15))
         with pytest.raises(ValueError):
-            facing_point(a, b)
+            self.facing(a, b)
+        with pytest.raises(ValueError, match="both have id 3"):
+            vote(a, b)
 
 
 class TestVote:
@@ -100,11 +139,13 @@ class TestVote:
         low = vertical(0, 0.0, (20, 22, 25, 28, 30))
         high = vertical(1, 4.0, (0, 3, 6, 10))
         assert vote(low, high) == pytest.approx(4.0, abs=1e-12)
+        assert same_bits(vote(low, high), oracle_vote(low, high))
 
     def test_collinear_segments_vote_zero(self):
         a = BevInstance.from_points(0, [(y + 3.0, y) for y in (0.0, 2.0, 4.0)])
         b = BevInstance.from_points(1, [(y + 3.0, y) for y in (10.0, 12.0, 14.0)])
         assert vote(a, b) < 1e-9
+        assert same_bits(vote(a, b), oracle_vote(a, b))
 
     def test_symmetric_and_non_negative(self):
         rng = np.random.default_rng(1)
@@ -114,6 +155,7 @@ class TestVote:
             v = vote(a, b)
             assert v >= 0.0
             assert v == vote(b, a)
+            assert same_bits(v, oracle_vote(a, b))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
@@ -124,6 +166,39 @@ class TestVote:
             at = BevInstance.from_points(0, a.points + (dx, dy))
             bt = BevInstance.from_points(1, b.points + (dx, dy))
             assert vote(at, bt) == pytest.approx(base, abs=1e-9)
+            assert same_bits(vote(at, bt), oracle_vote(at, bt))
+
+    def test_tied_bottoms_break_by_id_in_either_argument_order(self):
+        instances = tied_bottom_cases(np.random.default_rng(4))
+        for a in instances:
+            for b in instances:
+                if a.id < b.id:
+                    assert same_bits(vote(b, a), oracle_vote(a, b)), (a.id, b.id)
+                    assert same_bits(vote(a, b), oracle_vote(a, b)), (a.id, b.id)
+
+    def test_bitwise_the_scalar_oracle_on_the_acceptance_frames(self):
+        # the acceptance gate's voting frames: its generator, its seeds
+        def acceptance_dash(rng, instance_id):
+            base_x = rng.uniform(0.0, 120.0)
+            y0 = rng.uniform(0.0, 150.0)
+            ys = np.linspace(y0, y0 + rng.uniform(5.0, 40.0), int(rng.integers(2, 15)))
+            xs = base_x + rng.uniform(-0.5, 0.5) * (ys - y0) + rng.normal(0.0, 0.2, len(ys))
+            return BevInstance.from_points(instance_id, np.stack([xs, ys], axis=1))
+
+        pairs = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            instances = [acceptance_dash(rng, i) for i in range(int(rng.integers(1, 11)))]
+            for a in instances:
+                with pytest.raises(ValueError):
+                    vote(a, BevInstance(a.id, a.points))
+                for b in instances:
+                    if a.id < b.id:
+                        v = vote(a, b)
+                        assert v == vote(b, a), (seed, a.id, b.id)
+                        assert same_bits(v, oracle_vote(a, b)), (seed, a.id, b.id)
+                        pairs += 1
+        assert pairs == 3610  # every pair of the 200 frames
 
 
 class TestClusterInstances:
@@ -166,7 +241,7 @@ class TestClusterInstances:
             clustering = cluster_instances(instances, eta)
             by_id = {inst.id: inst for inst in instances}
             expected = threshold_graph_components(
-                list(by_id), lambda i, j: vote(by_id[i], by_id[j]), eta
+                list(by_id), lambda i, j: oracle_vote(by_id[i], by_id[j]), eta
             )
             assert clustering.assignment == expected, f"seed {seed}"
 
@@ -199,7 +274,7 @@ class TestClusterInstances:
 
 def vote_matrix_cases(rng):
     """Id-sorted instances mixing random dashes, slanted dashes that tie on
-    bottom y (facing_point falls back to ids) and single points (the
+    bottom y (the facing point falls back to ids) and single points (the
     vertical fallback line)."""
     instances = [random_dash(rng, i) for i in range(40)]
     for k in range(12):
@@ -213,9 +288,9 @@ def vote_matrix_cases(rng):
 
 
 def tied_bottom_cases(rng):
-    """Id-sorted instances whose bottoms all share one y, so facing_point
-    decides every pair by id: slanted dashes of random length and single
-    points, all ending at y = 100."""
+    """Id-sorted instances whose bottoms all share one y, so the facing
+    point decides every pair by id: slanted dashes of random length and
+    single points, all ending at y = 100."""
     instances = []
     for k in range(30):
         if k % 5 == 4:
@@ -265,12 +340,10 @@ def facing_vote_matrix(instances):
 
 
 def scalar_pairs_below(instances, eta):
-    """The scalar rule: id pairs i < j with vote(i, j) < eta."""
+    """The scalar rule: id pairs i < j whose oracle vote is below eta."""
     n = len(instances)
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return [(i, j) for i, j in pairs if vote(instances[i], instances[j]) < eta]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [(i, j) for i, j in pairs if oracle_vote(instances[i], instances[j]) < eta]
 
 
 class TestVoteMatrix:
@@ -284,7 +357,7 @@ class TestVoteMatrix:
             assert (seen == 1 - np.eye(n, dtype=int)).all(), cases.__name__
             for i in range(n):
                 for j in range(i + 1, n):
-                    scalar = np.float64(vote(instances[i], instances[j]))
+                    scalar = np.float64(oracle_vote(instances[i], instances[j]))
                     assert matrix[i, j].tobytes() == scalar.tobytes(), (cases.__name__, i, j)
 
     @pytest.mark.parametrize("block", [1, 500, 1 << 14])
@@ -305,7 +378,7 @@ class TestVoteMatrix:
         instances = vote_matrix_cases(rng)
         n = len(instances)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        votes = {(i, j): vote(instances[i], instances[j]) for i, j in pairs}
+        votes = {(i, j): oracle_vote(instances[i], instances[j]) for i, j in pairs}
         # thresholds on exact vote values: the pair voting exactly eta
         # stays out, and one ulp more lets it in
         picked = rng.choice(sorted(votes.values()), 6, replace=False)
@@ -397,9 +470,9 @@ class TestVoteMatrix:
 class TestBevInstances:
     def test_extreme_ties_break_to_min_x(self):
         points = [(3.0, 9.0), (1.0, 9.0), (2.0, 0.0), (-1.0, 0.0), (5.0, 4.0)]
-        inst = BevInstance.from_points(0, points)
-        assert inst.bottom == (1.0, 9.0)
-        assert inst.top == (-1.0, 0.0)
+        assert scalar_extremes(points) == ((1.0, 9.0), (-1.0, 0.0))
+        bottom_x, bottom_y, top_x, top_y = voting._extreme_arrays(np.array(points), [0])
+        assert [bottom_x[0], bottom_y[0], top_x[0], top_y[0]] == [1.0, 9.0, -1.0, 0.0]
 
 
 class TestBatchedFit:
@@ -421,11 +494,11 @@ class TestBatchedFit:
             sizes, segments = self.random_segments(rng)
             a, b = voting._fit_segments(np.concatenate(segments), sizes)
             for k, segment in enumerate(segments):
-                line = fit_line(segment)
-                assert np.float64(line.a).tobytes() == a[k].tobytes(), (seed, k)
-                assert np.float64(line.b).tobytes() == b[k].tobytes(), (seed, k)
+                line_a, line_b = scalar_fit_line(segment.tolist())
+                assert np.float64(line_a).tobytes() == a[k].tobytes(), (seed, k)
+                assert np.float64(line_b).tobytes() == b[k].tobytes(), (seed, k)
                 if len(segment) == 1:
-                    assert (line.a, line.b) == (0.0, segment[0, 0])
+                    assert (line_a, line_b) == (0.0, segment[0, 0])
 
     def test_within_index_order_rounding_of_exact_sums(self):
         # an index-order fold of n terms errs by at most about n*eps relative
@@ -457,17 +530,19 @@ class TestBatchedFit:
         message = "all 3 points share y ~ 31.5; cannot fit x = f(y)"
         with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
             cluster_instances(shuffled, eta=20.0)
-        with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
-            fit_line(flat_early.points)
+        with pytest.raises(DegenerateGeometryError):
+            scalar_fit_line(flat_early.points.tolist())
 
     def test_empty_point_set_raises_value_error(self):
         with pytest.raises(ValueError):
-            fit_line(np.empty((0, 2)))
+            BevInstance.from_points(1, np.empty((0, 2)))
         with pytest.raises(ValueError):
-            fit_line([])
-        empty = BevInstance(1, np.empty((0, 2)), (0.0, 0.0), (0.0, 0.0))
+            BevInstance.from_points(1, [])
+        empty = BevInstance(1, np.empty((0, 2)))
         with pytest.raises(ValueError):
             cluster_instances([vertical(0, 5.0, (0, 10)), empty], eta=20.0)
+        with pytest.raises(ValueError):
+            vote(vertical(0, 5.0, (0, 10)), empty)
 
     def test_separate_instances_cluster_like_batched_slices(self):
         def outcome(instances):
