@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
         cfg = _load_cfg(args.config)
         mask = crop_and_resize(load_mask(args.mask, cfg.mask_threshold), cfg)
         assignment = read_gray(_ids_path(args.truth))
-        scene = SyntheticScene(mask, truth, assignment, seed=0, params=None)
+        scene = SyntheticScene(mask, truth, assignment)
         metrics = evaluate(run_frame(mask, cfg), scene, lateral_tolerance=args.tolerance)
         print(f"purity={metrics.purity:.4f} (recomputed from mask)")
 

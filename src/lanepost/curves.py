@@ -43,7 +43,8 @@ class LaneCurve:
     """x = c2*y^2 + c1*y + c0 over y in [y_min, y_max], BEV coordinates.
 
     The one polynomial record for fitted lanes and for ground truth; a
-    truth curve keeps its divider id in cluster_id.
+    truth curve keeps its divider id in cluster_id. The degree that
+    fit_curve chose is not recorded.
     """
 
     c0: float
@@ -53,20 +54,15 @@ class LaneCurve:
     y_max: float
     cluster_id: int
 
-    @property
-    def degree(self) -> int:
-        """Index of the highest nonzero coefficient. fit_curve drops sparse
-        clusters to a line or a constant instead of failing, because far
-        markings may come down to a handful of pixels and the pipeline
-        must still emit a lane for them."""
-        return 2 if self.c2 != 0.0 else (1 if self.c1 != 0.0 else 0)
-
     def eval(self, y):
         return (self.c2 * y + self.c1) * y + self.c0
 
 
 def fit_curve(points, cluster_id: int) -> LaneCurve:
-    """Least-squares polynomial x(y) of degree min(2, distinct_y - 1).
+    """Least-squares polynomial x(y) of degree min(2, distinct_y - 1),
+    with 0.0 above that degree. Sparse clusters drop to a line or a
+    constant instead of failing, because far markings may come down to a
+    handful of pixels and the pipeline must still emit a lane for them.
 
     Points are sorted canonically (y, then x) before any summation, so the
     coefficients do not depend on input order. y values closer than 1e-9

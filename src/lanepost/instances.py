@@ -32,14 +32,11 @@ class Instance:
     """One connected blob of lane-marking pixels.
 
     pixels is an (n, 2) int array of (row, col) in row-major order, so
-    pixels[0] is the component's first pixel in scan order; bbox is
-    (min_row, min_col, max_row, max_col), tight.
+    pixels[0] is the component's first pixel in scan order.
     """
 
     id: int
     pixels: np.ndarray
-    size: int
-    bbox: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,37 +46,18 @@ class InstanceSegments:
 
     pixels is one (n, 2) int32 array of (row, col), grouped by instance in
     id order and row-major within an instance; sizes[i] is the pixel count
-    of instance i. Ids are 0..k-1 and every size is positive; starts and
-    bounding boxes are derived from these two arrays.
+    of instance i. Ids are 0..k-1 and every size is positive.
     """
 
     pixels: np.ndarray
     sizes: np.ndarray
 
-    @property
-    def starts(self) -> np.ndarray:
-        return np.cumsum(self.sizes) - self.sizes
-
     def instances(self) -> list[Instance]:
-        """One Instance per segment; its pixels are a view into the record."""
-        if not len(self.sizes):
-            return []
-        starts = self.starts
-        stops = starts + self.sizes
-        rows, cols = self.pixels[:, 0], self.pixels[:, 1]
-        bboxes = np.stack(
-            [
-                rows[starts],
-                np.minimum.reduceat(cols, starts),
-                rows[stops - 1],
-                np.maximum.reduceat(cols, starts),
-            ],
-            axis=1,
-        ).tolist()
-        spans = zip(starts.tolist(), stops.tolist())
+        """One Instance(id, pixels) per segment, pixels a view into the record."""
+        stops = np.cumsum(self.sizes).tolist()
         return [
-            Instance(i, self.pixels[start:stop], stop - start, tuple(bbox))
-            for i, ((start, stop), bbox) in enumerate(zip(spans, bboxes))
+            Instance(i, self.pixels[start:stop])
+            for i, (start, stop) in enumerate(zip([0, *stops], stops))
         ]
 
 

@@ -162,8 +162,8 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
 
 # One wavefront step (an anti-diagonal) costs about as much as this many
 # pixels visited by `_walk` on dense content. Ratios measured on random
-# bytes, 16-8192 rows by 64-4096 columns: 15-67 for Average (the narrowest
-# images lowest) and 22-46 for Paeth.
+# bytes, 16-8192 rows by 64-4096 columns, every row walked: 8-47 for
+# Average (the narrowest images lowest) and 16-52 for Paeth.
 _WAVEFRONT_STEP = 50
 
 
@@ -298,15 +298,6 @@ def _walk(buf, first: int, stop: int, kind: int) -> None:
         if zero_above:
             continue
         written = a + 1
-        if kind == 3 and 2 * len(events) > width:  # mostly events: half the cost per pixel
-            left, out = 0, [0]
-            for up, r in zip(line[1:], row[1:].tolist()):
-                left = (r + ((left + up) >> 1)) & 0xFF
-                out.append(left)
-            line[:] = out
-            row[:] = decoded
-            visits += width
-            continue
         cols, residuals = events.tolist(), row[events].tolist()
         start = end = 0  # the last walk decoded [start, end), out of step at end
         for x, nxt, r in zip(cols, cols[1:] + [width + 1], residuals):

@@ -72,8 +72,6 @@ class SyntheticScene:
     mask: np.ndarray
     truth_curves: list[LaneCurve]  # cluster_id is the divider id; y spans the visible dashes
     truth_assignment: np.ndarray
-    seed: int = 0
-    params: SceneParams | None = None
 
 
 def generate_scene(params: SceneParams, seed: int, cfg: PipelineConfig) -> SyntheticScene:
@@ -151,7 +149,7 @@ def generate_scene(params: SceneParams, seed: int, cfg: PipelineConfig) -> Synth
         assignment[turned_off] = 0
         assignment[turned_on] = NOISE_ID
 
-    return SyntheticScene(mask, curves, assignment, seed, params)
+    return SyntheticScene(mask, curves, assignment)
 
 
 # ---------------------------------------------------------------------------

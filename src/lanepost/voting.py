@@ -82,7 +82,7 @@ def _extreme_arrays(points: np.ndarray, starts) -> tuple[np.ndarray, ...]:
     return -bottom.imag, bottom.real, top.imag, top.real
 
 
-def _fit_segments(points: np.ndarray, sizes: np.ndarray, spread=None) -> tuple[np.ndarray, np.ndarray]:
+def _fit_segments(points: np.ndarray, sizes: np.ndarray, spread) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares lines x = a*y + b through consecutive non-empty point
     segments of the given sizes, as arrays a and b, one entry per segment.
 
@@ -91,17 +91,17 @@ def _fit_segments(points: np.ndarray, sizes: np.ndarray, spread=None) -> tuple[n
     batch. A single point gives the vertical fallback (a = 0, b = x0); the
     first multi-point segment whose points share one y raises.
 
-    spread, when given, is each segment's y spread from `_extreme_arrays`
-    (bottom y - top y), which saves two reductions. A point with a NaN x
-    is both extremes of its segment, so that spread can only read low; a
-    segment it finds flat is checked again from the points themselves.
+    spread is each segment's y spread from `_extreme_arrays` (bottom y -
+    top y). A point with a NaN x is both extremes of its segment, so that
+    spread can only read low; a segment it finds flat is checked again
+    from the points themselves.
     """
     xs = points[:, 0]
     ys = points[:, 1]
     n = len(sizes)
     starts = np.cumsum(sizes) - sizes
     single = sizes == 1
-    if spread is None or ((spread <= _SAME_Y_TOL) & ~single).any():
+    if ((spread <= _SAME_Y_TOL) & ~single).any():
         spread = np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
     flat = (spread <= _SAME_Y_TOL) & ~single
     if flat.any():

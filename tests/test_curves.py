@@ -46,26 +46,23 @@ class TestFitCurve:
         assert curve.c2 == pytest.approx(0.01, abs=1e-6)
         assert curve.c1 == pytest.approx(-1.0, abs=1e-6)
         assert curve.c0 == pytest.approx(200.0, abs=1e-6)
-        assert curve.degree == 2
         assert curve.cluster_id == 4
         assert (curve.y_min, curve.y_max) == (10.0, 300.0)
 
     def test_two_points_give_exact_line(self):
         curve = fit_curve([(3.0, 0.0), (7.0, 8.0)], 0)
-        assert curve.degree == 1
         assert curve.c2 == 0.0
         assert curve.eval(0.0) == pytest.approx(3.0, abs=1e-9)
         assert curve.eval(8.0) == pytest.approx(7.0, abs=1e-9)
 
     def test_single_point_constant(self):
         curve = fit_curve([(5.5, 100.0)], 0)
-        assert (curve.degree, curve.c0, curve.c1, curve.c2) == (0, 5.5, 0.0, 0.0)
+        assert (curve.c0, curve.c1, curve.c2) == (5.5, 0.0, 0.0)
         assert curve.y_min == curve.y_max == 100.0
 
     def test_same_y_points_reduce_to_constant(self):
         curve = fit_curve([(2.0, 50.0), (4.0, 50.0)], 0)
-        assert curve.degree == 0
-        assert curve.c0 == 3.0
+        assert (curve.c0, curve.c1, curve.c2) == (3.0, 0.0, 0.0)
 
     def test_matches_normal_equation_oracle(self):
         for seed in range(40):
@@ -124,12 +121,6 @@ class TestFitCurve:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_curve(np.empty((0, 2)), 0)
-
-    def test_degree_is_highest_nonzero_coefficient(self):
-        assert LaneCurve(5.0, 0.0, 0.0, 0.0, 1.0, 0).degree == 0
-        assert LaneCurve(5.0, 0.5, 0.0, 0.0, 1.0, 0).degree == 1
-        assert LaneCurve(5.0, 0.0, 1e-4, 0.0, 1.0, 0).degree == 2
-        assert LaneCurve(0.0, 0.0, 0.0, 0.0, 1.0, 0).degree == 0
 
 
 class TestSampleCurve:
@@ -280,8 +271,9 @@ class TestFitCurves:
         clusters = odd_clusters(np.random.default_rng(0))
         points = np.concatenate(clusters)
         labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
-        degrees = [c.degree for c in fit_curves(points, labels, len(clusters))]
-        assert degrees[1:] == [2, 0, 1, 0, 0, 0]
+        # (c1, c2) nonzero, by cluster: quadratic, constant, line, then constants
+        nonzero = [(c.c1 != 0.0, c.c2 != 0.0) for c in fit_curves(points, labels, len(clusters))]
+        assert nonzero[1:] == [(True, True), (False, False), (True, False)] + [(False, False)] * 3
 
     def test_no_clusters(self):
         assert fit_curves(np.empty((0, 2)), [], 0) == []

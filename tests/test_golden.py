@@ -155,7 +155,7 @@ def refusal(call):
 
 def instance_bits(instances):
     return [
-        (inst.id, inst.pixels.dtype.str, inst.pixels.tobytes(), inst.size, inst.bbox)
+        (inst.id, inst.pixels.dtype.str, inst.pixels.tobytes())
         for inst in instances
     ]
 

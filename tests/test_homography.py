@@ -156,7 +156,7 @@ class TestInvert:
 class TestTransformInstance:
     def _instance(self, pixels):
         arr = np.asarray(pixels, dtype=np.int32)
-        return Instance(0, arr, len(arr), (0, 0, 0, 0))
+        return Instance(0, arr)
 
     def test_identity_maps_to_pixel_centers(self):
         inst = self._instance([(3, 4), (5, 6)])

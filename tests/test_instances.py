@@ -21,8 +21,6 @@ class TestLabelInstances:
         mask[3, 4] = True
         (inst,) = label_instances(mask, 8, min_size=1)
         assert inst.id == 0
-        assert inst.size == 1
-        assert inst.bbox == (3, 4, 3, 4)
         assert inst.pixels.tolist() == [[3, 4]]
 
     def test_diagonal_touch_depends_on_connectivity(self):
@@ -30,9 +28,9 @@ class TestLabelInstances:
         mask[0, 0] = mask[0, 1] = True
         mask[1, 2] = mask[1, 3] = True  # touches (0,1) diagonally only
         eight = label_instances(mask, 8, 0)
-        assert [i.size for i in eight] == [4]
+        assert [len(i.pixels) for i in eight] == [4]
         four = label_instances(mask, 4, 0)
-        assert sorted(i.size for i in four) == [2, 2]
+        assert sorted(len(i.pixels) for i in four) == [2, 2]
 
     def test_min_size_filter_and_dense_ids(self):
         mask = np.zeros((6, 10), bool)
@@ -40,7 +38,7 @@ class TestLabelInstances:
         mask[2, 0] = True  # size 1, filtered out
         mask[4, 0:5] = True  # size 5
         kept = label_instances(mask, 8, min_size=2)
-        assert [i.size for i in kept] == [4, 5]
+        assert [len(i.pixels) for i in kept] == [4, 5]
         assert [i.id for i in kept] == [0, 1]
 
     def test_ids_follow_row_major_first_pixel(self):
@@ -69,7 +67,6 @@ class TestLabelInstances:
         for x, y in zip(a, b):
             assert x.id == y.id
             assert np.array_equal(x.pixels, y.pixels)
-            assert x.bbox == y.bbox
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_matches_union_find_oracle(self, connectivity):
@@ -146,8 +143,6 @@ class TestRunLabelerShapes:
             rows, cols = inst.pixels[:, 0], inst.pixels[:, 1]
             flat = rows.astype(np.int64) * mask.shape[1] + cols
             assert np.all(np.diff(flat) > 0), "pixels must be row-major"
-            assert inst.size == len(inst.pixels)
-            assert inst.bbox == (rows.min(), cols.min(), rows.max(), cols.max())
             first_pixels.append(flat[0])
         assert [inst.id for inst in instances] == list(range(len(instances)))
         assert first_pixels == sorted(first_pixels), "ids follow scan order of first pixels"
@@ -157,7 +152,6 @@ class TestRunLabelerShapes:
         for connectivity in (4, 8):
             (inst,) = label_instances(mask, connectivity, 0)
             assert inst.pixels[0].tolist() == [0, 1]
-            assert inst.bbox == (0, 1, 5, 5)
 
     def test_diagonal_contacts_depend_on_connectivity(self):
         masks = shaped_masks()
@@ -174,7 +168,7 @@ class TestRunLabelerShapes:
         mask[2, 4:8] = True
         mask[3, 0] = True  # dropped
         kept = label_instances(mask, 8, min_size=2)
-        summary = [(i.id, i.pixels[0].tolist(), i.size) for i in kept]
+        summary = [(i.id, i.pixels[0].tolist(), len(i.pixels)) for i in kept]
         assert summary == [(0, [0, 0], 3), (1, [2, 4], 4)]
 
 
@@ -186,14 +180,11 @@ class TestSegmentedRecord:
             record = label_segments(mask, 8, min_size)
             instances = label_instances(mask, 8, min_size)
             assert record.pixels.dtype == np.int32
-            assert record.sizes.tolist() == [inst.size for inst in instances]
-            assert record.starts.tolist() == np.cumsum([0] + record.sizes.tolist())[:-1].tolist()
+            assert record.sizes.tolist() == [len(inst.pixels) for inst in instances]
             assert record.pixels.tobytes() == np.concatenate([i.pixels for i in instances]).tobytes()
             for inst, view in zip(instances, record.instances()):
                 assert np.shares_memory(view.pixels, record.pixels)
-                assert (view.id, view.pixels.tobytes(), view.size, view.bbox) == (
-                    inst.id, inst.pixels.tobytes(), inst.size, inst.bbox
-                )
+                assert (view.id, view.pixels.tobytes()) == (inst.id, inst.pixels.tobytes())
 
     def test_empty_record(self):
         for min_size in (0, 10):

@@ -1,15 +1,22 @@
 """The lanepost names that the benchmark harness in perfbench/ uses.
 
 The harness is read as text, so a rename or deletion in lanepost shows up
-here, in the tier-1 suite, rather than as a failed benchmark run.
+here, in the tier-1 suite, rather than as a failed benchmark run. The text
+scan cannot see attribute reads on returned objects (`.members()`,
+`.pixels`, `.matched_dividers`), so the harness's frame functions are also
+run on one small frame and one frame that the library refuses.
 """
 
 import functools
-import importlib
+import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import lanepost as lp
+from test_golden import streak_mask
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
@@ -48,3 +55,51 @@ def test_harness_found():
 @pytest.mark.parametrize("source,dotted", references())
 def test_reference_resolves(source, dotted):
     resolve(dotted)
+
+
+def load_worker(monkeypatch):
+    """perfbench/worker.py as a module, loaded by path; sys.path, which the
+    worker and its `import calibrate` extend, is restored after the test."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+def write_frame(directory, name, mask, truth=None, ids=None):
+    """A frame as the harness's corpus lays it out: a P5 mask, and for a
+    scored frame its truth-curve file and divider-id graymap."""
+    stem = str(directory / name)
+    frame = {"mask": stem + ".pgm", "lanes": stem + ".lanes"}
+    lp.write_pgm(frame["mask"], np.where(mask, 255, 0).astype(np.uint8))
+    if truth is not None:
+        frame["truth"], frame["ids"] = stem + ".truth", stem + ".ids.pgm"
+        lp.write_truth_curves(truth, frame["truth"])
+        lp.write_pgm(frame["ids"], ids)
+    return frame
+
+
+def test_harness_frames_run_on_the_library(tmp_path, monkeypatch):
+    worker = load_worker(monkeypatch)
+    cfg = lp.default_config()
+    scene = lp.generate_scene(lp.SceneParams(num_lanes=3), 7, cfg)
+    frame = write_frame(tmp_path, "scene", scene.mask, scene.truth_curves, scene.truth_assignment)
+
+    state = {}
+    text = worker.traced_frame(frame, cfg, worker.Tracer(), 0, state)
+    mask, result = worker.user_frame(frame, cfg)
+    assert result.lanes and text == lp.format_lanes(result.lanes)
+    counts = worker.layer_counts(frame, state)
+    assert counts["kept"] == result.instance_count
+    assert counts["points"] == counts["points_fitted"] == result.segments.sizes.sum()
+    assert counts["merged"] == result.instance_count - result.cluster_count
+    assert counts["lanes"] == len(result.lanes)
+    score = worker.score_frame(frame, mask, result)
+    assert score["dividers"] == score["matched"] == len(scene.truth_curves)
+    assert score["lanes"] == len(result.lanes)
+
+    streak = write_frame(tmp_path, "streak", streak_mask())
+    _, plain = worker.outcome_of(lambda: worker.user_frame(streak, cfg))
+    _, traced = worker.outcome_of(lambda: worker.traced_frame(streak, cfg, worker.Tracer(), 1, {}))
+    assert plain == traced == "DegenerateGeometryError"

@@ -49,10 +49,17 @@ def oracle_vote(a, b):
     return scalar_vote(a.id, a.points.tolist(), b.id, b.points.tolist())
 
 
+def fit_segments(points, sizes):
+    """voting._fit_segments with the y spreads from voting._extreme_arrays,
+    as the vote matrix calls it."""
+    _, bottom_y, _, top_y = voting._extreme_arrays(points, np.cumsum(sizes) - sizes)
+    return voting._fit_segments(points, sizes, bottom_y - top_y)
+
+
 def batched_line(points):
     """(a, b) of voting._fit_segments for one point segment, as floats."""
     pts = np.asarray(points, dtype=np.float64)
-    (a,), (b,) = voting._fit_segments(pts, np.array([len(pts)]))
+    (a,), (b,) = fit_segments(pts, np.array([len(pts)]))
     return float(a), float(b)
 
 
@@ -492,7 +499,7 @@ class TestBatchedFit:
         for seed in range(4):
             rng = np.random.default_rng(seed)
             sizes, segments = self.random_segments(rng)
-            a, b = voting._fit_segments(np.concatenate(segments), sizes)
+            a, b = fit_segments(np.concatenate(segments), sizes)
             for k, segment in enumerate(segments):
                 line_a, line_b = scalar_fit_line(segment.tolist())
                 assert np.float64(line_a).tobytes() == a[k].tobytes(), (seed, k)
@@ -510,7 +517,7 @@ class TestBatchedFit:
             n = len(segment)
             if n == 1:
                 continue
-            (a,), (b,) = voting._fit_segments(segment, np.array([n]))
+            (a,), (b,) = fit_segments(segment, np.array([n]))
             xs, ys = segment[:, 0].tolist(), segment[:, 1].tolist()
             x_mean, y_mean = math.fsum(xs) / n, math.fsum(ys) / n
             syy = math.fsum((y - y_mean) ** 2 for y in ys)
@@ -561,7 +568,7 @@ class TestBatchedFit:
             points = transform_pixels(h, segments.pixels)
             batched = [
                 BevInstance.from_points(i, p)
-                for i, p in enumerate(np.split(points, segments.starts[1:]))
+                for i, p in enumerate(np.split(points, np.cumsum(segments.sizes)[:-1]))
             ]
             separate = [BevInstance.from_points(b.id, b.points.copy()) for b in batched]
             want = outcome(batched)
