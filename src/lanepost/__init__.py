@@ -60,6 +60,7 @@ from .synthetic import (
     evaluate,
     generate_scene,
     match_dividers,
+    match_lanes,
     read_truth_curves,
     write_truth_curves,
 )

@@ -37,6 +37,7 @@ from .synthetic import (
     evaluate,
     generate_scene,
     match_dividers,
+    match_lanes,
     read_truth_curves,
     write_truth_curves,
 )
@@ -123,7 +124,9 @@ def _cmd_eval(args) -> int:
     truth = read_truth_curves(args.truth)
     curves = [lane.curve for lane in lanes]
     matched, recall, mean_err = match_dividers(truth, curves, args.tolerance)
+    false_lanes, precision = match_lanes(truth, curves, args.tolerance)
     print(f"dividers={len(truth)} matched={matched} recall={recall:.4f}")
+    print(f"lanes={len(curves)} false_lanes={false_lanes} precision={precision:.4f}")
     print(f"mean_lateral_error={mean_err:.4f}")
     if args.mask:
         # purity needs per-pixel cluster data, so rerun the pipeline on the mask

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._files import overwrite
 from .errors import CalibrationError, ConfigError
 from .homography import QuadCorrespondence
 
@@ -162,5 +163,4 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(cfg))
+    overwrite(path, format_config(cfg).encode("utf-8"))

@@ -17,6 +17,7 @@ import zlib
 
 import numpy as np
 
+from ._files import overwrite
 from ._scratch import borrow
 from .errors import ImageIOError
 
@@ -71,18 +72,14 @@ def write_pgm(path, gray) -> None:
     arr = np.ascontiguousarray(gray, dtype=np.uint8)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2D gray image, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+    overwrite(path, b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.tobytes())
 
 
 def write_ppm(path, rgb) -> None:
     arr = np.ascontiguousarray(rgb, dtype=np.uint8)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) RGB image, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+    overwrite(path, b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.tobytes())
 
 
 # ---------------------------------------------------------------------------

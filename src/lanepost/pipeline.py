@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._files import overwrite
 from .config import PipelineConfig
 from .curves import LaneCurve, fit_curves, project_curves
 from .errors import ConfigError, FileFormatError
@@ -224,8 +225,9 @@ def _parse_records(text: str, source, polyline: bool) -> list[Lane]:
 
 
 def write_lanes(lanes, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_lanes(lanes))
+    """Write format_lanes(lanes) to path, over the file's old bytes rather
+    than after truncating it; like open(path, "w"), not atomic."""
+    overwrite(path, format_lanes(lanes).encode("utf-8"))
 
 
 def read_lanes(path) -> list[Lane]:

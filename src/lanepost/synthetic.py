@@ -34,6 +34,7 @@ __all__ = [
     "evaluate",
     "best_lateral_errors",
     "match_dividers",
+    "match_lanes",
     "write_truth_curves",
     "read_truth_curves",
 ]
@@ -165,12 +166,16 @@ class EvalMetrics:
     cluster_count: int
     divider_count: int
     matched_dividers: int
+    lane_count: int
+    false_lanes: int
+    precision: float
 
 
 def best_lateral_errors(truth_curves, lane_curves, grid: int = 100) -> list[float]:
     """Per truth divider: the best (smallest) mean |x_fit - x_truth| over
     the divider's visible y range, across all fitted curves. inf when there
-    are no fitted curves."""
+    are no fitted curves. With the arguments swapped, per fitted curve: the
+    mean distance over its own y range to the nearest divider."""
     errors = []
     for truth in truth_curves:
         ys = np.linspace(truth.y_min, truth.y_max, grid)
@@ -196,12 +201,23 @@ def match_dividers(
     return len(matched), recall, mean_err
 
 
+def match_lanes(truth_curves, lane_curves, lateral_tolerance: float = 2.0) -> tuple[int, float]:
+    """(false lanes, precision) of lane curves against truth curves. A lane
+    is correct when it stays within lateral_tolerance BEV pixels on average
+    of its nearest divider over the lane's own y extent; precision is the
+    share of correct lanes (1.0 when there are no lanes)."""
+    errors = best_lateral_errors(lane_curves, truth_curves)
+    correct = sum(e < lateral_tolerance for e in errors)
+    return len(errors) - correct, correct / len(errors) if errors else 1.0
+
+
 def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: float = 2.0) -> EvalMetrics:
     """Score a pipeline result against its scene.
 
     Purity: an instance is pure when its majority truth divider equals its
     cluster's (pixel-weighted) majority divider. Recall and mean lateral
-    error are those of match_dividers over the fitted curves.
+    error are those of match_dividers over the fitted curves, and false
+    lanes and precision those of match_lanes.
     """
     rows, cols = scene.truth_assignment.shape
     r, c = result.segments.pixels[:, 0], result.segments.pixels[:, 1]
@@ -211,9 +227,9 @@ def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: floa
         raise ValueError("result does not match scene: instance pixel not in mask")
     purity = _purity(result.segments.sizes, result.labels, scene.truth_assignment[r, c])
 
-    matched, recall, mean_err = match_dividers(
-        scene.truth_curves, [lane.curve for lane in result.lanes], lateral_tolerance
-    )
+    curves = [lane.curve for lane in result.lanes]
+    matched, recall, mean_err = match_dividers(scene.truth_curves, curves, lateral_tolerance)
+    false_lanes, precision = match_lanes(scene.truth_curves, curves, lateral_tolerance)
 
     return EvalMetrics(
         purity=purity,
@@ -223,6 +239,9 @@ def evaluate(result: FrameResult, scene: SyntheticScene, lateral_tolerance: floa
         cluster_count=result.cluster_count,
         divider_count=len(scene.truth_curves),
         matched_dividers=matched,
+        lane_count=len(curves),
+        false_lanes=false_lanes,
+        precision=precision,
     )
 
 

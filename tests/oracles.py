@@ -436,3 +436,31 @@ def scalar_vote(id_i, points_i, id_j, points_j):
     a_i, b_i = scalar_fit_line(points_i)
     a_j, b_j = scalar_fit_line(points_j)
     return scalar_line_distance(a_i, b_i, px, py) + scalar_line_distance(a_j, b_j, px, py)
+
+
+# ---------------------------------------------------------------------------
+# Lane precision, one lane and one grid point at a time
+# ---------------------------------------------------------------------------
+
+def lane_precision(lanes, truths, tolerance, grid=100):
+    """(false lanes, precision) of lanes against truth dividers.
+
+    lanes and truths are (c0, c1, c2, y_min, y_max) tuples of curves
+    x = c0 + c1*y + c2*y^2. A lane is correct when, at grid evenly spaced
+    y from its y_min to its y_max, its mean |x_lane - x_truth| to some
+    truth divider is below tolerance. Precision is the share of correct
+    lanes, 1.0 when there are no lanes.
+    """
+    correct = 0
+    for c0, c1, c2, y_min, y_max in lanes:
+        for t0, t1, t2, _, _ in truths:
+            total = 0.0
+            for k in range(grid):
+                y = y_min + (y_max - y_min) * k / (grid - 1)
+                total += abs((c0 + c1 * y + c2 * y * y) - (t0 + t1 * y + t2 * y * y))
+            if total / grid < tolerance:
+                correct += 1
+                break
+    if not lanes:
+        return 0, 1.0
+    return len(lanes) - correct, correct / len(lanes)

@@ -78,6 +78,7 @@ def test_synth_run_eval_flow(tmp_path, capsys):
     assert main(["eval", "--result", str(lanes_path), "--truth", str(truth_path)]) == 0
     out = capsys.readouterr().out
     assert "recall=1.0000" in out
+    assert "lanes=3 false_lanes=0 precision=1.0000" in out
 
     # purity needs the mask to rebuild per-pixel cluster data
     assert (

@@ -60,14 +60,20 @@ def corpus_scenes():
 
 
 def clutter_masks():
-    """Scene masks with a grid of 4x4 blobs on an 8 px pitch added below
-    image row 200, placed at a seeded offset."""
+    return (scene.mask for scene in clutter_scenes())
+
+
+def clutter_scenes():
+    """Scenes with a grid of 4x4 blobs on an 8 px pitch added to the mask
+    below image row 200, placed at a seeded offset. The truth curves and
+    the id map are the scene's: no divider runs through the blobs."""
     cfg = lp.default_config()
     height, width = cfg.target_rows, cfg.target_cols
     for i in range(12):
         rng = np.random.default_rng([700 + i, 1])
         params = lp.SceneParams(num_lanes=2 + i % 4, noise_rate=_NOISE[i % len(_NOISE)])
-        mask = lp.generate_scene(params, 700 + i, cfg).mask.copy()
+        scene = lp.generate_scene(params, 700 + i, cfg)
+        mask = scene.mask.copy()
         count = int(rng.integers(150, 501))
         cols = int(np.ceil(np.sqrt(count * 1.6)))
         rows = -(-count // cols)
@@ -77,7 +83,7 @@ def clutter_masks():
             r = r0 + (k // cols) * 8
             c = c0 + (k % cols) * 8
             mask[r : r + 4, c : c + 4] = True
-        yield mask
+        yield lp.SyntheticScene(mask, scene.truth_curves, scene.truth_assignment)
 
 
 def streak_mask():

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from lanepost import (
     run_frame,
     sample_curve,
     transform_instance,
+    write_lanes,
 )
+from lanepost.cli import main
 
 DASH_SPANS = ((20.0, 90.0), (140.0, 210.0), (260.0, 330.0), (380.0, 450.0))
 DIVIDERS = ((150.0, 0.02, 1e-4), (240.0, 0.0, 1e-4), (330.0, -0.02, 1e-4))
@@ -315,3 +319,101 @@ class TestLaneFiles:
         for text in ("0 1 2 3 0 1\n", "0 1 2 3 0 1 1,2\n", "0 1 2 3 0 1 1,2 3\n"):
             with pytest.raises(FileFormatError):
                 parse_lanes(text)
+
+
+def three_lanes():
+    cfg = default_config()
+    return run_frame(rasterize_dashes(cfg, DIVIDERS, DASH_SPANS), cfg).lanes
+
+
+class TestWriteLanes:
+    """write_lanes leaves what open(path, "w") would, without truncating
+    the file first."""
+
+    @pytest.mark.parametrize("old_size", [0, 10, 5000, 100_000])
+    def test_over_shorter_and_longer_files(self, tmp_path, old_size):
+        lanes = three_lanes()
+        text = format_lanes(lanes).encode("utf-8")
+        assert 10 < len(text) < 5000
+        path = tmp_path / "frame.lanes"
+        path.write_bytes(b"x" * old_size)
+        write_lanes(lanes, path)
+        assert path.read_bytes() == text
+
+    def test_empty_lane_list_empties_the_file(self, tmp_path):
+        path = tmp_path / "frame.lanes"
+        path.write_bytes(b"old lanes\n" * 100)
+        write_lanes([], path)
+        assert path.read_bytes() == b""
+
+    def test_file_keeps_its_inode(self, tmp_path):
+        lanes = three_lanes()
+        path = tmp_path / "frame.lanes"
+        write_lanes(lanes, path)
+        inode = path.stat().st_ino
+        write_lanes(lanes[:1], path)
+        write_lanes(lanes, path)
+        assert path.stat().st_ino == inode
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_new_file_mode_is_that_of_open_w(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            write_lanes(three_lanes(), tmp_path / "frame.lanes")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "frame.lanes").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_dev_null(self):
+        write_lanes(three_lanes(), "/dev/null")
+        write_lanes([], "/dev/null")
+
+    def test_short_writes_land_whole(self, tmp_path, monkeypatch):
+        write = os.write
+        calls = []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return write(fd, bytes(data[:7]))
+
+        lanes = three_lanes()
+        path = tmp_path / "frame.lanes"
+        path.write_bytes(b"x" * 20_000)
+        monkeypatch.setattr(os, "write", short_write)
+        write_lanes(lanes, path)
+        monkeypatch.undo()
+        text = format_lanes(lanes).encode("utf-8")
+        assert len(calls) == -(-len(text) // 7)
+        assert path.read_bytes() == text
+
+    def test_never_truncates_on_open(self, tmp_path, monkeypatch):
+        real_open = os.open
+        flags = []
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        lanes = three_lanes()
+        path = tmp_path / "frame.lanes"
+        for written in (lanes, [], lanes[:1]):
+            write_lanes(written, path)
+        monkeypatch.undo()
+        assert len(flags) == 3
+        assert all(f & os.O_TRUNC == 0 for f in flags)
+
+    def test_missing_directory_raises_like_open(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_lanes(three_lanes(), tmp_path / "absent" / "frame.lanes")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_cli_full_device_exits_3(self, tmp_path, capsys):
+        mask, truth = str(tmp_path / "scene.pgm"), str(tmp_path / "scene.truth")
+        assert main(["synth", "--seed", "3", "--out-mask", mask, "--out-truth", truth]) == 0
+        capsys.readouterr()
+        assert main(["run", "--mask", mask, "--out-lanes", "/dev/full"]) == 3
+        assert "io error" in capsys.readouterr().err

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lanepost as lp
-from test_golden import streak_mask
+from test_golden import clutter_scenes, streak_mask
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
@@ -103,3 +103,32 @@ def test_harness_frames_run_on_the_library(tmp_path, monkeypatch):
     _, plain = worker.outcome_of(lambda: worker.user_frame(streak, cfg))
     _, traced = worker.outcome_of(lambda: worker.traced_frame(streak, cfg, worker.Tracer(), 1, {}))
     assert plain == traced == "DegenerateGeometryError"
+
+
+def test_harness_overwrites_a_longer_lane_file(tmp_path, monkeypatch):
+    # every pass after the first writes a frame's lanes over the file of the
+    # pass before; the lane-file check needs exactly the newest text there
+    worker = load_worker(monkeypatch)
+    cfg = lp.default_config()
+    wide = lp.generate_scene(lp.SceneParams(num_lanes=5), 3, cfg)
+    narrow = lp.generate_scene(lp.SceneParams(num_lanes=2), 4, cfg)
+    frame = write_frame(tmp_path, "wide", wide.mask)
+    _, first = worker.user_frame(frame, cfg)
+    lp.write_pgm(frame["mask"], np.where(narrow.mask, 255, 0).astype(np.uint8))
+    _, second = worker.user_frame(frame, cfg)
+    assert (len(first.lanes), len(second.lanes)) == (5, 2)
+    with open(frame["lanes"], "rb") as fh:
+        assert fh.read() == lp.format_lanes(second.lanes).encode("utf-8")
+
+
+def test_precision_is_the_harness_rule(monkeypatch):
+    worker = load_worker(monkeypatch)
+    cfg = lp.default_config()
+    for scene in clutter_scenes():
+        result = lp.run_frame(scene.mask, cfg)
+        curves = [lane.curve for lane in result.lanes]
+        distances = [worker.nearest_truth_distance(c, scene.truth_curves) for c in curves]
+        assert lp.best_lateral_errors(curves, scene.truth_curves) == distances
+        precise = sum(d < worker.LATERAL_TOLERANCE for d in distances)
+        metrics = lp.evaluate(result, scene, worker.LATERAL_TOLERANCE)
+        assert metrics.lane_count - metrics.false_lanes == precise

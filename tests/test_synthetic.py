@@ -13,13 +13,15 @@ from lanepost import (
     evaluate,
     generate_scene,
     label_segments,
+    match_lanes,
     read_truth_curves,
     run_frame,
     write_truth_curves,
 )
 from lanepost.synthetic import NOISE_ID
 
-from oracles import cluster_purity
+from oracles import cluster_purity, lane_precision
+from test_golden import clutter_scenes
 
 
 class TestGeneration:
@@ -193,6 +195,56 @@ class TestPurityOracle:
         scene = SyntheticScene(mask, [], assignment)
         result = clustered_at_random(mask, 0, 3, 8)
         assert evaluate(result, scene).purity == oracle_purity(result, scene)
+
+
+def curve_tuples(curves):
+    return [(c.c0, c.c1, c.c2, c.y_min, c.y_max) for c in curves]
+
+
+def oracle_precision(result, scene, tolerance):
+    lanes = curve_tuples(lane.curve for lane in result.lanes)
+    return lane_precision(lanes, curve_tuples(scene.truth_curves), tolerance)
+
+
+class TestPrecisionOracle:
+    """evaluate's false lanes and precision are exactly the lane-by-lane
+    oracle's."""
+
+    @pytest.mark.parametrize("tolerance", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noisy_scenes(self, seed, tolerance):
+        cfg = default_config()
+        params = SceneParams(num_lanes=2 + seed, noise_rate=0.002, occlusion_rate=0.2)
+        scene = generate_scene(params, 60 + seed, cfg)
+        result = run_frame(scene.mask, cfg)
+        metrics = evaluate(result, scene, tolerance)
+        assert metrics.lane_count == len(result.lanes)
+        assert (metrics.false_lanes, metrics.precision) == oracle_precision(result, scene, tolerance)
+
+    def test_clutter_frames(self):
+        cfg = default_config()
+        lanes = false_lanes = 0
+        for scene in clutter_scenes():
+            result = run_frame(scene.mask, cfg)
+            metrics = evaluate(result, scene)
+            assert (metrics.false_lanes, metrics.precision) == oracle_precision(result, scene, 2.0)
+            lanes += metrics.lane_count
+            false_lanes += metrics.false_lanes
+        assert 0 < false_lanes < lanes  # the frames hold both correct and false lanes
+
+    def test_one_cluster_is_one_false_lane(self):
+        cfg = dataclasses.replace(default_config(), eta=1e9)
+        scene = generate_scene(SceneParams(num_lanes=3), 42, cfg)
+        metrics = evaluate(run_frame(scene.mask, cfg), scene)
+        assert (metrics.lane_count, metrics.false_lanes, metrics.precision) == (1, 1, 0.0)
+
+    def test_no_lanes_or_no_truth(self):
+        cfg = default_config()
+        scene = generate_scene(SceneParams(num_lanes=3), 42, cfg)
+        curves = [lane.curve for lane in run_frame(scene.mask, cfg).lanes]
+        assert match_lanes(scene.truth_curves, []) == (0, 1.0)
+        assert match_lanes([], curves) == (3, 0.0)
+        assert match_lanes(scene.truth_curves, curves) == (0, 1.0)
 
 
 class TestTruthFiles:
