@@ -1,14 +1,20 @@
 """Connected components of an undirected graph given as an edge list.
 
 Shared by instance labeling (nodes are pixel runs) and voting (nodes are
-instances). The graph is contracted in Borůvka rounds, all in array
-operations: every tree that still has an edge leaving it hooks onto its
-smallest-labelled neighbour tree. The only cycles such hooks can form are
-mutual pairs, which are broken toward the smaller label, so each hooked
-group holds at least two trees and the tree count at least halves per
-round. Pointer jumping then flattens the hooks back into stars. Rounds and
-jumps are both bounded by log2 of the node count, whatever the shape or
-diameter of the components.
+instances). The graph is contracted in rounds of min-hooking, all in array
+operations (Shiloach & Vishkin, "An O(log n) parallel connectivity
+algorithm", J. Algorithms 1982): over the edges between distinct trees,
+each edge's larger root hooks onto the smallest root it is joined to.
+Roots only ever point to smaller ones, so hooks form no cycle, and pointer
+jumping flattens them back into stars. A tree with an edge that neither
+hooks nor is hooked onto in a round is smaller than all its neighbours,
+each of which hooked onto a still smaller root; in the next round it is
+the larger end of an edge and hooks. So every two rounds at least halve
+the trees that still have an edge: rounds are bounded by 2 log2 of the
+node count, and jumps per round by log2 of it, whatever the shape or
+diameter of the components. Every final root is its component's smallest
+node, so numbering components in order of their smallest node is a count
+of the roots before each node's root, with no scatter.
 """
 
 from __future__ import annotations
@@ -30,13 +36,7 @@ def component_labels(n: int, u, v) -> tuple[np.ndarray, int]:
     keep = u != v
     u, v = u[keep], v[keep]
     while len(u):
-        best = np.full(n, n)
-        np.minimum.at(best, u, v)
-        np.minimum.at(best, v, u)
-        hooked = np.flatnonzero(best < n)
-        target = best[hooked]
-        mutual = (best[target] == hooked) & (hooked < target)
-        root[hooked] = np.where(mutual, hooked, target)
+        np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):
@@ -46,10 +46,5 @@ def component_labels(n: int, u, v) -> tuple[np.ndarray, int]:
         keep = u != v
         u, v = u[keep], v[keep]
 
-    nodes = np.arange(n)
-    smallest = np.full(n, n)
-    np.minimum.at(smallest, root, nodes)
-    smallest = smallest[root]
-    is_first = smallest == nodes
-    labels = (np.cumsum(is_first) - 1)[smallest]
-    return labels, int(is_first.sum())
+    is_root = root == np.arange(n)
+    return (np.cumsum(is_root) - 1)[root], int(is_root.sum())

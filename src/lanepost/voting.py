@@ -18,6 +18,9 @@ line does not depend on the rest of the frame. Pairs are scored in facing
 order, a block of rows of the vote matrix's upper triangle at a time, in
 buffers reused from block to block and, per thread, from call to call.
 The votes are bitwise deterministic and invariant to input permutation.
+Every vote is computed, but no frame-wide edge list is kept: each block's
+pairs below eta are folded into the running cluster labels as the block
+is scored, so memory is O(n + block) however many pairs merge.
 cluster_instances and vote are the per-instance views of the same core:
 they lay BevInstance points end to end in id order.
 """
@@ -174,6 +177,12 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     sizes, segment i being instance i: (labels, count), where labels[i] is
     segment i's cluster in 0..count-1.
 
+    Each block of votes is folded into the labels as it is scored: pairs
+    whose two segments already share a label are masked, and the rest
+    that vote below eta join their labels' components in one
+    component_labels call. The labels stay numbered by smallest member,
+    so they are those of the whole sub-eta graph, at any block size.
+
     sizes may have any integer dtype; every size must be positive.
     """
     if not eta > 0:
@@ -181,7 +190,17 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     points, sizes = _segments(points, sizes)
     if not len(sizes):
         return np.zeros(0, dtype=np.intp), 0
-    return component_labels(len(sizes), *_pairs_below(points, sizes, eta))
+    labels, count = np.arange(len(sizes)), len(sizes)
+    with np.errstate(all="ignore"):
+        for row_ids, col_ids, votes in _vote_blocks(points, sizes):
+            rows, cols = labels[row_ids], labels[col_ids]
+            below = np.not_equal(rows[:, None], cols[None, :])
+            below &= votes < eta
+            k, c = divmod(np.flatnonzero(below), votes.shape[1])
+            facing = c >= k
+            merged, count = component_labels(count, rows[k[facing]], cols[c[facing]])
+            labels = merged[labels]
+    return labels, count
 
 
 def _segments(points, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -199,25 +218,6 @@ def _segments(points, sizes) -> tuple[np.ndarray, np.ndarray]:
             f"and sizes summing to {sizes.sum()}"
         )
     return points, sizes
-
-
-def _pairs_below(points: np.ndarray, sizes: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of point segments whose vote is below eta.
-
-    The votes come in facing order (see _vote_blocks); each edge found is
-    mapped back through the permutation to (min id, max id). A NaN vote,
-    from an instance with a NaN or infinite point, is not below eta, as in
-    vote, and the arithmetic that makes it warns nothing.
-    """
-    upper, lower = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    with np.errstate(all="ignore"):
-        for row_ids, col_ids, votes in _vote_blocks(points, sizes):
-            k, c = divmod(np.flatnonzero(votes < eta), votes.shape[1])
-            facing = c >= k
-            i, j = row_ids[k[facing]], col_ids[c[facing]]
-            upper.append(np.minimum(i, j))
-            lower.append(np.maximum(i, j))
-    return np.concatenate(upper), np.concatenate(lower)
 
 
 def _vote_blocks(points: np.ndarray, sizes: np.ndarray):

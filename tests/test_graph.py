@@ -62,3 +62,35 @@ def test_numbering_follows_smallest_node():
     # components {0, 4}, {1, 2}, {3, 5}
     assert labels.tolist() == [0, 1, 1, 2, 0, 2]
     assert count == 3
+
+
+def test_strictly_decreasing_path():
+    # every node hooks onto the next smaller one: a hook chain of depth n
+    for n in (2, 3, 64, 1000):
+        check(n, [(k + 1, k) for k in range(n - 2, -1, -1)])
+
+
+def test_complete_graphs():
+    n = 50
+    check(n, [(i, j) for i in range(n) for j in range(i + 1, n)])  # K_50
+    check(n, [(i, j) for i in range(1, n, 2) for j in range(0, n, 2)])  # K_25,25, odd to even
+    check(n, [(i, j) for i in range(20, n) for j in range(20)])  # K_30,20, high to low
+
+
+def test_caterpillar_with_reversed_labels():
+    # a spine with three legs per node, numbered from the far end of the
+    # spine: the smallest labels are leaves and the spine hooks leafward
+    spine, legs = 40, 3
+    n = spine * (1 + legs)
+    edges = [(k, k + 1) for k in range(spine - 1)]
+    edges += [(k, spine + legs * k + leg) for k in range(spine) for leg in range(legs)]
+    check(n, [(n - 1 - a, n - 1 - b) for a, b in edges])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_large_random_graphs_match_oracle(seed):
+    # about one edge per node: many components, some of them long and thin
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(500, 2001))
+    m = int(rng.integers(n // 2, n + 1))
+    check(n, [tuple(int(x) for x in rng.integers(0, n, 2)) for _ in range(m)])

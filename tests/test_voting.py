@@ -19,6 +19,7 @@ from lanepost import (
     vote,
 )
 from lanepost import voting
+from lanepost.graph import component_labels
 from lanepost.homography import transform_pixels
 from oracles import (
     line_fit_normal_eq,
@@ -28,6 +29,7 @@ from oracles import (
     scalar_vote,
     threshold_graph_components,
 )
+from test_golden import clutter_masks
 
 
 def vertical(instance_id, x, ys):
@@ -346,6 +348,38 @@ def facing_vote_matrix(instances):
     return matrix, seen
 
 
+def pairs_below(points, sizes, eta):
+    """The reference edge list: index pairs (i, j), i < j, of point
+    segments whose vote in voting._vote_blocks is below eta, as two arrays.
+
+    Each entry found in facing order is mapped back to (min id, max id). A
+    NaN vote, from an instance with a NaN or infinite point, is not below
+    eta, as in vote, and the arithmetic that makes it warns nothing.
+    """
+    upper, lower = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    with np.errstate(all="ignore"):
+        for row_ids, col_ids, votes in voting._vote_blocks(points, sizes):
+            k, c = divmod(np.flatnonzero(votes < eta), votes.shape[1])
+            facing = c >= k
+            i, j = row_ids[k[facing]], col_ids[c[facing]]
+            upper.append(np.minimum(i, j))
+            lower.append(np.maximum(i, j))
+    return np.concatenate(upper), np.concatenate(lower)
+
+
+def blob_grid_frame(pitch):
+    """(points, sizes) of a 360x480 mask tiled with 4x4 blobs on the given
+    pitch, labeled and mapped to BEV as run_frame does: a dense frame where
+    about 8% of all pairs vote below eta and the blobs form one cluster."""
+    cfg = default_config()
+    mask = np.zeros((cfg.target_rows, cfg.target_cols), dtype=bool)
+    for r in range(0, cfg.target_rows - 3, pitch):
+        for c in range(0, cfg.target_cols - 3, pitch):
+            mask[r : r + 4, c : c + 4] = True
+    segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+    return transform_pixels(estimate_homography(cfg.calibration), segments.pixels), segments.sizes
+
+
 def scalar_pairs_below(instances, eta):
     """The scalar rule: id pairs i < j whose oracle vote is below eta."""
     n = len(instances)
@@ -375,8 +409,11 @@ class TestVoteMatrix:
         for eta in (0.5, 5.0, 50.0, 1e300):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                upper, lower = voting._pairs_below(points, sizes, eta)
+                upper, lower = pairs_below(points, sizes, eta)
+                labels, count = cluster_segments(points, sizes, eta)
             assert sorted(zip(upper.tolist(), lower.tolist())) == scalar_pairs_below(instances, eta)
+            want, want_count = component_labels(len(sizes), upper, lower)
+            assert (labels.tolist(), count) == (want.tolist(), want_count)
         first_bad = len(vote_matrix_cases(np.random.default_rng(block)))
         assert not any(j >= first_bad for _, j in scalar_pairs_below(instances, 1e300))
 
@@ -390,10 +427,31 @@ class TestVoteMatrix:
         # stays out, and one ulp more lets it in
         picked = rng.choice(sorted(votes.values()), 6, replace=False)
         for eta in [float(v) for v in picked] + [float(np.nextafter(v, np.inf)) for v in picked]:
-            upper, lower = voting._pairs_below(*laid_end_to_end(instances), eta)
+            upper, lower = pairs_below(*laid_end_to_end(instances), eta)
             assert sorted(zip(upper.tolist(), lower.tolist())) == sorted(
                 pair for pair, v in votes.items() if v < eta
             ), f"eta {eta!r}"
+
+    @pytest.mark.parametrize("block", [1, 500, 1 << 14])
+    def test_clutter_labels_lose_no_pair_below_eta(self, monkeypatch, block):
+        cfg = default_config()
+        h = estimate_homography(cfg.calibration)
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+        for i, mask in enumerate(clutter_masks()):
+            segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+            points, sizes = transform_pixels(h, segments.pixels), segments.sizes
+            want, want_count = component_labels(len(sizes), *pairs_below(points, sizes, cfg.eta))
+            labels, count = cluster_segments(points, sizes, cfg.eta)
+            assert (labels.tolist(), count) == (want.tolist(), want_count), (block, i)
+
+    @pytest.mark.parametrize("block", [500, 1 << 14])
+    @pytest.mark.parametrize("pitch", [8, 6, 5])
+    def test_dense_grid_labels_lose_no_pair_below_eta(self, monkeypatch, pitch, block):
+        points, sizes = blob_grid_frame(pitch)
+        want, want_count = component_labels(len(sizes), *pairs_below(points, sizes, 20.0))
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+        labels, count = cluster_segments(points, sizes, 20.0)
+        assert (labels.tolist(), count) == (want.tolist(), want_count)
 
     def test_segment_core_clusters_like_cluster_instances(self):
         instances = vote_matrix_cases(np.random.default_rng(9))
@@ -467,6 +525,20 @@ class TestVoteMatrix:
             tracemalloc.stop()
         assert (count, labels.tolist()) == (n, list(range(n)))
         assert peak < 2 << 20, peak
+
+    def test_dense_grid_stays_bounded(self):
+        # 6912 blobs on a 5 px pitch: 1.94M of the 23.9M pairs vote below
+        # eta, so a frame-wide edge list alone would take tens of MB
+        points, sizes = blob_grid_frame(5)
+        tracemalloc.start()
+        try:
+            labels, count = cluster_segments(points, sizes, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 6912
+        assert (count, labels.max()) == (1, 0)
+        assert peak < 8 << 20, peak
 
     def test_streak_still_raises(self):
         streak = BevInstance.from_points(1, [(x, 50.0) for x in (0.0, 1.0, 2.0)])
