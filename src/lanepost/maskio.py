@@ -2,18 +2,33 @@
 (P6), and 8-bit grayscale PNG reading. No image library dependency.
 
 Reading the mask is the first step of every frame, and for a large PNG it
-is the costliest one, so PNG rows are undone with array operations, and
-Average and Paeth rows visit only the pixels that change (see `_unfilter`).
+is the costliest one. Almost every residual of a lane mask's filtered rows
+is zero, so before the filters are undone `_scan` finds the rows with a
+nonzero residual and, one bounded chunk of those rows at a time, the
+nonzero residuals themselves; the row decoders then pay per residual, not
+per pixel (see `_unfilter`). A Sub run is filled with the running sums of
+its residuals, an Up run adds only its rows with a residual, and Average
+and Paeth runs are walked from their residuals. A run with more than 1/16
+of its residuals nonzero, as in noise, keeps the per-pixel paths: a
+running sum along the rows, and a walker that finds its own events and
+hands off to an anti-diagonal wavefront.
 
-No image-sized temporary is made that a caller does not keep. P5 samples
-are read in place, as a read-only view of the file's bytes, and a PNG is
-decoded into this thread's pooled buffer (see `_scratch`); `load_mask`
-thresholds either directly, and only `read_gray` copies the samples out.
+A PNG makes one image-sized temporary that the caller does not keep: the
+inflated stream, height * (width + 1) bytes, which `_inflate` returns
+whole (zlib holds it twice for a moment as it joins its output) and which
+is copied into the decode buffer. Beyond it, the residuals `_scan` keeps
+take at most 9/16 of a byte per pixel (twice that while they are joined),
+and the walkers' Python lists of them are made one chunk of rows at a
+time (see `_Residuals`). P5 samples are read in place, as a read-only
+view of the file's bytes, and a PNG is decoded into this thread's pooled
+buffer (see `_scratch`); `load_mask` thresholds either directly, and only
+`read_gray` copies the samples out.
 """
 
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -158,10 +173,24 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 # One wavefront step (an anti-diagonal) costs about as much as this many
-# pixels visited by `_walk` on dense content. Ratios measured on random
-# bytes, 16-8192 rows by 64-4096 columns, every row walked: 8-47 for
-# Average (the narrowest images lowest) and 16-52 for Paeth.
-_WAVEFRONT_STEP = 50
+# units of `_walk` (a row or a pixel visited). Ratios measured on random
+# bytes, 16-8192 rows by 64-4096 columns, every row walked: 9-21 for
+# Average and 19-32 for Paeth; on 720x1280 lane masks 9-12 and 31-36. Any
+# step from 16 to 24 (15 to 30 in a later sweep) decoded each random shape
+# within noise of its fastest, so both filters share one: at 40 or more
+# the wavefront never took a 32x2048 Average image (13-15 ms against 8),
+# at 10 it took a 16x4096 Paeth one too early (54 ms against 21), and lane
+# masks never come near the switch.
+_WAVEFRONT_STEP = 20
+
+# `_scan` reads this many bytes of whole rows at a time.
+_CHUNK = 1 << 16
+# A run is sparse when at most 1/_SPARSE of its residuals are nonzero; only
+# sparse runs decode from the residuals `_scan` found.
+_SPARSE = 16
+# Sub runs of fewer rows keep the running sum along the rows: for them it
+# costs less than a fill from events.
+_SHORT_SUB = 8
 
 
 def _decode_png_gray(path, data, use):
@@ -237,29 +266,166 @@ def _inflate(path, idat, size: int) -> bytes:
 def _unfilter(path, kinds, buf) -> None:
     """Undo the PNG row filters in place: kinds[r] filters buf[r + 1, 1:].
 
-    A run of Sub rows is one in-place cumulative sum along the rows; an Up
-    row adds the decoded row above it; Average and Paeth runs go to `_walk`.
-    Under the zero row above the image, Paeth predicts from the left, so a
-    Paeth first row is decoded as Sub.
+    The rows fall into runs of one filter type, and `_scan` finds the rows
+    with a nonzero residual and, in sparse Sub, Average and Paeth runs, the
+    nonzero residuals themselves. A sparse Sub run is filled from its
+    residuals (`_fill_sub`); any other Sub run is one in-place running sum
+    along the rows. An Up row with a nonzero residual adds the decoded row
+    above it, and every other Up row repeats it. Average and Paeth runs go
+    to `_walk`, a sparse one with its residuals. Under the zero row above
+    the image, Paeth predicts from the left, so a Paeth first row is
+    decoded as Sub.
     """
     bad = np.flatnonzero(kinds > 4)
     if len(bad):
         raise ImageIOError(path, f"unknown row filter {kinds[bad[0]]} in row {bad[0]}")
     if kinds[0] == 4:
         kinds[0] = 1
-    edges = [0, *(np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist(), len(kinds)]
-    for start, stop in zip(edges[:-1], edges[1:]):
-        kind = int(kinds[start])
+    if not kinds.any():
+        return  # every row filtered as None: buf holds the samples
+    # run i is buf rows firsts[i]..firsts[i + 1] - 1, of filter type types[i]
+    firsts = np.concatenate(([1], np.flatnonzero(kinds[1:] != kinds[:-1]) + 2, [len(kinds) + 1]))
+    types = kinds[firsts[:-1] - 1]
+    busy, pos, values, bounds, sparse = _scan(buf, firsts, types)
+    found = _Residuals(pos, values, buf.shape[1])
+    firsts, bounds = firsts.tolist(), bounds.tolist()
+    for i, (kind, residuals_found) in enumerate(zip(types.tolist(), sparse.tolist())):
+        first, stop = firsts[i], firsts[i + 1]
         if kind == 1:
-            np.cumsum(buf[start + 1 : stop + 1], axis=1, dtype=np.uint8, out=buf[start + 1 : stop + 1])
-        elif kind == 2:  # row by row: a uint8 cumsum down the columns is about twice as slow
-            for r in range(start + 1, stop + 1):
-                np.add(buf[r], buf[r - 1], out=buf[r])
+            if residuals_found:
+                _fill_sub(buf, pos[bounds[i] : bounds[i + 1]], values[bounds[i] : bounds[i + 1]])
+            else:
+                np.cumsum(buf[first:stop], axis=1, dtype=np.uint8, out=buf[first:stop])
+        elif kind == 2:
+            _add_up(buf, first, stop, busy)
         elif kind > 2:
-            _walk(buf, start + 1, stop + 1, kind)
+            _walk(buf, first, stop, kind, busy, found if residuals_found else None)
 
 
-def _walk(buf, first: int, stop: int, kind: int) -> None:
+def _scan(buf, firsts, types):
+    """The rows with a nonzero residual, and the nonzero residuals of the
+    sparse runs that decode from them.
+
+    Run i is buf rows firsts[i]..firsts[i + 1] - 1, of filter type
+    types[i]. Returns (busy, pos, values, bounds, sparse): bytes where
+    busy[r] is 1 if buf row r, in a run other than None, has a nonzero
+    residual; the flat positions in buf of the nonzero residuals found,
+    ascending, and their values; pos[bounds[i]:bounds[i + 1]] are those in
+    the rows of run i, and sparse[i] tells whether they are all of its
+    nonzero residuals. Residuals are found for Sub runs of _SHORT_SUB rows
+    or more and for Average and Paeth runs, unless the run is dense: more
+    than 1/_SPARSE of its residuals nonzero.
+
+    A row's largest residual is one vector step over the rows, so only rows
+    with a nonzero residual are read again, _CHUNK bytes of them at a time.
+    A run's residuals are dropped, and its rows no longer read, once they
+    count past its share: so at most 1/_SPARSE of the image's residuals
+    are kept, 9 bytes each (an int64 position and a value).
+    """
+    pitch = buf.shape[1]
+    sizes = np.diff(firsts)
+    decoded = np.flatnonzero(types)  # runs other than None
+    top, bottom = firsts[decoded[0]], firsts[decoded[-1] + 1]
+    busy = np.zeros(len(buf), np.uint8)
+    busy[top:bottom] = buf[top:bottom].max(axis=1) != 0
+    sparse = (types > 2) | ((types == 1) & (sizes >= _SHORT_SUB))  # while in their share
+    limits = sizes * (pitch - 1) // _SPARSE
+    counts = np.zeros(len(types), np.intp)
+    found = []
+
+    def count(rows, k, end, nz) -> None:
+        """Count the nonzero residuals at offsets nz of buf[rows] to their
+        runs k..end - 1, and keep those of the runs still in their share."""
+        r, nz = np.divmod(nz, pitch)
+        nz += rows[r] * pitch
+        per_run = np.diff(np.searchsorted(nz, firsts[k : end + 1] * pitch))
+        counts[k:end] += per_run
+        sparse[k:end] &= counts[k:end] <= limits[k:end]
+        if not sparse[k:end].all():
+            nz = nz[np.repeat(sparse[k:end], per_run)]
+        found.append(nz)
+
+    wanted = np.flatnonzero(busy)  # the busy rows of runs whose residuals are wanted
+    wanted_runs = np.searchsorted(firsts, wanted, "right") - 1
+    keep = sparse[wanted_runs]
+    wanted, wanted_runs = wanted[keep], wanted_runs[keep]
+    step = max(_CHUNK // pitch, 1)
+    for at in range(0, len(wanted), step):
+        chunk, chunk_runs = wanted[at : at + step], wanted_runs[at : at + step].tolist()
+        k, end = chunk_runs[0], chunk_runs[-1] + 1
+        if not sparse[k:end].any():
+            continue
+        nonzero = buf[chunk] != 0
+        if np.count_nonzero(nonzero) * _SPARSE <= nonzero.size:
+            count(chunk, k, end, np.flatnonzero(nonzero))
+        else:  # dense: a row at a time, so that no run keeps more than its share
+            for i, k in enumerate(chunk_runs):
+                if sparse[k]:
+                    count(chunk[i : i + 1], k, k + 1, np.flatnonzero(nonzero[i]))
+    pos = np.concatenate(found) if found else np.zeros(0, np.intp)
+    return busy.tobytes(), pos, buf.reshape(-1)[pos], np.searchsorted(pos, firsts * pitch), sparse
+
+
+def _fill_sub(buf, pos, values) -> None:
+    """Decode a sparse run of Sub rows in place from its nonzero residuals,
+    values at the flat positions pos of buf, ascending.
+
+    A Sub row is the running sum mod 256 of its residuals: zero up to its
+    first nonzero residual, then each partial sum up to the next one or to
+    the row's end. The residuals of a mask row that ends unmarked sum to
+    zero, so its last partial sum is zero and can run on through the rows
+    below up to the next residual: when every row is such, the run is one
+    np.repeat of the running sums. Otherwise the sums restart on each row,
+    and a zero is inserted at each row's end. The repeat is made _CHUNK
+    bytes of rows at a time.
+    """
+    if not len(pos):
+        return  # all zero, as buf holds it
+    flat = buf.reshape(-1)
+    pitch = buf.shape[1]
+    rows = pos // pitch
+    sums = np.cumsum(values, dtype=np.uint8)
+    last = np.flatnonzero(rows[1:] != rows[:-1])  # a row's last residual, but the last row's
+    if sums[last].any():  # restart the sums on each row, and end each row with a zero
+        per_row = np.diff(last, prepend=-1, append=len(pos) - 1)
+        sums -= np.repeat(np.insert(sums[last], 0, 0), per_row)
+        pos = np.insert(pos, last + 1, (rows[last] + 1) * pitch)
+        sums = np.insert(sums, last + 1, 0)
+        rows = pos // pitch
+    lengths = np.diff(pos)
+    step = max(_CHUNK // pitch, 1)
+    cuts = np.searchsorted(rows, range(int(rows[0]), int(rows[-1]) + step + 1, step)).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo < hi:
+            start, mid, end = int(pos[lo]), int(pos[hi - 1]), (int(rows[hi - 1]) + 1) * pitch
+            flat[start:mid] = np.repeat(sums[lo : hi - 1], lengths[lo : hi - 1])
+            flat[mid:end] = sums[hi - 1]
+
+
+def _add_up(buf, first: int, stop: int, busy) -> None:
+    """Decode buf rows first..stop-1, one Up run. A row with a nonzero
+    residual (busy[r] is 1) adds the decoded row above it (row by row: a
+    uint8 cumsum down the columns is about twice as slow); every other row
+    repeats it."""
+    written = first  # rows written..a-1 repeat row written - 1
+    for a in _busy_rows(busy, first, stop):
+        if a > written:
+            buf[written:a] = buf[written - 1]
+        np.add(buf[a], buf[a - 1], out=buf[a])
+        written = a + 1
+    if written < stop:
+        buf[written:stop] = buf[written - 1]
+
+
+def _busy_rows(busy: bytes, first: int, stop: int):
+    """The rows r in first..stop-1 where busy[r] is 1, ascending."""
+    r = busy.find(1, first, stop)
+    while r >= 0:
+        yield r
+        r = busy.find(1, r + 1, stop)
+
+
+def _walk(buf, first: int, stop: int, kind: int, busy, events=None) -> None:
     """Decode buf rows first..stop-1, one Average (3) or Paeth (4) run,
     visiting only the pixels that can differ from the pixel above.
 
@@ -268,34 +434,67 @@ def _walk(buf, first: int, stop: int, kind: int) -> None:
     zero residual repeats the pixel above and keeps the next one in step.
     So a row copies the row above but for walks from its events (nonzero
     residuals and, for Average, columns where the row above changes), each
-    until a pixel equals the one above it. The row is decoded in a
-    bytearray that starts as the row above, and is written to buf once. The
-    rest of the run goes to `_wavefront` once projected (a unit per row and
-    visit) to cost more here.
+    until a pixel equals the one above it. busy[r] is 1 where buf row r has
+    a nonzero residual. A sparse run reads its residuals from `events`, a
+    `_Residuals`, and an Average one keeps the columns where each row
+    changes from its walks; a dense run finds each row's events in it. The
+    row is decoded in a bytearray that starts as the row above, and is
+    written to buf once. The rest of the run goes to `_wavefront` once
+    projected (a unit per row and visit) to cost more here.
     """
     width = buf.shape[1] - 1
-    busy = buf[first:stop].any(axis=1).tolist()  # rows with a nonzero residual
+    # a Paeth row without residuals repeats the row above
+    candidates = _busy_rows(busy, first, stop) if kind == 4 else range(first, stop)
     line = bytearray(buf[first - 1])  # the decoded row above row a, then row a
     decoded = np.frombuffer(line, dtype=np.uint8)  # line, as an array
+    # a sparse Average run keeps the columns where the row above differs
+    # from its left neighbour (column 0 being zero)
+    track = kind == 3 and events is not None
+    if track:
+        changes = (np.flatnonzero(decoded[1:] != decoded[:-1]) + 1).tolist()
+    loaded = 0  # events' lists hold the rows above loaded
     written, visits = first, 0  # rows written..a-1 are copies of row written - 1
-    zero_above = False  # Average: the row above is known to be all zero
-    for a in range(first, stop):
-        done, rows_left = a - first, stop - a
+    check = first  # the row to project from: skipped rows project no less
+    zero_above = track and not changes  # Average: the row above is known to be all zero
+    for a in candidates:
+        if zero_above and not busy[a]:  # a row of zeros under zeros
+            continue
+        done, rows_left = check - first, stop - check
         if (done + visits) * rows_left >= max(done, 1) * _WAVEFRONT_STEP * (rows_left + width):
             _wavefront(buf, written, stop, kind)
             return
-        if not busy[a - first] and (kind == 4 or zero_above):
-            continue
-        buf[written:a] = buf[written - 1]
+        check = a + 1
+        if a > written:
+            buf[written:a] = buf[written - 1]
         written = a
-        row, prev = buf[a], buf[a - 1]
-        changed = row != 0 if kind == 4 else (row[1:] | (prev[1:] ^ prev[:-1])) != 0
-        events = np.flatnonzero(changed) + (kind == 3)  # bool: about 8x faster than uint8
-        zero_above = not len(events)  # an Average row of zeros under zeros
-        if zero_above:
-            continue
+        row = buf[a]
+        if events is None:
+            prev = buf[a - 1]
+            changed = row != 0 if kind == 4 else (row[1:] | (prev[1:] ^ prev[:-1])) != 0
+            found = np.flatnonzero(changed) + (kind == 3)  # bool: about 8x faster than uint8
+            zero_above = not len(found)
+            if zero_above:
+                continue
+            cols, residuals = found.tolist(), row[found].tolist()
+        else:
+            if a >= loaded:
+                ev_rows, ev_cols, ev_residuals, loaded = events.from_row(a)
+                i = bisect_left(ev_rows, a)  # the first residual of row a
+            j = bisect_right(ev_rows, a, i)
+            cols, residuals, i = ev_cols[i:j], ev_residuals[i:j], j
+            if track:  # walk from where the row above changes, too
+                at = 0
+                for x in changes:
+                    at = bisect_left(cols, x, at)
+                    if at == len(cols) or cols[at] != x:
+                        cols.insert(at, x)
+                        residuals.insert(at, 0)
         written = a + 1
-        cols, residuals = events.tolist(), row[events].tolist()
+        if track:
+            # every event is visited, and a pixel that no walk visits equals
+            # its left neighbour as the pixels above do: so the row's changes
+            # are the visited pixels that differ from their left neighbour
+            changes = []
         start = end = 0  # the last walk decoded [start, end), out of step at end
         for x, nxt, r in zip(cols, cols[1:] + [width + 1], residuals):
             if x != end:  # in step: the last walk is over
@@ -306,9 +505,15 @@ def _walk(buf, first: int, stop: int, kind: int) -> None:
                 up = line[x]
                 if kind == 3:
                     v = (r + ((left + up) >> 1)) & 0xFF
+                elif up == diag or left == up:  # Paeth's pa is 0, or pa = pb = pc / 2
+                    v = (r + left) & 0xFF
+                elif left == diag:  # pb is 0 < pa
+                    v = (r + up) & 0xFF
                 else:  # the specification's ties: left, then up, then up-left
                     pa, pb, pc = abs(up - diag), abs(left - diag), abs(left + up - diag - diag)
                     v = (r + (left if pa <= pb and pa <= pc else up if pb <= pc else diag)) & 0xFF
+                if track and v != left:
+                    changes.append(x)
                 line[x] = left = v
                 diag, r, x = up, 0, x + 1
                 if v == up or x == nxt:
@@ -316,7 +521,33 @@ def _walk(buf, first: int, stop: int, kind: int) -> None:
             end = x
         row[:] = decoded  # out of the walks, line still holds the row above
         visits += end - start
-    buf[written:stop] = buf[written - 1]
+        if track:
+            zero_above = not changes
+    if written < stop:
+        buf[written:stop] = buf[written - 1]
+
+
+class _Residuals:
+    """The nonzero residuals `_scan` found, at the flat positions pos
+    (ascending) of buf of that pitch, as Python lists for `_walk`. The
+    lists are made for _CHUNK bytes of rows at a time, from the first row
+    asked for: so they never hold more than a chunk's residuals, and short
+    runs share one conversion."""
+
+    def __init__(self, pos, values, pitch: int):
+        self.pos, self.values, self.pitch = pos, values, pitch
+        self.lists = [], [], [], 0
+
+    def from_row(self, a: int):
+        """(rows, cols, residuals, stop): the buf row, column and value of
+        each residual in rows a..stop-1, ascending, and maybe of some rows
+        above a; rows are asked for in ascending order."""
+        if a >= self.lists[3]:
+            stop = a + max(_CHUNK // self.pitch, 1)
+            lo, hi = np.searchsorted(self.pos, (a * self.pitch, stop * self.pitch))
+            rows, cols = np.divmod(self.pos[lo:hi], self.pitch)
+            self.lists = rows.tolist(), cols.tolist(), self.values[lo:hi].tolist(), stop
+        return self.lists
 
 
 def _wavefront(buf, first: int, stop: int, kind: int) -> None:

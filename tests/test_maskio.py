@@ -523,6 +523,39 @@ class TestPngUnfilter:
             tracemalloc.stop()
         assert peak <= 4 * width * height + (1 << 20)
 
+    def test_scratch_memory_is_bounded_for_one_row_runs(self, tmp_path):
+        # every row a dense run of its own: no run keeps its residuals
+        width, height = 128, 2048
+        stream = random_stream(np.random.default_rng(2), height, width)
+        stream[:, 0] = np.resize([1, 4, 3, 4], height)
+        path = tmp_path / "rows.png"
+        path.write_bytes(stream_png(stream))
+        tracemalloc.start()
+        try:
+            read_gray(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * width * height + (1 << 20)
+
+    @pytest.mark.parametrize("kind", [1, 3, 4])
+    @pytest.mark.parametrize("width, height", [(4096, 16), (64, 8192), (1280, 720)])
+    def test_scratch_memory_is_bounded_at_the_sparse_limit(self, tmp_path, kind, width, height):
+        # every run as many residuals as a sparse run may have: the residuals
+        # `_scan` keeps are decoded without image-sized lists of them
+        kinds = [2] + [kind] * (height - 1)
+        stream, _ = sparse_stream(np.random.default_rng(3), kinds, width)
+        path = tmp_path / "sparse.png"
+        path.write_bytes(stream_png(stream))
+        tracemalloc.start()
+        try:
+            decoded = read_gray(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded.tolist() == png_unfilter(stream)
+        assert peak <= 4 * width * height + (1 << 20)
+
     @pytest.mark.parametrize("kind", [1, 2])
     def test_sub_and_up_decode_in_place(self, tmp_path, kind):
         # inflated stream, buffer and result: no further image-sized block
@@ -537,6 +570,186 @@ class TestPngUnfilter:
             tracemalloc.stop()
         assert np.array_equal(decoded, gray)
         assert peak < 2.5 * gray.size
+
+    @pytest.mark.parametrize("mode", [0, 1, 2, 3, 4, 5])  # 5: adaptive
+    def test_camera_sized_lane_masks_decode_in_place(self, tmp_path, mode):
+        # once the pooled decode buffer exists, the peak is inflating, which
+        # holds the stream twice for a moment (zlib's output blocks and the
+        # bytes joined from them): neither decoding nor thresholding nor the
+        # caller's copy may rise above it
+        gray = lane_image(4, (720, 1280))
+        stream = filtered_stream(gray, [mode] * 720)
+        path = tmp_path / "lanes.png"
+        path.write_bytes(stream_png(stream))
+        read_gray(path)  # warm-up: the pooled buffer is allocated once per thread
+        for read, want in ((read_gray, gray), (load_mask, gray > 127)):
+            tracemalloc.start()
+            try:
+                decoded = read(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(decoded, want)
+            assert peak < 2.2 * gray.size
+        assert read_gray(path).tolist() == png_unfilter(stream)
+
+
+def spy_scan(monkeypatch) -> list:
+    """Record the runs of every `_scan` call, each as (first, stop, kind,
+    sparse): buf rows first..stop-1 of filter type kind, sparse when they
+    decode from the residuals `_scan` found."""
+    calls = []
+    real = maskio._scan
+
+    def spy(buf, firsts, types):
+        found = real(buf, firsts, types)
+        runs = firsts[:-1].tolist(), firsts[1:].tolist(), types.tolist(), found[-1].tolist()
+        calls.append(list(zip(*runs)))
+        return found
+
+    monkeypatch.setattr(maskio, "_scan", spy)
+    return calls
+
+
+def sparse_stream(rng, kinds, width, extra=0):
+    """A stream of filter types kinds whose every run of one type has
+    share + extra nonzero residuals, share being the most a sparse run may
+    have: 1/_SPARSE of its pixels. Returns it with its runs."""
+    kinds = np.asarray(kinds)
+    stream = np.zeros((len(kinds), width + 1), np.uint8)
+    stream[:, 0] = kinds
+    edges = [0, *(np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist(), len(kinds)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        pixels = (stop - start) * width
+        count = min(pixels // maskio._SPARSE + extra, pixels)
+        residuals = np.zeros(pixels, np.uint8)
+        residuals[rng.choice(pixels, count, replace=False)] = rng.integers(1, 256, count)
+        stream[start:stop, 1:] = residuals.reshape(stop - start, width)
+    return stream, list(zip(edges[:-1], edges[1:]))
+
+
+class TestResidualScan:
+    """Sparse runs decode from the nonzero residuals `_scan` finds, dense
+    and short ones as before; every case against the scalar oracle."""
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4, 5])  # 5: adaptive
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_density_straddles_the_sparse_switch(self, tmp_path, monkeypatch, kind, extra):
+        calls = spy_scan(monkeypatch)
+        rng = np.random.default_rng(kind)
+        for _ in range(4):
+            height, width = rng.integers(9, 40), rng.integers(16, 80)
+            kinds = [kind] * (height - 1)
+            if kind == 5:  # runs of 1-12 rows of every type
+                kinds = np.repeat(rng.integers(0, 5, height), rng.integers(1, 13, height))
+                kinds = kinds[: height - 1]
+            kinds = [2, *kinds]  # an Up row on top, so no Paeth row is turned Sub
+            stream, runs = sparse_stream(rng, kinds, width, extra)
+            calls.clear()
+            assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+            [scanned] = calls
+            assert len(scanned) == len(runs)
+            for (start, stop), (_, _, run_kind, sparse) in zip(runs, scanned):
+                residual_scan = run_kind > 2 or run_kind == 1 and stop - start >= maskio._SHORT_SUB
+                assert sparse == (residual_scan and not extra), (run_kind, stop - start)
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("chunk", [None, 200])  # default: one 65 KiB chunk is 1008 rows
+    def test_runs_longer_than_a_scan_chunk(self, tmp_path, monkeypatch, kind, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(maskio, "_CHUNK", chunk)
+        rng = np.random.default_rng(kind)
+        height, width = (2000, 64) if chunk is None else (90, 37)
+        kinds = [2] + [kind] * (height - 1)
+        if kind == 5:
+            kinds = np.repeat(rng.integers(1, 5, height), rng.integers(1, 40, height))[:height]
+        stream, _ = sparse_stream(rng, kinds, width)
+        stream[rng.random(height) < 0.3, 1:] = 0  # rows without residuals between busy ones
+        assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4, 5])
+    def test_edge_columns_and_wrapping(self, tmp_path, kind):
+        rng = np.random.default_rng(10 + kind)
+        height, width = 24, 40
+        stream = np.zeros((height, width + 1), np.uint8)
+        stream[:, 0] = rng.integers(1, 5, height) if kind == 5 else kind
+        stream[0, 0] = 2
+        rows = rng.choice(np.arange(1, height), 12, replace=False)
+        stream[rows, 1] = rng.choice([1, 128, 200, 255], 12)  # column 1
+        stream[rows[:6], width] = rng.choice([1, 128, 200, 255], 6)  # the last column
+        stream[rows[6:], width - 1 :] = 255  # 255 + 255 wraps, and ends a row on a nonzero sum
+        stream[3, 1:] = 0
+        stream[3, (1, 2, 3)] = (200, 100, 212)  # partial sums 200, 44, 0: wrap back to zero
+        assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+
+    def test_one_row_runs_and_a_paeth_first_row(self, tmp_path, monkeypatch):
+        calls = spy_scan(monkeypatch)
+        rng = np.random.default_rng(12)
+        kinds = [4, 2, 4, 1, 4, 3, 4, 0, 4, 4, 1, 2, 3, 4, 1, 1, 1, 1, 1, 1, 1, 1, 4]
+        stream, _ = sparse_stream(rng, kinds, 50)
+        stream[0, 1:] = 0
+        stream[0, (1, 7, 50)] = (9, 250, 3)  # Paeth under the zero row predicts left, as Sub
+        assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+        [runs] = calls
+        assert runs[0] == (1, 2, 1, False)  # the first row decodes as a one-row Sub run
+        for first, stop, kind, sparse in runs:
+            assert sparse == (kind > 2 or kind == 1 and stop - first >= 8)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_average_walks_from_the_changes_above(self, tmp_path, monkeypatch, seed):
+        # rows without residuals under a row of steps: every walk starts
+        # where the row above changes, many end in mid-row, and a few
+        # residuals start walks between and over those changes
+        calls = spy_scan(monkeypatch)
+        rng = np.random.default_rng(seed)
+        height, width = 40, 60
+        stream = np.zeros((height, width + 1), np.uint8)
+        stream[:, 0] = 3
+        stream[0, 0] = 0
+        steps = np.sort(rng.choice(np.arange(1, width), 6, replace=False))
+        stream[0, 1:] = np.repeat(rng.integers(0, 256, 7), np.diff(steps, prepend=0, append=width))
+        stream[0, width] ^= rng.integers(0, 2) * 85  # a change in the last column
+        rows = rng.choice(np.arange(1, height), 10, replace=False)
+        stream[rows, rng.integers(1, width + 1, 10)] = rng.integers(1, 256, 10)
+        if seed % 2:  # an Up row inside the run starts a new run on a new row
+            stream[height // 2, 0] = 2
+        assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+        [runs] = calls
+        assert all(sparse for _, _, kind, sparse in runs if kind == 3)
+
+    def test_small_sparse_average_runs(self, tmp_path):
+        # a sparse Average run walks from where the row above changes, and
+        # keeps those columns from its own walks: under random, stepped and
+        # binary rows, 1/_SPARSE residuals anywhere
+        for seed in range(1500):
+            rng = np.random.default_rng(seed)
+            height, width = rng.integers(2, 12), rng.integers(2, 24)
+            stream = np.zeros((height, width + 1), np.uint8)
+            stream[:, 0] = 3
+            stream[0, 0] = rng.choice([0, 2])
+            if seed % 3 == 0:
+                stream[0, 1:] = rng.integers(0, 256, width)
+            elif seed % 3 == 1:
+                thirds = np.diff([0, width // 3, width // 2, width])
+                stream[0, 1:] = np.repeat(rng.integers(0, 256, 3), thirds)
+            else:
+                stream[0, 1:] = rng.choice([0, 255], width)
+            count = max(1, (height - 1) * width // maskio._SPARSE)
+            spots = rng.integers(1, height, count), rng.integers(1, width + 1, count)
+            stream[spots] = rng.integers(1, 256, count)
+            assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream), seed
+
+    @pytest.mark.parametrize("kind", [1, 4])
+    def test_lane_rows_sum_to_zero_or_not(self, tmp_path, kind):
+        # a mask row that ends marked has residuals of a nonzero sum, and
+        # its Sub fill must not run on into the rows below
+        gray = lane_image(7, (120, 200))
+        gray[40:60, 190:] = 255
+        gray[80, 150:] = 255
+        stream = filtered_stream(gray, [2] + [kind] * 119)
+        decoded = decode_stream(tmp_path, stream)
+        assert np.array_equal(decoded, gray)
+        assert decoded.tolist() == png_unfilter(stream)
 
 
 class TestPpm:
