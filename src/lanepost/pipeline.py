@@ -22,7 +22,6 @@ polyline, with the divider id in the cluster_id field.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,12 +47,6 @@ __all__ = [
     "write_lanes",
     "read_lanes",
 ]
-
-# crop_and_resize takes the columns in this many strided slices at most,
-# else one np.take gather: slices stopped paying at about 13 of them on a
-# 90-row grid and 20 on a 360-row one (360x1280 -> 480 columns, 3 slices:
-# 74 us against 164)
-_MAX_PERIOD = 8
 
 
 @dataclass(frozen=True)
@@ -107,24 +100,16 @@ def crop_and_resize(mask, cfg: PipelineConfig) -> np.ndarray:
             f"({cfg.crop_top},{cfg.crop_bottom},{cfg.crop_left},{cfg.crop_right})"
         )
     # gather the target grid's source pixels, then threshold only those;
-    # taking whole rows first and then columns beats one np.ix_ gather.
-    # Writing into a new boolean array is the same truth as != 0 for every
-    # numeric dtype, and the result never aliases the input.
+    # taking whole rows first and then columns beats one np.ix_ gather, and
+    # np.take beats indexing for the columns. astype(bool) is the same
+    # truth as != 0 for every numeric dtype, and copies, so the result
+    # never aliases the input, but a gathered boolean grid is not copied
+    # again.
     rows = _nearest(top, bottom, cfg.target_rows)
-    src = mask[rows]
-    n, span = cfg.target_cols, right - left
-    # with g = gcd(span, n), output columns k, k + n/g, ... read source
-    # columns left + (k * span) // n + j * span / g: n/g strided slice
-    # copies, one at a whole scale, give the columns without a gather
-    g = math.gcd(span, n)
-    period, pitch = n // g, span // g
-    if period > _MAX_PERIOD:
-        return np.take(src, _nearest(left, right, n), axis=1).astype(bool, copy=False)
-    out = np.empty((src.shape[0], n), dtype=bool)
-    for k in range(period):
-        first = left + (k * span) // n
-        out[:, k::period] = src[:, first : first + (g - 1) * pitch + 1 : pitch]
-    return out
+    cols = _nearest(left, right, cfg.target_cols)
+    if isinstance(cols, slice):
+        return mask[rows, cols].astype(bool)
+    return np.take(mask[rows], cols, axis=1).astype(bool, copy=False)
 
 
 def _nearest(lo: int, hi: int, n: int):

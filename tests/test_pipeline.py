@@ -137,50 +137,6 @@ class TestCropAndResize:
                 assert got.dtype == bool and np.array_equal(got, want), (shape, src.dtype)
                 assert not np.shares_memory(got, src)
 
-    @pytest.mark.parametrize(
-        "shape, margins, target",
-        [
-            ((360, 480), (0, 0, 0, 0), (360, 480)),  # identity: one slice of step 1
-            ((720, 960), (0, 0, 0, 0), (360, 480)),  # whole scale: one slice
-            ((720, 1280), (0, 0, 0, 0), (360, 480)),  # 3 slices of step 8
-            ((740, 1300), (15, 5, 7, 13), (360, 480)),  # 3 slices after margins
-            ((360, 532), (0, 0, 5, 15), (360, 448)),  # 7 slices of step 8
-            ((180, 240), (0, 0, 0, 0), (360, 480)),  # upscaling: 2 slices of step 1
-            ((200, 300), (3, 1, 0, 0), (360, 480)),  # upscaling: 8 slices of step 5
-            ((90, 197), (0, 0, 2, 0), (45, 60)),  # 4 slices of step 13
-            ((720, 1000), (0, 0, 0, 0), (360, 480)),  # 12 slices: one gather
-            ((361, 481), (0, 0, 0, 0), (360, 480)),  # coprime: one gather
-            ((50, 70), (0, 0, 3, 2), (100, 200)),  # upscaling, coprime: one gather
-        ],
-    )
-    def test_column_slices_match_take(self, shape, margins, target):
-        top, bottom, left, right = margins
-        cfg = dataclasses.replace(
-            default_config(),
-            crop_top=top,
-            crop_bottom=bottom,
-            crop_left=left,
-            crop_right=right,
-            target_rows=target[0],
-            target_cols=target[1],
-        )
-        rng = np.random.default_rng(shape[1])
-        codes = rng.integers(0, 3, shape)
-        for src in (
-            codes == 1,
-            codes.astype(np.uint8),
-            np.choose(codes, [0.0, -0.0, np.nan]),
-            np.choose(codes, [0j, -0.0 + 0j, 1j]),
-        ):
-            height, width = shape[0] - top - bottom, shape[1] - left - right
-            rows = top + (np.arange(target[0]) * height) // target[0]
-            cols = left + (np.arange(target[1]) * width) // target[1]
-            want = np.take(src[rows], cols, axis=1) != 0
-            got = crop_and_resize(src, cfg)
-            assert got.dtype == bool and got.flags.c_contiguous
-            assert np.array_equal(got, want), (shape, margins, target, src.dtype)
-            assert not np.shares_memory(got, src)
-
     def test_degenerate_crop_rejected(self):
         cfg = dataclasses.replace(default_config(), crop_top=300, crop_bottom=300)
         with pytest.raises(ConfigError):
