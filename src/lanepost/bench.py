@@ -12,6 +12,12 @@ Frames given as sources with a `load` call (mask files, say) are loaded
 in every pass, and that call is timed as one more stage, `load`. The
 total and fps cover the four run_frame stages only, with or without it,
 so they compare across both kinds of input.
+
+A frame that run_frame refuses with a ProcessingError in the warm-up pass
+is counted by exception class in `refused` and left out of the measured
+passes, so the statistics are those of the frames that completed. Only
+when every frame is refused does the benchmark raise, with the first
+frame's error.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import ConfigError
+from .errors import ConfigError, ProcessingError
 from .pipeline import run_frame
 
 __all__ = ["BenchReport", "benchmark", "format_report"]
@@ -44,6 +50,7 @@ class BenchReport:
     total_p95_ms: float
     fps: float
     wall_fps: float
+    refused: dict
 
 
 def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, load=None) -> BenchReport:
@@ -65,10 +72,19 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, load=None) -> Be
         load_ms = (time.perf_counter() - t0) * 1e3
         return load_ms, run_frame(mask, cfg).timings
 
+    refused, completed, first_refusal = {}, [], None
     for source in masks:  # warm-up, excluded from statistics
-        frame(source)
+        try:
+            frame(source)
+        except ProcessingError as exc:
+            refused[type(exc).__name__] = refused.get(type(exc).__name__, 0) + 1
+            first_refusal = first_refusal or exc
+        else:
+            completed.append(source)
+    if not completed:
+        raise first_refusal
     start = time.perf_counter()
-    samples = [frame(source) for _ in range(repetitions) for source in masks]
+    samples = [frame(source) for _ in range(repetitions) for source in completed]
     elapsed = time.perf_counter() - start
 
     per_stage = {
@@ -91,6 +107,7 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, load=None) -> Be
         total_p95_ms=float(np.percentile(totals, 95)),
         fps=1000.0 / total_mean,
         wall_fps=len(samples) / elapsed,
+        refused=refused,
     )
 
 
@@ -111,4 +128,7 @@ def format_report(report: BenchReport) -> str:
     for name, *values in rows:
         lines.append(f"{name:<20}" + "".join(f"{v:>12.4f}" for v in values))
     lines.append(f"fps={report.fps:.2f} wall_fps={report.wall_fps:.2f}")
+    if report.refused:
+        counts = " ".join(f"{name}={count}" for name, count in sorted(report.refused.items()))
+        lines.append(f"refused {sum(report.refused.values())} of {report.frames} frames: {counts}")
     return "\n".join(lines)

@@ -14,19 +14,25 @@ The core, cluster_segments, takes a frame's BEV points as one segmented
 array: the instances' points laid end to end in id order, plus each
 instance's point count. All instances are fitted in one array pass, with
 per-instance sums folded in index order by np.bincount, so an instance's
-line does not depend on the rest of the frame. Pairs are scored in facing
+line does not depend on the rest of the frame. Pairs are taken in facing
 order, a block of rows of the vote matrix's upper triangle at a time, in
-buffers reused from block to block and, per thread, from call to call.
+one buffer reused from block to block and, per thread, from call to call.
 The votes are bitwise deterministic and invariant to input permutation.
-Every vote is computed, but no frame-wide edge list is kept: each block's
-pairs below eta are folded into the running cluster labels as the block
-is scored, so memory is O(n + block) however many pairs merge.
+On a frame of many pairs, cluster_segments does not compute every vote:
+it scores a block with two matrix products of inner size 3, whose
+rounding error has a proven bound delta, and computes a block's exact
+votes only when a score it needs lies within delta of eta. The pairs
+that merge are still exactly those whose vote is below eta. No
+frame-wide edge list is kept: each block's pairs below eta are folded
+into the running cluster labels as the block is decided, so memory is
+O(n + block) however many pairs merge.
 cluster_instances and vote are the per-instance views of the same core:
 they lay BevInstance points end to end in id order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,10 @@ __all__ = [
 
 _SAME_Y_TOL = 1e-9  # y spread at or below which points share one y; curves fits use it too
 _BLOCK_ELEMENTS = 1 << 14  # vote-matrix entries per block; sizes the reused block buffers
+_SCORED_PAIRS = 1 << 10  # a frame with fewer pairs takes exact votes (see cluster_segments)
+_BAND = 2.0**-45  # 256 unit roundoffs: the rounding band's half-width per unit of X + B
+_SAFE = 2.0**1000  # a frame whose X*(1 + max|a|) + 2 max|b| is below this cannot overflow
+_TINY = 2.0**-1022  # the smallest normal float: covers what underflow can add to the band
 
 
 @dataclass(eq=False)
@@ -177,11 +187,23 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     sizes, segment i being instance i: (labels, count), where labels[i] is
     segment i's cluster in 0..count-1.
 
-    Each block of votes is folded into the labels as it is scored: pairs
-    whose two segments already share a label are masked, and the rest
-    that vote below eta join their labels' components in one
-    component_labels call. The labels stay numbered by smallest member,
-    so they are those of the whole sub-eta graph, at any block size.
+    The vote matrix is taken a block at a time, as `_vote_blocks` takes
+    it. On a frame of at least _SCORED_PAIRS pairs, a block is first
+    scored with two matrix products (`_score_factors`), each score within
+    delta of its pair's exact vote. A score below lo, the float next below
+    eta - delta, then means an exact vote below eta, and one at or above
+    hi, the float next above eta + delta, an exact vote above it. A block
+    with a pair between distinct labels whose score lies in [lo, hi) is
+    decided from its exact votes (`_block_votes`) instead, and so is every
+    block of a smaller frame, or of one that has no factors; on a smaller
+    frame the per-frame setup of the scores costs more than they save.
+
+    Each block's merging pairs are folded into the labels as the block is
+    decided: pairs whose two segments already share a label are dropped,
+    and the rest join their labels' components in one component_labels
+    call, which a block without such a pair skips. The labels stay
+    numbered by smallest member, so they are those of the whole sub-eta
+    graph, at any block size.
 
     sizes may have any integer dtype; every size must be positive.
     """
@@ -190,16 +212,43 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     points, sizes = _segments(points, sizes)
     if not len(sizes):
         return np.zeros(0, dtype=np.intp), 0
-    labels, count = np.arange(len(sizes)), len(sizes)
+    n = len(sizes)
+    labels, count = np.arange(n), n
+
+    def below(votes, cut, p0):
+        """(i, u, v): the flat indexes i of the block entries c >= k whose
+        value is below cut and whose instances' labels u and v differ."""
+        hit = votes < cut
+        rows, cols = votes.shape
+        u, v = order[p0 : p0 + rows], order[p0 + 1 :]
+        if count < n:  # until the first merge, every instance is its own label
+            u, v = labels[u], labels[v]
+            hit &= np.not_equal(u[:, None], v[None, :])
+        i = np.flatnonzero(hit)
+        k, c = divmod(i, cols)
+        facing = c >= k
+        return i[facing], u[k[facing]], v[c[facing]]
+
     with np.errstate(all="ignore"):
-        for row_ids, col_ids, votes in _vote_blocks(points, sizes):
-            rows, cols = labels[row_ids], labels[col_ids]
-            below = np.not_equal(rows[:, None], cols[None, :])
-            below &= votes < eta
-            k, c = divmod(np.flatnonzero(below), votes.shape[1])
-            facing = c >= k
-            merged, count = component_labels(count, rows[k[facing]], cols[c[facing]])
-            labels = merged[labels]
+        order, lines = _facing_lines(points, sizes)
+        scored = _score_factors(lines) if n * (n - 1) >= 2 * _SCORED_PAIRS else None
+        if scored is not None:
+            factors, delta = scored
+            lo, hi = math.nextafter(eta - delta, -math.inf), math.nextafter(eta + delta, math.inf)
+        with borrow("votes", 3 * _block_entries(n), np.float64) as scratch:
+            for p0, rows in _block_rows(n):
+                pairs = None
+                if scored is not None:
+                    scores = _block_scores(factors, p0, rows, scratch)
+                    pairs = below(scores, hi, p0)
+                    if (scores.ravel()[pairs[0]] >= lo).any():
+                        pairs = None  # a pair in the band: the exact votes decide
+                if pairs is None:
+                    pairs = below(_block_votes(lines, p0, rows, scratch), eta, p0)
+                _, u, v = pairs
+                if len(u):
+                    merged, count = component_labels(count, u, v)
+                    labels = merged[labels]
     return labels, count
 
 
@@ -222,56 +271,157 @@ def _segments(points, sizes) -> tuple[np.ndarray, np.ndarray]:
 
 def _vote_blocks(points: np.ndarray, sizes: np.ndarray):
     """The vote matrix of consecutive point segments in facing order, a
-    block of rows of its strict upper triangle at a time; segment i is the
-    instance with the i-th smallest id.
+    block of rows of its strict upper triangle at a time (see
+    `_block_rows`); segment i is the instance with the i-th smallest id.
+
+    Yields (row_ids, col_ids, votes), where votes[k, c] is the exact vote
+    of segments row_ids[k] and col_ids[c] for c >= k; entries with c < k
+    lie below the diagonal and hold no vote. Every pair comes up once.
+    votes is a view of this thread's pooled block buffer (see `_scratch`),
+    which the next block, or the next call on this thread, overwrites. The
+    buffers go back to the pool when the generator finishes or is closed;
+    one left unfinished keeps its own, and the next call allocates afresh.
+    """
+    order, lines = _facing_lines(points, sizes)
+    n = len(order)
+    with borrow("votes", 3 * _block_entries(n), np.float64) as scratch:
+        for p0, rows in _block_rows(n):
+            yield order[p0 : p0 + rows], order[p0 + 1 :], _block_votes(lines, p0, rows, scratch)
+
+
+def _facing_lines(points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, lines): the facing order of consecutive point segments, and
+    their lines and extremes in it, as the rows a, b, norm, top_x, top_y,
+    bottom_x, bottom_y of lines, column p for the instance at position p.
 
     Facing order sorts the instances by descending (bottom y, id), where
     an instance's bottom is its point of largest y and its top its point of
     smallest y, ties going to the smaller x. Of two instances, the one that
     comes first is the lower, so in facing positions p < q the facing point
     is P = ((top_x[p] + bottom_x[q]) / 2, (top_y[p] + bottom_y[q]) / 2),
-    with no per-pair selection (halving by * 0.5 rounds exactly as / 2),
-    and the vote is P's distance to p's line plus its distance to q's.
-    Yields (row_ids, col_ids, votes), where votes[k, c] is the vote of
-    segments row_ids[k] and col_ids[c] for c >= k; entries with c < k lie
-    below the diagonal and hold no vote. Every pair comes up once. votes
-    is a view of this thread's pooled block buffer (see `_scratch`), which
-    the next block, or the next call on this thread, overwrites. The
-    buffers go back to the pool when the generator finishes or is closed;
-    one left unfinished keeps its own, and the next call allocates afresh.
+    with no per-pair selection. norm is sqrt(1 + a*a), which turns a
+    residual x - a*y - b into a distance.
     """
     bottom_x, bottom_y, top_x, top_y = _extreme_arrays(points, np.cumsum(sizes) - sizes)
     a, b = _fit_segments(points, sizes, bottom_y - top_y)
-    norm = np.sqrt(1.0 + a * a)
     # the stable sort keeps equal bottom y in id order, so reversed, the
     # larger id of a tie comes first, as the lower instance
     order = np.argsort(bottom_y, kind="stable")[::-1]
-    a, b, norm, bottom_x, bottom_y, top_x, top_y = np.array(
-        (a, b, norm, bottom_x, bottom_y, top_x, top_y)
-    ).take(order, axis=1)
+    lines = np.array((a, b, np.sqrt(1.0 + a * a), top_x, top_y, bottom_x, bottom_y))
+    return order, lines.take(order, axis=1)
 
-    # rows p0..p0+rows against columns p0+1..n-1, as many rows as fill
-    # _BLOCK_ELEMENTS entries with the columns left
-    n = len(order)
-    size = min(max(_BLOCK_ELEMENTS, n - 1), (n - 1) ** 2)
-    with borrow("votes", 3 * size, np.float64) as scratch:
-        px, py, d = scratch.reshape(3, size)
-        p0 = 0
-        while p0 < n - 1:
-            cols = n - 1 - p0
-            rows = min(max(1, _BLOCK_ELEMENTS // cols), cols)
-            r, c = slice(p0, p0 + rows), slice(p0 + 1, n)
-            x = px[: rows * cols].reshape(rows, cols)
-            y = py[: rows * cols].reshape(rows, cols)
-            votes = d[: rows * cols].reshape(rows, cols)
-            np.add(top_x[r, None], bottom_x[None, c], out=x)
-            x *= 0.5
-            np.add(top_y[r, None], bottom_y[None, c], out=y)
-            y *= 0.5
-            _distances(x, y, a[r, None], b[r, None], norm[r, None], out=votes)
-            votes += _distances(x, y, a[None, c], b[None, c], norm[None, c], out=y)
-            yield order[r], order[c], votes
-            p0 += rows
+
+def _block_rows(n: int):
+    """The blocks (p0, rows) of an n-instance vote matrix's strict upper
+    triangle: facing rows p0..p0+rows-1 against columns p0+1..n-1, as many
+    rows as fill _BLOCK_ELEMENTS entries with the columns left."""
+    p0 = 0
+    while p0 < n - 1:
+        cols = n - 1 - p0
+        rows = min(max(1, _BLOCK_ELEMENTS // cols), cols)
+        yield p0, rows
+        p0 += rows
+
+
+def _block_entries(n: int) -> int:
+    """Entries of the largest block of `_block_rows(n)`."""
+    return min(max(_BLOCK_ELEMENTS, n - 1), (n - 1) ** 2)
+
+
+def _block_votes(lines, p0, rows, scratch):
+    """The exact votes of block (p0, rows), as a (rows, cols) view of
+    scratch, which must hold three blocks of float64.
+
+    The facing point of positions p < q is halved by * 0.5, which rounds
+    exactly as / 2, and the vote is its distance to p's line plus its
+    distance to q's. This is the one place votes are computed: `vote`,
+    `_vote_blocks` and the fallback of `cluster_segments` all read it.
+    """
+    a, b, norm, top_x, top_y, bottom_x, bottom_y = lines
+    r, c = slice(p0, p0 + rows), slice(p0 + 1, None)
+    cols = len(a) - 1 - p0
+    x, y, votes = scratch[: 3 * rows * cols].reshape(3, rows, cols)
+    np.add(top_x[r, None], bottom_x[None, c], out=x)
+    x *= 0.5
+    np.add(top_y[r, None], bottom_y[None, c], out=y)
+    y *= 0.5
+    _distances(x, y, a[r, None], b[r, None], norm[r, None], out=votes)
+    votes += _distances(x, y, a[None, c], b[None, c], norm[None, c], out=y)
+    return votes
+
+
+def _score_factors(lines):
+    """(factors, delta): the factors of the block scores (`_block_scores`)
+    of facing lines, and a bound delta on how far a score can lie from its
+    pair's exact vote; or None for a frame whose lines or extremes are not
+    all finite, or so large that a vote could overflow.
+
+    With h = 0.5 / norm, a pair's vote is |s_p| + |s_q|, where
+    s_i = (tx_p + bx_q - a_i*(ty_p + by_q) - 2*b_i) * h_i for i = p, q,
+    (tx_p, ty_p) being the top of the row instance p and (bx_q, by_q) the
+    bottom of the column instance q. Each side sum is linear in the two
+    extremes. So a block's S_p is the product of the rows' (K_top, h,
+    -a*h) with the columns' (1, bx, by), and S_q that of the rows' (tx,
+    ty, 1) with the columns' (h, -a*h, K_bottom), where K = (x - a*y -
+    2b)*h at an instance's own top or bottom. factors holds these nine
+    rows; the score is |S_p| + |S_q|.
+
+    The bound, to first order in the unit roundoff u = 2**-53. Let X be
+    the largest |coordinate| of a top or bottom and B the largest |b|*h.
+    norm >= 1, so h <= 0.5 and |a|*h <= 0.5, up to a factor 1 + 4u. Let V
+    be the vote in exact arithmetic from the rounded a, b and norm: each
+    side of it is at most 2X + 2B.
+    - The IEEE vote (`_block_votes`). The residual x - a*y - b carries
+      three roundings on x (the sum, two subtractions) and four on a*y,
+      and one on b; over norm that is (3X + 4X + 2B)u. The quotient adds
+      (2X + 2B)u, so a side errs by (9X + 4B)u, and the sum of the two
+      sides adds (4X + 4B)u: |vote - V| <= (22X + 12B)u.
+    - The score. K takes four roundings on tx*h, five on a*ty*h and three
+      on 2b*h: (2X + 2.5X + 6B)u. h and -a*h err by u and 2u relative,
+      over |bx|, |by| <= X: (0.5X + X)u. A product of three terms errs by
+      at most 3u times the sum of their magnitudes, 2X + 2B, in any order
+      and with or without fused multiply-adds, so for whatever kernel the
+      BLAS picks: (6X + 6B)u. A side errs by (12X + 12B)u, and the sum of
+      the magnitudes adds (4X + 4B)u: |score - V| <= (28X + 28B)u.
+    So |score - vote| <= (50X + 40B)u, below 64u(X + B) with the
+    second-order terms. delta takes four times that, 256u(X + B), plus the
+    smallest normal float, which covers what underflow can add.
+
+    The factors are all finite, and no intermediate of a vote or a score
+    (each at most four times X*(1 + max|a|) + 2 max|b|) overflows, when
+    that sum is below _SAFE; a NaN fails the test too.
+    """
+    a, b, norm = lines[:3]
+    # rows K_top, h, -a*h, K_bottom, top_x, top_y, 1, bottom_x, bottom_y
+    factors = np.empty((9, len(a)))
+    h = np.divide(0.5, norm, out=factors[1])
+    np.negative(np.multiply(a, h, out=factors[2]), out=factors[2])
+    # the side sums' constant terms (x - a*y - 2b)*h, at the tops and the bottoms
+    k = factors[0:4:3]
+    np.multiply(a, lines[4::2], out=k)
+    np.subtract(lines[3::2], k, out=k)
+    k -= b + b
+    k *= h
+    factors[4:6] = lines[3:5]
+    factors[6] = 1.0
+    factors[7:9] = lines[5:7]
+    a_max, b_max, _, *extremes = np.abs(lines).max(axis=1).tolist()
+    x_max = max(extremes)
+    if not x_max * (1.0 + a_max) + 2.0 * b_max < _SAFE:
+        return None
+    return factors, _BAND * (x_max + float(np.abs(b * h).max())) + _TINY
+
+
+def _block_scores(factors, p0, rows, scratch):
+    """The scores |S_p| + |S_q| of block (p0, rows), as a (rows, cols)
+    view of scratch, which must hold two blocks of float64."""
+    r, c = slice(p0, p0 + rows), slice(p0 + 1, None)
+    cols = factors.shape[1] - 1 - p0
+    s = scratch[: 2 * rows * cols].reshape(2, rows, cols)
+    np.matmul(factors[0:3, r].T, factors[6:9, c], out=s[0])  # (K_top, h, -a*h) . (1, bx, by)
+    np.matmul(factors[4:7, r].T, factors[1:4, c], out=s[1])  # (tx, ty, 1) . (h, -a*h, K_bottom)
+    np.abs(s, out=s)
+    return np.add(s[0], s[1], out=s[0])
 
 
 def _distances(px, py, a, b, norm, out):

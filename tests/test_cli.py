@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanepost import BenchReport, default_config, format_config, read_lanes, write_pgm
+from lanepost import (
+    BenchReport,
+    SceneParams,
+    default_config,
+    format_config,
+    generate_scene,
+    read_lanes,
+    write_pgm,
+)
 from lanepost.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -162,6 +170,37 @@ def test_bench_mask_dir_json_times_the_load_stage(tmp_path, capsys):
     for key in ("stage_mean_ms", "stage_std_ms", "stage_median_ms", "stage_p95_ms"):
         assert set(report[key]) == stages
     assert report["fps"] == 1000.0 / report["total_mean_ms"]
+
+
+def stop_line_mask():
+    """A 360x480 mask holding one 50 px one-row streak, whose BEV points
+    share one y: run_frame refuses it with DegenerateGeometryError."""
+    mask = np.zeros((360, 480), np.uint8)
+    mask[340, 20:70] = 255
+    return mask
+
+
+def test_bench_mask_dir_counts_refused_frames_and_times_the_rest(tmp_path, capsys):
+    good = generate_scene(SceneParams(), 0, default_config()).mask.astype(np.uint8) * 255
+    write_pgm(tmp_path / "a_good.pgm", good)
+    write_pgm(tmp_path / "b_streak.pgm", stop_line_mask())
+    argv = ["bench", "--mask-dir", str(tmp_path), "--reps", "2"]
+    assert main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["frames"] == 2
+    assert report["refused"] == {"DegenerateGeometryError": 1}
+    assert report["stage_mean_ms"]["voting"] > 0.0
+    assert report["fps"] == 1000.0 / report["total_mean_ms"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[-2].startswith("fps=")
+    assert table[-1] == "refused 1 of 2 frames: DegenerateGeometryError=1"
+
+
+def test_bench_mask_dir_of_refused_frames_only_exits_4(tmp_path, capsys):
+    write_pgm(tmp_path / "streak.pgm", stop_line_mask())
+    assert main(["bench", "--mask-dir", str(tmp_path), "--reps", "1"]) == 4
+    assert "processing error" in capsys.readouterr().err
 
 
 def test_run_with_config_file(tmp_path, capsys):

@@ -647,3 +647,141 @@ class TestBatchedFit:
             assert outcome(separate) == want, seed
             seen.add(type(want))
         assert seen == {str, tuple}  # both a refused and a clustered frame
+
+
+def count_calls(monkeypatch, name):
+    """Wrap voting.<name>; returns the list of each call's (p0, rows)."""
+    calls = []
+    real = getattr(voting, name)
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(voting, name, counted)
+    return calls
+
+
+def score_errors(points, sizes):
+    """(largest |score - exact vote| over every pair, delta) of a frame's
+    scored vote matrix."""
+    _, lines = voting._facing_lines(points, sizes)
+    factors, delta = voting._score_factors(lines)
+    n = len(sizes)
+    scratch = np.empty(3 * voting._block_entries(n))
+    worst = 0.0
+    for p0, rows in voting._block_rows(n):
+        scores = voting._block_scores(factors, p0, rows, scratch).copy()
+        votes = voting._block_votes(lines, p0, rows, scratch)
+        upper = np.triu(np.ones(votes.shape, dtype=bool))
+        worst = max(worst, float(np.abs(scores - votes)[upper].max()))
+    return worst, delta
+
+
+def far_frame(rng):
+    """(points, sizes) of 40 instances far from the origin: dashes, fits
+    close to horizontal (|a| up to about 1e6) and single points, with
+    coordinates up to about 1e6."""
+    origin = rng.uniform(-1e6, 1e6, 2) * rng.choice([1e-6, 1e-3, 1.0])
+    segments = []
+    for k in range(40):
+        kind = k % 4
+        center = origin + rng.uniform(-300.0, 300.0, 2)
+        if kind == 3:
+            segments.append(center[None, :])
+            continue
+        count = int(rng.integers(2, 9))
+        if kind == 2:  # near horizontal: a tiny y spread under a wide x spread
+            dy = 10.0 ** rng.uniform(-3.0, 0.0)
+            ys = center[1] + dy * rng.random(count)
+            ys[:2] = center[1], center[1] + dy
+            xs = center[0] + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2.0, 3.0) * (ys - center[1]) / dy
+        else:
+            ys = center[1] + rng.uniform(0.0, 40.0, count)
+            xs = center[0] + rng.uniform(-2.0, 2.0) * (ys - center[1]) + rng.normal(0.0, 0.3, count)
+        segments.append(np.stack([xs, ys], axis=1))
+    return np.concatenate(segments), np.array([len(s) for s in segments])
+
+
+class TestScoredBlocks:
+    """cluster_segments decides pairs from two matrix products of inner
+    size 3 and takes exact votes only in a rounding band around eta."""
+
+    def test_scores_lie_within_delta_of_the_exact_votes(self):
+        slopes, spans = [], []
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            points, sizes = far_frame(rng)
+            worst, delta = score_errors(points, sizes)
+            assert worst <= delta, (seed, worst, delta)
+            a, _ = fit_segments(points, sizes)
+            slopes.append(np.abs(a).max())
+            spans.append(np.abs(points).max())
+        # the frames reach what the bound must hold for
+        assert max(slopes) > 1e5 and max(spans) > 5e5
+
+    def test_scores_lie_within_delta_on_the_clutter_and_grid_frames(self):
+        cfg = default_config()
+        h = estimate_homography(cfg.calibration)
+        frames = [blob_grid_frame(12)]
+        for mask in list(clutter_masks())[:4]:
+            segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+            frames.append((transform_pixels(h, segments.pixels), segments.sizes))
+        for points, sizes in frames:
+            worst, delta = score_errors(points, sizes)
+            assert worst <= delta < 1e-9, (worst, delta)
+
+    @pytest.mark.parametrize("block", [1, 500, 1 << 14])
+    def test_eta_on_exact_votes_is_decided_by_the_exact_votes(self, monkeypatch, block):
+        # as in test_same_edges_as_scalar_vote, through cluster_segments: the
+        # pair voting exactly eta stays out, and one ulp more lets it in
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(voting, "_SCORED_PAIRS", 0)
+        fallbacks = count_calls(monkeypatch, "_block_votes")
+        rng = np.random.default_rng(5)
+        instances = vote_matrix_cases(rng)
+        points, sizes = laid_end_to_end(instances)
+        n = len(instances)
+        votes = sorted(oracle_vote(instances[i], instances[j]) for i in range(n) for j in range(i + 1, n))
+        # from the lower votes, where most pairs still join distinct labels
+        picked = rng.choice(votes[: len(votes) // 5], 6, replace=False)
+        decided_exactly = 0
+        for eta in [float(v) for v in picked] + [float(np.nextafter(v, np.inf)) for v in picked]:
+            fallbacks.clear()
+            labels, count = cluster_segments(points, sizes, eta)
+            want, want_count = component_labels(n, *zip(*scalar_pairs_below(instances, eta)))
+            assert (labels.tolist(), count) == (want.tolist(), want_count), f"eta {eta!r}"
+            decided_exactly += bool(fallbacks)
+        # a pair voting eta whose instances already share a label needs no
+        # exact vote; the others fall in the band
+        assert decided_exactly >= 6
+
+    def test_clutter_frames_are_decided_from_scores_alone(self, monkeypatch):
+        cfg = default_config()
+        h = estimate_homography(cfg.calibration)
+        fallbacks = count_calls(monkeypatch, "_block_votes")
+        for mask in clutter_masks():
+            segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+            cluster_segments(transform_pixels(h, segments.pixels), segments.sizes, cfg.eta)
+        assert fallbacks == []
+
+    def test_small_frames_take_exact_votes(self, monkeypatch):
+        fallbacks = count_calls(monkeypatch, "_block_votes")
+        instances = tied_bottom_cases(np.random.default_rng(0))  # 435 pairs
+        cluster_segments(*laid_end_to_end(instances), 20.0)
+        assert fallbacks == [(0, 29)]
+
+    def test_frames_that_could_overflow_take_exact_votes(self, monkeypatch):
+        monkeypatch.setattr(voting, "_SCORED_PAIRS", 0)
+        # a = 5e9 against a facing y of 5e299: the exact vote overflows to
+        # NaN, while the factors of its score are all finite
+        steep = [(0.0, 0.0), (10.0, 2e-9)]
+        far = [(0.0, 1e300)]
+        points, sizes = np.array(steep + far), np.array([2, 1])
+        _, lines = voting._facing_lines(points, sizes)
+        assert voting._score_factors(lines) is None
+        for eta in (1.0, 1e300, np.inf):
+            upper, lower = pairs_below(points, sizes, eta)
+            labels, count = cluster_segments(points, sizes, eta)
+            want, want_count = component_labels(2, upper, lower)
+            assert (labels.tolist(), count) == (want.tolist(), want_count), eta
