@@ -8,6 +8,13 @@ never a per-pixel loop: real masks contain components of ~10^4 pixels.
 Component ids follow the row-major scan order of each component's first
 pixel, so a given mask always labels identically.
 
+On a speckle-dense mask most runs are single pixels that form components
+of their own, and min_size drops them after they have been labelled.
+When min_size > 1 and a mask has many runs, the labeler first clears
+every pixel with no neighbour under the frame's connectivity, inside the
+scratch it already uses for the runs, and cuts runs from what is left.
+Such a pixel is a one-pixel component, so the result does not change.
+
 The labeler's result is one segmented record, InstanceSegments: all kept
 pixels in one array, grouped by instance, plus each instance's size.
 The frame path carries that record through BEV, voting and fitting
@@ -84,7 +91,9 @@ def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSe
         raise ValueError(f"min_size must be non-negative, got {min_size}")
 
     pitch = mask.shape[1] + 1
-    starts, stops = _runs(mask, pitch)
+    # a pixel with no neighbour is a one-pixel component, dropped anyway
+    # when min_size > 1, so _runs may clear it first
+    starts, stops = _runs(mask, pitch, connectivity if min_size > 1 else None)
     upper, lower = _touching_runs(starts, stops, pitch, connectivity)
     run_label, count = component_labels(len(starts), upper, lower)
 
@@ -114,7 +123,7 @@ def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSe
     return InstanceSegments(pixels, sizes[kept])
 
 
-def _runs(mask: np.ndarray, pitch: int) -> tuple[np.ndarray, np.ndarray]:
+def _runs(mask: np.ndarray, pitch: int, isolated: int | None) -> tuple[np.ndarray, np.ndarray]:
     """(starts, stops) of the runs of true pixels, as positions in the mask
     laid out row after row with `pitch` cells per row; stops are one past
     each run's last cell, and runs are in row-major order.
@@ -123,6 +132,13 @@ def _runs(mask: np.ndarray, pitch: int) -> tuple[np.ndarray, np.ndarray]:
     wrapping into the next row, and a leading false cell makes a value
     change between cells p and p + 1 of the padded grid a run boundary at
     position p. Boundaries alternate between starts and stops.
+
+    With `isolated` set to a connectivity (4 or 8), a speckle-dense mask,
+    one with more than _CLEAR_BOUNDARIES run boundaries, has every pixel
+    with no neighbour under that connectivity cleared from the padded grid
+    first, the flags buffer serving as the neighbour scratch (see
+    `_clear_isolated`); the runs are those of the cleared grid. With
+    `isolated` None every true pixel is kept.
 
     The padded grid and the boundary flags are this thread's pooled
     scratch (see `_scratch`), so a steady stream of frames reuses the
@@ -136,8 +152,48 @@ def _runs(mask: np.ndarray, pitch: int) -> tuple[np.ndarray, np.ndarray]:
         grid[:, width] = False
         grid[:, :width] = mask
         np.not_equal(flat[1:], flat[:-1], out=flags)
+        if isolated is not None and np.count_nonzero(flags) > _CLEAR_BOUNDARIES:
+            _clear_isolated(flat, flags, pitch, isolated)
+            np.not_equal(flat[1:], flat[:-1], out=flags)
         boundaries = np.flatnonzero(flags)
     return boundaries[0::2], boundaries[1::2]
+
+
+# Run boundaries (twice the runs) above which _runs clears isolated
+# pixels. Clearing and recounting the flags take 75 us under
+# 8-connectivity (48 under 4) at 360x480, and save about 0.12 us per
+# isolated run. On 360x480 SceneParams(noise_rate=r) scenes (label_segments
+# thread CPU time, min of 15-30, off -> on): r = 0.001, about 1,000
+# boundaries, 0.27-0.33 -> 0.33-0.41 ms; 0.003 (1,700) 0.31 -> 0.32-0.34;
+# 0.005 (2,400) 0.48-0.50 -> 0.41-0.46; 0.02 (7,300) 0.90-0.93 ->
+# 0.50-0.59; 0.05 (17,000) 1.74-1.85 -> 0.91-0.97; 0.12 (36,800)
+# 2.65-2.82 -> 1.87-1.95. Where every run is isolated the break-even is
+# near 2,000; blob-grid frames with no isolated pixel, 2,100-4,000, lose
+# 0.04-0.10 ms. At 8,192 a frame gains once about a seventh of its runs
+# are isolated; the densest frame without speckle in perfbench's seed-11
+# corpora has 4,888.
+_CLEAR_BOUNDARIES = 2 * 4096
+
+
+def _clear_isolated(flat: np.ndarray, neighbours: np.ndarray, pitch: int, connectivity: int) -> None:
+    """Set false every cell of the padded grid `flat` (as laid out by
+    `_runs`) with no true neighbour under `connectivity`, using
+    `neighbours` (one cell per grid cell) as scratch.
+
+    Each neighbour direction is one OR of the grid, shifted by its offset
+    in the row-after-row layout, over the cells where the shift stays in
+    bounds. A row's first and last cells see a false cell across the row
+    end, the separator or the leading cell, so no row wraps into another.
+    """
+    cells = flat[1:]
+    size = len(cells)
+    np.copyto(neighbours, flat[:-1])  # the cell before, false before the first
+    np.logical_or(neighbours[:-1], cells[1:], out=neighbours[:-1])  # the cell after
+    for step in (pitch - 1, pitch, pitch + 1) if connectivity == 8 else (pitch,):
+        span = max(size - step, 0)
+        np.logical_or(neighbours[step:], cells[:span], out=neighbours[step:])  # the row above
+        np.logical_or(neighbours[:span], cells[step:], out=neighbours[:span])  # the row below
+    np.logical_and(cells, neighbours, out=cells)
 
 
 def _touching_runs(starts, stops, pitch: int, connectivity: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lanepost import SceneParams, default_config, generate_scene, label_instances, label_segments
+from lanepost import SceneParams, default_config, generate_scene, instances, label_instances, label_segments
 from oracles import union_find_components
 
 
@@ -212,3 +212,86 @@ def test_steady_state_labeling_memory_is_bounded():
     assert got.pixels.tobytes() == want.pixels.tobytes()
     assert got.sizes.tolist() == want.sizes.tolist()
     assert peak < 128 << 10, peak
+
+
+class TestIsolatedPixelClearing:
+    """On a speckle-dense mask the labeler clears pixels with no neighbour
+    before cutting runs; with min_size > 1 that must not change the result."""
+
+    @pytest.fixture
+    def cleared(self, monkeypatch):
+        calls = []
+        clear = instances._clear_isolated
+
+        def counting(*args):
+            calls.append(args[3])
+            clear(*args)
+
+        monkeypatch.setattr(instances, "_clear_isolated", counting)
+        return calls
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("min_size", [0, 1, 2, 15])
+    def test_forced_clearing_matches_union_find_oracle(self, monkeypatch, cleared, connectivity, min_size):
+        monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", 0)
+        for seed in range(40):
+            rng = np.random.default_rng([seed, connectivity, min_size])
+            shape = (int(rng.integers(1, 25)), int(rng.integers(1, 31)))
+            mask = rng.random(shape) < rng.uniform(0.01, 0.9)
+            record = label_segments(mask, connectivity, min_size)
+            want = {c for c in union_find_components(mask.tolist(), connectivity) if len(c) >= min_size}
+            assert pixel_sets(record.instances()) == want, f"seed {seed}"
+            with monkeypatch.context() as m:
+                m.setattr(instances, "_CLEAR_BOUNDARIES", np.inf)
+                plain = label_segments(mask, connectivity, min_size)
+            assert record.pixels.tobytes() == plain.pixels.tobytes(), f"seed {seed}"
+            assert record.sizes.tolist() == plain.sizes.tolist(), f"seed {seed}"
+        if min_size > 1:
+            assert cleared and set(cleared) == {connectivity}
+        else:
+            assert cleared == []
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_row_ends_do_not_neighbour_each_other(self, monkeypatch, connectivity):
+        monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", 0)
+        mask = np.zeros((4, 5), bool)
+        mask[0, 4] = mask[1, 0] = True  # adjacent in row-major order only
+        mask[2, 4] = mask[3, 4] = True  # one pixel under the other
+        (kept,) = label_instances(mask, connectivity, min_size=2)
+        assert kept.pixels.tolist() == [[2, 4], [3, 4]]
+
+    def test_fires_on_a_speckle_scene_at_the_default_threshold(self, monkeypatch, cleared):
+        cfg = default_config()
+        mask = generate_scene(SceneParams(noise_rate=0.08), 17, cfg).mask
+        assert mask.shape == (360, 480)
+        record = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+        assert cleared == [cfg.connectivity]
+        monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", np.inf)
+        plain = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+        assert cleared == [cfg.connectivity]
+        assert record.pixels.tobytes() == plain.pixels.tobytes()
+        assert record.sizes.tolist() == plain.sizes.tolist()
+
+    def test_lane_scene_without_speckle_is_not_cleared(self, cleared):
+        cfg = default_config()
+        mask = generate_scene(SceneParams(num_lanes=5, noise_rate=0.002), 504, cfg).mask
+        label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+        assert cleared == []
+
+
+def test_steady_state_speckle_labeling_memory_is_bounded():
+    # on a speckle-dense frame the isolated pixels are cleared inside the
+    # pooled grid before runs are cut, so the run arrays scale with the
+    # runs that can survive, not with all the speckle
+    cfg = default_config()
+    mask = generate_scene(SceneParams(noise_rate=0.08), 504, cfg).mask
+    want = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+    tracemalloc.start()
+    try:
+        got = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.pixels.tobytes() == want.pixels.tobytes()
+    assert got.sizes.tolist() == want.sizes.tolist()
+    assert peak < 512 << 10, peak

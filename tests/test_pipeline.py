@@ -247,6 +247,28 @@ class TestRunFrame:
         assert format_lanes(first.lanes) == format_lanes(again.lanes)
         pipeline._homographies.cache_clear()
 
+    @pytest.mark.parametrize("noise_rate", [0.03, 0.08, 0.12])
+    def test_speckle_clearing_leaves_the_frame_unchanged(self, monkeypatch, noise_rate):
+        from lanepost import SceneParams, generate_scene, instances
+
+        cfg = default_config()
+        outcomes = {}
+        for threshold in (0, np.inf):  # clearing forced on, then off
+            monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", threshold)
+            frames = []
+            for seed, lanes in enumerate((2, 3, 4, 5)):
+                mask = generate_scene(SceneParams(num_lanes=lanes, noise_rate=noise_rate), seed, cfg).mask
+                result = run_frame(mask, cfg)
+                frames.append((
+                    result.segments.pixels.tobytes(),
+                    result.segments.sizes.tolist(),
+                    result.labels.tobytes(),
+                    format_lanes(result.lanes),
+                ))
+            outcomes[threshold] = frames
+        assert outcomes[0] == outcomes[np.inf]
+        assert all(lanes for *_, lanes in outcomes[0])
+
 
 class TestLaneFiles:
     def test_round_trip(self):
