@@ -100,7 +100,9 @@ def _cmd_bench(args) -> int:
     cfg = _load_cfg(args.config)
     if args.mask_dir:
         paths = sorted(
-            p for p in Path(args.mask_dir).iterdir() if p.suffix.lower() in (".pgm", ".png")
+            p
+            for p in Path(args.mask_dir).iterdir()
+            if p.suffix.lower() in (".pgm", ".png") and not p.name.endswith(_ids_path(""))
         )
         if not paths:
             raise ImageIOError(args.mask_dir, "no .pgm or .png masks found")

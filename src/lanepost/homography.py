@@ -29,7 +29,7 @@ __all__ = [
 _W_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Homography:
     """3x3 invertible projective map, normalized so m[2][2] == 1."""
 

@@ -18,14 +18,13 @@ line does not depend on the rest of the frame. Pairs are taken in facing
 order, a block of rows of the vote matrix's upper triangle at a time, in
 one buffer reused from block to block and, per thread, from call to call.
 The votes are bitwise deterministic and invariant to input permutation.
-On a frame of many pairs, cluster_segments does not compute every vote:
-it scores a block with two matrix products of inner size 3, whose
-rounding error has a proven bound delta, and computes a block's exact
-votes only when a score it needs lies within delta of eta. The pairs
-that merge are still exactly those whose vote is below eta. No
-frame-wide edge list is kept: each block's pairs below eta are folded
-into the running cluster labels as the block is decided, so memory is
-O(n + block) however many pairs merge.
+cluster_segments does not compute every vote: it scores a block with two
+matrix products of inner size 3, whose rounding error has a proven bound
+delta, and computes a block's exact votes only when a score it needs lies
+within delta of eta. The pairs that merge are still exactly those whose
+vote is below eta. No frame-wide edge list is kept: each block's pairs
+below eta are folded into the running cluster labels as the block is
+decided, so memory is O(n + block) however many pairs merge.
 cluster_instances and vote are the per-instance views of the same core:
 they lay BevInstance points end to end in id order.
 """
@@ -51,7 +50,6 @@ __all__ = [
 
 _SAME_Y_TOL = 1e-9  # y spread at or below which points share one y; curves fits use it too
 _BLOCK_ELEMENTS = 1 << 14  # vote-matrix entries per block; sizes the reused block buffers
-_SCORED_PAIRS = 1 << 10  # a frame with fewer pairs takes exact votes (see cluster_segments)
 _BAND = 2.0**-45  # 256 unit roundoffs: the rounding band's half-width per unit of X + B
 _SAFE = 2.0**1000  # a frame whose X*(1 + max|a|) + 2 max|b| is below this cannot overflow
 _TINY = 2.0**-1022  # the smallest normal float: covers what underflow can add to the band
@@ -150,8 +148,9 @@ class Clustering:
 
 def vote(li: BevInstance, lj: BevInstance) -> float:
     """Pairwise vote: sum of the facing point's perpendicular distances to
-    the two instances' fitted lines, read from the pair's vote matrix.
-    Symmetric and non-negative; 0 for collinear segments of one divider."""
+    the two instances' fitted lines, computed by the exact vote kernel
+    (`_block_votes`) on the pair alone. Symmetric and non-negative; 0 for
+    collinear segments of one divider."""
     if li.id == lj.id:
         raise ValueError(f"a vote needs two distinct instances, both have id {li.id}")
     first, second = sorted((li, lj), key=lambda inst: inst.id)
@@ -159,10 +158,8 @@ def vote(li: BevInstance, lj: BevInstance) -> float:
         np.concatenate((first.points, second.points)), [len(first.points), len(second.points)]
     )
     with np.errstate(all="ignore"):
-        for _, _, votes in _vote_blocks(points, sizes):
-            # returned from inside the loop: the pooled buffer is read
-            # before closing the generator gives it back
-            return float(votes[0, 0])
+        _, lines = _facing_lines(points, sizes)
+        return float(_block_votes(lines, 0, 1, np.empty(3))[0, 0])
 
 
 def cluster_instances(instances, eta: float) -> Clustering:
@@ -187,16 +184,15 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     sizes, segment i being instance i: (labels, count), where labels[i] is
     segment i's cluster in 0..count-1.
 
-    The vote matrix is taken a block at a time, as `_vote_blocks` takes
-    it. On a frame of at least _SCORED_PAIRS pairs, a block is first
-    scored with two matrix products (`_score_factors`), each score within
-    delta of its pair's exact vote. A score below lo, the float next below
-    eta - delta, then means an exact vote below eta, and one at or above
-    hi, the float next above eta + delta, an exact vote above it. A block
-    with a pair between distinct labels whose score lies in [lo, hi) is
-    decided from its exact votes (`_block_votes`) instead, and so is every
-    block of a smaller frame, or of one that has no factors; on a smaller
-    frame the per-frame setup of the scores costs more than they save.
+    The vote matrix is taken a block of rows at a time (`_block_rows`) in
+    facing order (`_facing_lines`). Each block is scored with two matrix
+    products (`_score_factors`), each score within delta of its pair's
+    exact vote. A score below lo, the float next below eta - delta, then
+    means an exact vote below eta, and one at or above hi, the float next
+    above eta + delta, an exact vote above it. A block with a pair between
+    distinct labels whose score lies in [lo, hi) is decided from its exact
+    votes (`_block_votes`) instead, and so is every block of a frame that
+    has no factors.
 
     Each block's merging pairs are folded into the labels as the block is
     decided: pairs whose two segments already share a label are dropped,
@@ -231,7 +227,7 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
 
     with np.errstate(all="ignore"):
         order, lines = _facing_lines(points, sizes)
-        scored = _score_factors(lines) if n * (n - 1) >= 2 * _SCORED_PAIRS else None
+        scored = _score_factors(lines)
         if scored is not None:
             factors, delta = scored
             lo, hi = math.nextafter(eta - delta, -math.inf), math.nextafter(eta + delta, math.inf)
@@ -267,26 +263,6 @@ def _segments(points, sizes) -> tuple[np.ndarray, np.ndarray]:
             f"and sizes summing to {sizes.sum()}"
         )
     return points, sizes
-
-
-def _vote_blocks(points: np.ndarray, sizes: np.ndarray):
-    """The vote matrix of consecutive point segments in facing order, a
-    block of rows of its strict upper triangle at a time (see
-    `_block_rows`); segment i is the instance with the i-th smallest id.
-
-    Yields (row_ids, col_ids, votes), where votes[k, c] is the exact vote
-    of segments row_ids[k] and col_ids[c] for c >= k; entries with c < k
-    lie below the diagonal and hold no vote. Every pair comes up once.
-    votes is a view of this thread's pooled block buffer (see `_scratch`),
-    which the next block, or the next call on this thread, overwrites. The
-    buffers go back to the pool when the generator finishes or is closed;
-    one left unfinished keeps its own, and the next call allocates afresh.
-    """
-    order, lines = _facing_lines(points, sizes)
-    n = len(order)
-    with borrow("votes", 3 * _block_entries(n), np.float64) as scratch:
-        for p0, rows in _block_rows(n):
-            yield order[p0 : p0 + rows], order[p0 + 1 :], _block_votes(lines, p0, rows, scratch)
 
 
 def _facing_lines(points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +310,8 @@ def _block_votes(lines, p0, rows, scratch):
 
     The facing point of positions p < q is halved by * 0.5, which rounds
     exactly as / 2, and the vote is its distance to p's line plus its
-    distance to q's. This is the one place votes are computed: `vote`,
-    `_vote_blocks` and the fallback of `cluster_segments` all read it.
+    distance to q's. This is the one place votes are computed: `vote` and
+    the fallback of `cluster_segments` both read it.
     """
     a, b, norm, top_x, top_y, bottom_x, bottom_y = lines
     r, c = slice(p0, p0 + rows), slice(p0 + 1, None)

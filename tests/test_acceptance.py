@@ -207,11 +207,9 @@ def test_curve_fit_oracle():
     _report("curve-fit-oracle", worst < 1e-10, f"max coefficient deviation = {worst:.3e}")
 
 
-def test_end_to_end_synthetic():
-    cfg = lp.default_config()
-    t0 = time.perf_counter()
-    total_dividers = total_matched = total_instances = total_pure = 0
-    matched_errors = []
+def synthetic_gate_scenes(cfg):
+    """The 200 seeded scenes of the end-to-end synthetic gate, generated
+    one at a time."""
     for seed in range(200):
         rng = np.random.default_rng(seed + 10_000)
         params = lp.SceneParams(
@@ -219,7 +217,15 @@ def test_end_to_end_synthetic():
             noise_rate=float(rng.uniform(0.0, 0.0005)),
             occlusion_rate=float(rng.uniform(0.0, 0.2)),
         )
-        scene = lp.generate_scene(params, seed, cfg)
+        yield lp.generate_scene(params, seed, cfg)
+
+
+def test_end_to_end_synthetic():
+    cfg = lp.default_config()
+    t0 = time.perf_counter()
+    total_dividers = total_matched = total_instances = total_pure = 0
+    matched_errors = []
+    for scene in synthetic_gate_scenes(cfg):
         metrics = lp.evaluate(lp.run_frame(scene.mask, cfg), scene)
         total_dividers += metrics.divider_count
         total_matched += metrics.matched_dividers

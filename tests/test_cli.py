@@ -161,6 +161,15 @@ def test_bench_mask_dir(tmp_path, capsys):
     assert "fps=" in capsys.readouterr().out
 
 
+def test_bench_mask_dir_skips_the_divider_id_maps_of_synth(tmp_path, capsys):
+    scene = ["--out-mask", str(tmp_path / "a.pgm"), "--out-truth", str(tmp_path / "a.truth")]
+    assert main(["synth", *scene]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "a.truth", "a.truth.ids.pgm"]
+    capsys.readouterr()
+    assert main(["bench", "--mask-dir", str(tmp_path), "--reps", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["frames"] == 1
+
+
 def test_bench_mask_dir_json_times_the_load_stage(tmp_path, capsys):
     for i in range(2):
         write_pgm(tmp_path / f"m{i}.pgm", np.zeros((360, 480), np.uint8))

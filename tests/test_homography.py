@@ -117,6 +117,16 @@ class TestTransform:
         assert np.abs(combined.apply(pts) - h2.apply(h1.apply(pts))).max() < 1e-9
 
 
+class TestEquality:
+    def test_equality_is_identity_and_homographies_hash(self):
+        # m is an ndarray, whose == gives an array, not a truth value
+        cal = QuadCorrespondence(src=ROAD_TRAPEZOID, dst=BEV_RECTANGLE)
+        h, g = estimate_homography(cal), estimate_homography(cal)
+        assert (h == g) is False and (h != g) is True
+        assert h == h
+        assert {h: 1, g: 2}[h] == 1
+
+
 class TestInvert:
     def test_identity(self):
         assert np.array_equal(Homography.identity().inverse().m, np.eye(3))

@@ -5,6 +5,10 @@ here, in the tier-1 suite, rather than as a failed benchmark run. The text
 scan cannot see attribute reads on returned objects (`.members()`,
 `.pixels`, `.matched_dividers`), so the harness's frame functions are also
 run on one small frame and one frame that the library refuses.
+
+README.md is checked the same way: every backticked `lanepost.<module>`
+and `<module>._<name>` it names must resolve, so a change that renames or
+deletes a helper the README describes has to fix the README too.
 """
 
 import functools
@@ -20,9 +24,13 @@ from test_golden import clutter_scenes, streak_mask
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
+README = PERFBENCH.parent / "README.md"
 
 _LP_CHAIN = re.compile(r"\blp((?:\.[A-Za-z_]\w*)+)")
 _FROM_IMPORT = re.compile(r"^\s*from (lanepost(?:\.\w+)*) import ([\w, ]+)$", re.MULTILINE)
+_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 
 def references():
@@ -54,6 +62,32 @@ def test_harness_found():
 
 @pytest.mark.parametrize("source,dotted", references())
 def test_reference_resolves(source, dotted):
+    resolve(dotted)
+
+
+def readme_references():
+    """The dotted names in README.md's inline code spans (fenced blocks
+    left out) that name lanepost: chains that start with `lanepost.`, and
+    `<module>._<name>` chains, taken as `lanepost.<module>._<name>`."""
+    text = _FENCE.sub("", README.read_text(encoding="utf-8"))
+    refs = set()
+    for span in _CODE_SPAN.findall(text):
+        for chain in _DOTTED.findall(span):
+            if chain.startswith("lanepost."):
+                refs.add(chain)
+            elif chain.split(".")[1].startswith("_"):
+                refs.add("lanepost." + chain)
+    return sorted(refs)
+
+
+def test_readme_references_found():
+    refs = readme_references()
+    assert "lanepost.voting" in refs
+    assert "lanepost.voting._block_votes" in refs
+
+
+@pytest.mark.parametrize("dotted", readme_references())
+def test_readme_reference_resolves(dotted):
     resolve(dotted)
 
 

@@ -29,7 +29,8 @@ from oracles import (
     scalar_vote,
     threshold_graph_components,
 )
-from test_golden import clutter_masks
+from test_acceptance import synthetic_gate_scenes
+from test_golden import clutter_masks, corpus_scenes
 
 
 def vertical(instance_id, x, ys):
@@ -334,13 +335,26 @@ def laid_end_to_end(instances):
     return points, np.array([len(inst.points) for inst in instances])
 
 
+def facing_blocks(points, sizes):
+    """The exact vote matrix of point segments in facing order, a block of
+    rows of its strict upper triangle at a time, as cluster_segments takes
+    it: (row_ids, col_ids, votes) per block, where votes[k, c] is the vote
+    of segments row_ids[k] and col_ids[c] for c >= k. votes is a view of
+    one scratch buffer that the next block overwrites."""
+    order, lines = voting._facing_lines(points, sizes)
+    n = len(order)
+    scratch = np.empty(3 * voting._block_entries(n))
+    for p0, rows in voting._block_rows(n):
+        yield order[p0 : p0 + rows], order[p0 + 1 :], voting._block_votes(lines, p0, rows, scratch)
+
+
 def facing_vote_matrix(instances):
-    """The symmetric vote matrix that voting._vote_blocks yields in facing
-    order, and how many times each entry came up."""
+    """The symmetric vote matrix that facing_blocks yields, and how many
+    times each entry came up."""
     n = len(instances)
     matrix = np.full((n, n), np.nan)
     seen = np.zeros((n, n), dtype=int)
-    for row_ids, col_ids, votes in voting._vote_blocks(*laid_end_to_end(instances)):
+    for row_ids, col_ids, votes in facing_blocks(*laid_end_to_end(instances)):
         for k, i in enumerate(row_ids):
             matrix[i, col_ids[k:]] = matrix[col_ids[k:], i] = votes[k, k:]
             seen[i, col_ids[k:]] += 1
@@ -350,7 +364,7 @@ def facing_vote_matrix(instances):
 
 def pairs_below(points, sizes, eta):
     """The reference edge list: index pairs (i, j), i < j, of point
-    segments whose vote in voting._vote_blocks is below eta, as two arrays.
+    segments whose vote in facing_blocks is below eta, as two arrays.
 
     Each entry found in facing order is mapped back to (min id, max id). A
     NaN vote, from an instance with a NaN or infinite point, is not below
@@ -358,7 +372,7 @@ def pairs_below(points, sizes, eta):
     """
     upper, lower = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     with np.errstate(all="ignore"):
-        for row_ids, col_ids, votes in voting._vote_blocks(points, sizes):
+        for row_ids, col_ids, votes in facing_blocks(points, sizes):
             k, c = divmod(np.flatnonzero(votes < eta), votes.shape[1])
             facing = c >= k
             i, j = row_ids[k[facing]], col_ids[c[facing]]
@@ -486,29 +500,6 @@ class TestVoteMatrix:
         for dtype in (np.uint8, np.int16, np.uint32, np.int64, np.uint64):
             again, again_count = cluster_segments(points, sizes.astype(dtype), 20.0)
             assert (again.tolist(), again_count) == (labels.tolist(), count), dtype
-
-    def test_interleaved_generators_keep_their_own_votes(self, monkeypatch):
-        # the block buffers are borrowed from a per-thread pool; a second
-        # generator running while the first is open must get its own
-        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", 200)
-        frames = [laid_end_to_end(vote_matrix_cases(np.random.default_rng(seed))) for seed in (3, 4)]
-
-        def blocks(frame):
-            return [(r.tolist(), c.tolist(), v.tobytes()) for r, c, v in voting._vote_blocks(*frame)]
-
-        alone = [blocks(frame) for frame in frames]
-        assert min(len(a) for a in alone) > 3
-        gens = [voting._vote_blocks(*frame) for frame in frames]
-        got = [[], []]
-        while any(len(g) < len(a) for g, a in zip(got, alone)):
-            held = []
-            for k in (0, 1):
-                if len(got[k]) < len(alone[k]):
-                    r, c, v = next(gens[k])
-                    held.append(v)
-                    got[k].append((r.tolist(), c.tolist(), v.tobytes()))
-            assert len(held) < 2 or not np.shares_memory(*held)
-        assert got == alone
 
     def test_scratch_stays_bounded(self):
         # 3000 two-point dashes 100 BEV px apart: no pair votes below eta,
@@ -736,7 +727,6 @@ class TestScoredBlocks:
         # as in test_same_edges_as_scalar_vote, through cluster_segments: the
         # pair voting exactly eta stays out, and one ulp more lets it in
         monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
-        monkeypatch.setattr(voting, "_SCORED_PAIRS", 0)
         fallbacks = count_calls(monkeypatch, "_block_votes")
         rng = np.random.default_rng(5)
         instances = vote_matrix_cases(rng)
@@ -765,14 +755,22 @@ class TestScoredBlocks:
             cluster_segments(transform_pixels(h, segments.pixels), segments.sizes, cfg.eta)
         assert fallbacks == []
 
-    def test_small_frames_take_exact_votes(self, monkeypatch):
+    def test_golden_and_gate_frames_are_decided_from_scores_alone(self, monkeypatch):
+        # small frames are scored too: the 40 golden scenes and the 200
+        # scenes of the end-to-end gate hold 2 to 44 instances each
+        cfg = default_config()
+        h = estimate_homography(cfg.calibration)
         fallbacks = count_calls(monkeypatch, "_block_votes")
-        instances = tied_bottom_cases(np.random.default_rng(0))  # 435 pairs
-        cluster_segments(*laid_end_to_end(instances), 20.0)
-        assert fallbacks == [(0, 29)]
+        scenes = [*corpus_scenes(), *synthetic_gate_scenes(cfg)]
+        counts = []
+        for scene in scenes:
+            segments = label_segments(scene.mask, cfg.connectivity, cfg.min_instance_size)
+            cluster_segments(transform_pixels(h, segments.pixels), segments.sizes, cfg.eta)
+            counts.append(len(segments.sizes))
+        assert len(scenes) == 240 and max(counts) > 30
+        assert fallbacks == []
 
-    def test_frames_that_could_overflow_take_exact_votes(self, monkeypatch):
-        monkeypatch.setattr(voting, "_SCORED_PAIRS", 0)
+    def test_frames_that_could_overflow_take_exact_votes(self):
         # a = 5e9 against a facing y of 5e299: the exact vote overflows to
         # NaN, while the factors of its score are all finite
         steep = [(0.0, 0.0), (10.0, 2e-9)]
