@@ -20,7 +20,7 @@ one buffer reused from block to block and, per thread, from call to call.
 The votes are bitwise deterministic and invariant to input permutation.
 cluster_segments does not compute every vote: it scores a block with two
 matrix products of inner size 3, whose rounding error has a proven bound
-delta, and computes a block's exact votes only when a score it needs lies
+delta, and computes the exact vote of only those pairs whose score lies
 within delta of eta. The pairs that merge are still exactly those whose
 vote is below eta. No frame-wide edge list is kept: each block's pairs
 below eta are folded into the running cluster labels as the block is
@@ -149,7 +149,7 @@ class Clustering:
 def vote(li: BevInstance, lj: BevInstance) -> float:
     """Pairwise vote: sum of the facing point's perpendicular distances to
     the two instances' fitted lines, computed by the exact vote kernel
-    (`_block_votes`) on the pair alone. Symmetric and non-negative; 0 for
+    (`_pair_votes`) on the pair alone. Symmetric and non-negative; 0 for
     collinear segments of one divider."""
     if li.id == lj.id:
         raise ValueError(f"a vote needs two distinct instances, both have id {li.id}")
@@ -159,7 +159,7 @@ def vote(li: BevInstance, lj: BevInstance) -> float:
     )
     with np.errstate(all="ignore"):
         _, lines = _facing_lines(points, sizes)
-        return float(_block_votes(lines, 0, 1, np.empty(3))[0, 0])
+        return float(_pair_votes(lines, 0, 1))
 
 
 def cluster_instances(instances, eta: float) -> Clustering:
@@ -189,10 +189,10 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     products (`_score_factors`), each score within delta of its pair's
     exact vote. A score below lo, the float next below eta - delta, then
     means an exact vote below eta, and one at or above hi, the float next
-    above eta + delta, an exact vote above it. A block with a pair between
-    distinct labels whose score lies in [lo, hi) is decided from its exact
-    votes (`_block_votes`) instead, and so is every block of a frame that
-    has no factors.
+    above eta + delta, an exact vote above it. A pair between distinct
+    labels scored in [lo, hi) is decided from its exact vote
+    (`_pair_votes`). A frame that has no factors scores every pair 0, in a
+    band of (-inf, inf), so each of its pairs is decided that way.
 
     Each block's merging pairs are folded into the labels as the block is
     decided: pairs whose two segments already share a label are dropped,
@@ -211,37 +211,37 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     n = len(sizes)
     labels, count = np.arange(n), n
 
-    def below(votes, cut, p0):
-        """(i, u, v): the flat indexes i of the block entries c >= k whose
-        value is below cut and whose instances' labels u and v differ."""
-        hit = votes < cut
-        rows, cols = votes.shape
+    def candidates(scores, p0):
+        """(k, c, u, v): the block entries (k, c), c >= k, scored below hi
+        whose instances' labels u and v differ."""
+        hit = scores < hi
+        rows, cols = scores.shape
         u, v = order[p0 : p0 + rows], order[p0 + 1 :]
         if count < n:  # until the first merge, every instance is its own label
             u, v = labels[u], labels[v]
             hit &= np.not_equal(u[:, None], v[None, :])
-        i = np.flatnonzero(hit)
-        k, c = divmod(i, cols)
+        k, c = divmod(np.flatnonzero(hit), cols)
         facing = c >= k
-        return i[facing], u[k[facing]], v[c[facing]]
+        k, c = k[facing], c[facing]
+        return k, c, u[k], v[c]
 
     with np.errstate(all="ignore"):
         order, lines = _facing_lines(points, sizes)
         scored = _score_factors(lines)
-        if scored is not None:
+        if scored is None:  # no safe scores: every pair scores 0, inside the band
+            factors, lo, hi = np.zeros((9, n)), -math.inf, math.inf
+        else:
             factors, delta = scored
             lo, hi = math.nextafter(eta - delta, -math.inf), math.nextafter(eta + delta, math.inf)
-        with borrow("votes", 3 * _block_entries(n), np.float64) as scratch:
+        with borrow("votes", 2 * _block_entries(n), np.float64) as scratch:
             for p0, rows in _block_rows(n):
-                pairs = None
-                if scored is not None:
-                    scores = _block_scores(factors, p0, rows, scratch)
-                    pairs = below(scores, hi, p0)
-                    if (scores.ravel()[pairs[0]] >= lo).any():
-                        pairs = None  # a pair in the band: the exact votes decide
-                if pairs is None:
-                    pairs = below(_block_votes(lines, p0, rows, scratch), eta, p0)
-                _, u, v = pairs
+                scores = _block_scores(factors, p0, rows, scratch)
+                k, c, u, v = candidates(scores, p0)
+                band = scores[k, c] >= lo
+                if band.any():  # the exact votes decide the pairs in the band
+                    merge = ~band
+                    merge[band] = _pair_votes(lines, p0 + k[band], p0 + 1 + c[band]) < eta
+                    u, v = u[merge], v[merge]
                 if len(u):
                     merged, count = component_labels(count, u, v)
                     labels = merged[labels]
@@ -249,9 +249,10 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
 
 
 def _segments(points, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """(points, sizes) as arrays, sizes as np.intp, once they are checked to
-    split (n, 2) points into segments of positive sizes."""
-    points, sizes = np.asarray(points), np.asarray(sizes)
+    """(points, sizes) as arrays, points as float64 and sizes as np.intp,
+    once they are checked to split (n, 2) points into segments of positive
+    sizes."""
+    points, sizes = np.asarray(points, dtype=np.float64), np.asarray(sizes)
     if sizes.ndim != 1 or sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() <= 0):
         raise ValueError(
             f"sizes must be a 1-d array of positive integers, got {sizes.dtype} {sizes.shape}"
@@ -304,26 +305,18 @@ def _block_entries(n: int) -> int:
     return min(max(_BLOCK_ELEMENTS, n - 1), (n - 1) ** 2)
 
 
-def _block_votes(lines, p0, rows, scratch):
-    """The exact votes of block (p0, rows), as a (rows, cols) view of
-    scratch, which must hold three blocks of float64.
+def _pair_votes(lines, p, q):
+    """The exact votes of facing positions p < q, elementwise.
 
-    The facing point of positions p < q is halved by * 0.5, which rounds
-    exactly as / 2, and the vote is its distance to p's line plus its
+    The facing point is halved by * 0.5, which rounds exactly as / 2, and
+    the vote is its distance |x - a*y - b| / norm to p's line plus its
     distance to q's. This is the one place votes are computed: `vote` and
-    the fallback of `cluster_segments` both read it.
+    the band pairs of `cluster_segments` both read it.
     """
     a, b, norm, top_x, top_y, bottom_x, bottom_y = lines
-    r, c = slice(p0, p0 + rows), slice(p0 + 1, None)
-    cols = len(a) - 1 - p0
-    x, y, votes = scratch[: 3 * rows * cols].reshape(3, rows, cols)
-    np.add(top_x[r, None], bottom_x[None, c], out=x)
-    x *= 0.5
-    np.add(top_y[r, None], bottom_y[None, c], out=y)
-    y *= 0.5
-    _distances(x, y, a[r, None], b[r, None], norm[r, None], out=votes)
-    votes += _distances(x, y, a[None, c], b[None, c], norm[None, c], out=y)
-    return votes
+    x = (top_x[p] + bottom_x[q]) * 0.5
+    y = (top_y[p] + bottom_y[q]) * 0.5
+    return np.abs(x - a[p] * y - b[p]) / norm[p] + np.abs(x - a[q] * y - b[q]) / norm[q]
 
 
 def _score_factors(lines):
@@ -347,7 +340,7 @@ def _score_factors(lines):
     norm >= 1, so h <= 0.5 and |a|*h <= 0.5, up to a factor 1 + 4u. Let V
     be the vote in exact arithmetic from the rounded a, b and norm: each
     side of it is at most 2X + 2B.
-    - The IEEE vote (`_block_votes`). The residual x - a*y - b carries
+    - The IEEE vote (`_pair_votes`). The residual x - a*y - b carries
       three roundings on x (the sum, two subtractions) and four on a*y,
       and one on b; over norm that is (3X + 4X + 2B)u. The quotient adds
       (2X + 2B)u, so a side errs by (9X + 4B)u, and the sum of the two
@@ -399,13 +392,3 @@ def _block_scores(factors, p0, rows, scratch):
     np.abs(s, out=s)
     return np.add(s[0], s[1], out=s[0])
 
-
-def _distances(px, py, a, b, norm, out):
-    """Perpendicular distances |px - a*py - b| / norm from points (px, py)
-    to lines x = a*y + b, elementwise, written into out, which may be py."""
-    np.multiply(a, py, out=out)
-    np.subtract(px, out, out=out)
-    out -= b
-    np.abs(out, out=out)
-    out /= norm
-    return out

@@ -8,7 +8,9 @@ run on one small frame and one frame that the library refuses.
 
 README.md is checked the same way: every backticked `lanepost.<module>`
 and `<module>._<name>` it names must resolve, so a change that renames or
-deletes a helper the README describes has to fix the README too.
+deletes a helper the README describes has to fix the README too. So is
+the source of every lanepost module: a backticked name that starts with
+an underscore must be one of its module's names or a lanepost submodule.
 """
 
 import functools
@@ -25,12 +27,14 @@ from test_golden import clutter_scenes, streak_mask
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 README = PERFBENCH.parent / "README.md"
+MODULES = sorted((PERFBENCH.parent / "src" / "lanepost").glob("*.py"))
 
 _LP_CHAIN = re.compile(r"\blp((?:\.[A-Za-z_]\w*)+)")
 _FROM_IMPORT = re.compile(r"^\s*from (lanepost(?:\.\w+)*) import ([\w, ]+)$", re.MULTILINE)
 _FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+_PRIVATE = re.compile(r"(?<![\w.])_[A-Za-z]\w*")
 
 
 def references():
@@ -83,12 +87,36 @@ def readme_references():
 def test_readme_references_found():
     refs = readme_references()
     assert "lanepost.voting" in refs
-    assert "lanepost.voting._block_votes" in refs
+    assert "lanepost.voting._pair_votes" in refs
 
 
 @pytest.mark.parametrize("dotted", readme_references())
 def test_readme_reference_resolves(dotted):
     resolve(dotted)
+
+
+def source_references():
+    """(module, name) for every name that starts with an underscore, and is
+    not an attribute, in the inline code spans of a lanepost module's
+    source."""
+    refs = set()
+    for path in MODULES:
+        for span in _CODE_SPAN.findall(path.read_text(encoding="utf-8")):
+            for name in _PRIVATE.findall(span):
+                refs.add((f"lanepost.{path.stem}", name))
+    return sorted(refs)
+
+
+def test_source_references_found():
+    refs = source_references()
+    assert ("lanepost.voting", "_pair_votes") in refs
+    assert ("lanepost.instances", "_scratch") in refs
+
+
+@pytest.mark.parametrize("module,name", source_references())
+def test_source_reference_resolves(module, name):
+    found = hasattr(importlib.import_module(module), name)
+    assert found or importlib.util.find_spec(f"lanepost.{name}"), f"{module} names a missing `{name}`"
 
 
 def load_worker(monkeypatch):

@@ -335,17 +335,22 @@ def laid_end_to_end(instances):
     return points, np.array([len(inst.points) for inst in instances])
 
 
+def exact_block(lines, p0, rows):
+    """The exact votes of block (p0, rows), as a (rows, cols) array whose
+    entry [k, c] is the vote of facing positions p0 + k and p0 + 1 + c;
+    entries with c < k are not facing pairs."""
+    n = lines.shape[1]
+    return voting._pair_votes(lines, np.arange(p0, p0 + rows)[:, None], np.arange(p0 + 1, n))
+
+
 def facing_blocks(points, sizes):
     """The exact vote matrix of point segments in facing order, a block of
     rows of its strict upper triangle at a time, as cluster_segments takes
     it: (row_ids, col_ids, votes) per block, where votes[k, c] is the vote
-    of segments row_ids[k] and col_ids[c] for c >= k. votes is a view of
-    one scratch buffer that the next block overwrites."""
+    of segments row_ids[k] and col_ids[c] for c >= k."""
     order, lines = voting._facing_lines(points, sizes)
-    n = len(order)
-    scratch = np.empty(3 * voting._block_entries(n))
-    for p0, rows in voting._block_rows(n):
-        yield order[p0 : p0 + rows], order[p0 + 1 :], voting._block_votes(lines, p0, rows, scratch)
+    for p0, rows in voting._block_rows(len(order)):
+        yield order[p0 : p0 + rows], order[p0 + 1 :], exact_block(lines, p0, rows)
 
 
 def facing_vote_matrix(instances):
@@ -501,6 +506,20 @@ class TestVoteMatrix:
             again, again_count = cluster_segments(points, sizes.astype(dtype), 20.0)
             assert (again.tolist(), again_count) == (labels.tolist(), count), dtype
 
+    def test_integer_points_cluster_like_their_float_copy(self):
+        # two collinear vertical dashes at x = 5: an unsigned x negated in
+        # its own dtype wraps, and x = 5 as uint16 would read as -65531
+        points, sizes = np.array([(5, 0), (5, 10), (5, 20), (5, 30)]), np.array([2, 2])
+        for dtype in (np.float64, np.int32, np.int8, np.uint8, np.uint16, np.uint32, np.uint64):
+            labels, count = cluster_segments(points.astype(dtype), sizes, 20.0)
+            assert (labels.tolist(), count) == ([0, 0], 1), dtype
+        cfg = default_config()
+        for i, scene in enumerate(corpus_scenes()):
+            segments = label_segments(scene.mask, cfg.connectivity, cfg.min_instance_size)
+            want, want_count = cluster_segments(segments.pixels.astype(np.float64), segments.sizes, cfg.eta)
+            labels, count = cluster_segments(segments.pixels.astype(np.uint16), segments.sizes, cfg.eta)
+            assert (labels.tolist(), count) == (want.tolist(), want_count), i
+
     def test_scratch_stays_bounded(self):
         # 3000 two-point dashes 100 BEV px apart: no pair votes below eta,
         # and a whole vote matrix would take 3000**2 * 8 bytes = 72 MB
@@ -641,7 +660,8 @@ class TestBatchedFit:
 
 
 def count_calls(monkeypatch, name):
-    """Wrap voting.<name>; returns the list of each call's (p0, rows)."""
+    """Wrap voting.<name>; returns the list of each call's second and third
+    arguments, such as (p, q) of `_pair_votes`."""
     calls = []
     real = getattr(voting, name)
 
@@ -659,11 +679,11 @@ def score_errors(points, sizes):
     _, lines = voting._facing_lines(points, sizes)
     factors, delta = voting._score_factors(lines)
     n = len(sizes)
-    scratch = np.empty(3 * voting._block_entries(n))
+    scratch = np.empty(2 * voting._block_entries(n))
     worst = 0.0
     for p0, rows in voting._block_rows(n):
-        scores = voting._block_scores(factors, p0, rows, scratch).copy()
-        votes = voting._block_votes(lines, p0, rows, scratch)
+        scores = voting._block_scores(factors, p0, rows, scratch)
+        votes = exact_block(lines, p0, rows)
         upper = np.triu(np.ones(votes.shape, dtype=bool))
         worst = max(worst, float(np.abs(scores - votes)[upper].max()))
     return worst, delta
@@ -727,7 +747,7 @@ class TestScoredBlocks:
         # as in test_same_edges_as_scalar_vote, through cluster_segments: the
         # pair voting exactly eta stays out, and one ulp more lets it in
         monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
-        fallbacks = count_calls(monkeypatch, "_block_votes")
+        fallbacks = count_calls(monkeypatch, "_pair_votes")
         rng = np.random.default_rng(5)
         instances = vote_matrix_cases(rng)
         points, sizes = laid_end_to_end(instances)
@@ -746,10 +766,50 @@ class TestScoredBlocks:
         # exact vote; the others fall in the band
         assert decided_exactly >= 6
 
+    def test_band_pairs_are_decided_one_at_a_time(self, monkeypatch):
+        # one block, decided while every instance is still its own label:
+        # the pairs given an exact vote are the facing pairs scored in the band
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", 1 << 20)
+        exact = count_calls(monkeypatch, "_pair_votes")
+
+        def exact_pairs():
+            """The (p, q) of every pair passed to _pair_votes since the last clear."""
+            return sorted(pair for p, q in exact for pair in zip(np.ravel(p).tolist(), np.ravel(q).tolist()))
+
+        # the etas of test_eta_on_exact_votes_is_decided_by_the_exact_votes
+        rng = np.random.default_rng(5)
+        instances = vote_matrix_cases(rng)
+        points, sizes = laid_end_to_end(instances)
+        n = len(instances)
+        votes = sorted(oracle_vote(instances[i], instances[j]) for i in range(n) for j in range(i + 1, n))
+        picked = rng.choice(votes[: len(votes) // 5], 6, replace=False)
+        _, lines = voting._facing_lines(points, sizes)
+        factors, delta = voting._score_factors(lines)
+        assert list(voting._block_rows(n)) == [(0, n - 1)]
+        scores = voting._block_scores(factors, 0, n - 1, np.empty(2 * (n - 1) ** 2))
+        facing = np.triu(np.ones(scores.shape, dtype=bool))
+        banded = 0
+        for eta in [float(v) for v in picked] + [float(np.nextafter(v, np.inf)) for v in picked]:
+            exact.clear()
+            cluster_segments(points, sizes, eta)
+            lo, hi = math.nextafter(eta - delta, -math.inf), math.nextafter(eta + delta, math.inf)
+            k, c = np.nonzero(facing & (scores >= lo) & (scores < hi))
+            want = sorted(zip(k.tolist(), (c + 1).tolist()))
+            assert exact_pairs() == want, f"eta {eta!r}"
+            banded += bool(want)
+        assert banded == 12
+
+        # a frame with no factors: every facing pair gets its exact vote
+        points, sizes = np.array([(0.0, 0.0), (10.0, 2e-9), (0.0, 1e300)]), np.array([2, 1])
+        for eta in (1.0, 1e300, np.inf):
+            exact.clear()
+            cluster_segments(points, sizes, eta)
+            assert exact_pairs() == [(0, 1)], eta
+
     def test_clutter_frames_are_decided_from_scores_alone(self, monkeypatch):
         cfg = default_config()
         h = estimate_homography(cfg.calibration)
-        fallbacks = count_calls(monkeypatch, "_block_votes")
+        fallbacks = count_calls(monkeypatch, "_pair_votes")
         for mask in clutter_masks():
             segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
             cluster_segments(transform_pixels(h, segments.pixels), segments.sizes, cfg.eta)
@@ -760,7 +820,7 @@ class TestScoredBlocks:
         # scenes of the end-to-end gate hold 2 to 44 instances each
         cfg = default_config()
         h = estimate_homography(cfg.calibration)
-        fallbacks = count_calls(monkeypatch, "_block_votes")
+        fallbacks = count_calls(monkeypatch, "_pair_votes")
         scenes = [*corpus_scenes(), *synthetic_gate_scenes(cfg)]
         counts = []
         for scene in scenes:
