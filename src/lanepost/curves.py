@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scratch import borrow
 from .errors import DegenerateGeometryError, ProcessingError
 from .homography import Homography
 from .voting import _SAME_Y_TOL, _point_array
@@ -106,62 +107,68 @@ def _fit_grouped(points: np.ndarray, order: np.ndarray, sizes) -> list[tuple]:
         raise ValueError("points must not be NaN")
     stops = np.cumsum(sizes)
     starts = stops - sizes
-    # one complex per (x, y) row gathers a point with a 1-D take
+    # one complex per (x, y) row gathers a point with a 1-D take; the
+    # gathered points, the sort key and then the Vandermonde columns are
+    # this thread's pooled scratch (see `_scratch`)
     xy = np.ascontiguousarray(points).view(np.complex128).ravel()
-    grouped = xy[order]
-    # A stable sort of y + i*x orders by y, then x, exactly as
-    # np.lexsort((x, y)) does for non-NaN values, and several times faster.
-    key = np.empty_like(grouped)
-    key.real = grouped.imag
-    key.imag = grouped.real
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        order[start:stop] = order[start:stop][np.argsort(key[start:stop], kind="stable")]
-    pts = xy[order].view(np.float64).reshape(-1, 2)
-    xs = pts[:, 0]
-    ys = pts[:, 1]
-    last = stops - 1
-    gaps = np.empty(len(ys), dtype=bool)
-    np.greater(ys[1:] - ys[:-1], _SAME_Y_TOL, out=gaps[:-1])
-    gaps[last] = False  # the step from a group's last point leaves the group
-    y_min = ys[starts].tolist()
-    y_max = ys[last].tolist()
-    degrees = np.minimum(2, np.add.reduceat(gaps, starts, dtype=np.intp)).tolist()
+    with borrow("points.0", 5 * len(xy), np.float64) as work:
+        grouped, scratch = work[: 2 * len(xy)].view(np.complex128), work[2 * len(xy) :]
+        np.take(xy, order, out=grouped, mode="clip")  # "raise" would buffer out
+        # A stable sort of y + i*x orders by y, then x, exactly as
+        # np.lexsort((x, y)) does for non-NaN values, and several times faster.
+        key = scratch[: 2 * len(xy)].view(np.complex128)
+        key.real = grouped.imag
+        key.imag = grouped.real
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            order[start:stop] = order[start:stop][np.argsort(key[start:stop], kind="stable")]
+        # the x column stays a stride-16 view of the (n, 2) points: BLAS
+        # rounds a contiguous copy of it differently
+        pts = np.take(xy, order, out=grouped, mode="clip").view(np.float64).reshape(-1, 2)
+        xs = pts[:, 0]
+        ys = pts[:, 1]
+        v = scratch.reshape(-1, 3)  # the key is done with
+        last = stops - 1
+        gaps = np.empty(len(ys), dtype=bool)
+        np.greater(np.subtract(ys[1:], ys[:-1], out=v[:-1, 0]), _SAME_Y_TOL, out=gaps[:-1])
+        gaps[last] = False  # the step from a group's last point leaves the group
+        y_min = ys[starts].tolist()
+        y_max = ys[last].tolist()
+        degrees = np.minimum(2, np.add.reduceat(gaps, starts, dtype=np.intp)).tolist()
 
-    # solve on t in [-1, 1], then expand t = alpha*y + beta back to y;
-    # per-group scalars are Python floats, the same IEEE doubles
-    spans = [hi - lo if degree else 1.0 for lo, hi, degree in zip(y_min, y_max, degrees)]
-    alphas = [2.0 / span for span in spans]
-    betas = [-(hi + lo) / span for lo, hi, span in zip(y_min, y_max, spans)]
-    v = np.empty((len(pts), 3))
-    v[:, 0] = 1.0
-    t = np.multiply(np.repeat(alphas, sizes), ys, out=v[:, 1])
-    t += np.repeat(betas, sizes)
-    np.multiply(t, t, out=v[:, 2])
+        # solve on t in [-1, 1], then expand t = alpha*y + beta back to y;
+        # per-group scalars are Python floats, the same IEEE doubles
+        spans = [hi - lo if degree else 1.0 for lo, hi, degree in zip(y_min, y_max, degrees)]
+        alphas = [2.0 / span for span in spans]
+        betas = [-(hi + lo) / span for lo, hi, span in zip(y_min, y_max, spans)]
+        v[:, 0] = 1.0
+        t = np.multiply(np.repeat(alphas, sizes), ys, out=v[:, 1])
+        t += np.repeat(betas, sizes)
+        np.multiply(t, t, out=v[:, 2])
 
-    coefficients = {}
-    systems = {1: [], 2: []}  # degree -> (group, gram, rhs) of each group
-    for k, (start, stop, degree) in enumerate(zip(starts.tolist(), stops.tolist(), degrees)):
-        if degree == 0:
-            coefficients[k] = (float(xs[start:stop].mean()), 0.0, 0.0)
-            continue
-        vk = v[start:stop, : degree + 1]
-        if degree == 1:
-            vk = np.ascontiguousarray(vk)
-        systems[degree].append((k, vk.T @ vk, vk.T @ xs[start:stop]))
-    for degree, rows in systems.items():
-        if not rows:
-            continue
-        ks, grams, rhs = zip(*rows)
-        solved = np.linalg.solve(np.array(grams), np.array(rhs)[:, :, None])[:, :, 0]
-        for k, s in zip(ks, solved.tolist()):
-            a, b = alphas[k], betas[k]
+        coefficients = {}
+        systems = {1: [], 2: []}  # degree -> (group, gram, rhs) of each group
+        for k, (start, stop, degree) in enumerate(zip(starts.tolist(), stops.tolist(), degrees)):
+            if degree == 0:
+                coefficients[k] = (float(xs[start:stop].mean()), 0.0, 0.0)
+                continue
+            vk = v[start:stop, : degree + 1]
             if degree == 1:
-                coefficients[k] = (s[0] + s[1] * b, s[1] * a, 0.0)
-            else:
-                coefficients[k] = (
-                    s[0] + s[1] * b + s[2] * b * b, a * (s[1] + 2.0 * s[2] * b), s[2] * a * a
-                )
-    return [(*coefficients[k], y_min[k], y_max[k]) for k in range(len(degrees))]
+                vk = np.ascontiguousarray(vk)
+            systems[degree].append((k, vk.T @ vk, vk.T @ xs[start:stop]))
+        for degree, rows in systems.items():
+            if not rows:
+                continue
+            ks, grams, rhs = zip(*rows)
+            solved = np.linalg.solve(np.array(grams), np.array(rhs)[:, :, None])[:, :, 0]
+            for k, s in zip(ks, solved.tolist()):
+                a, b = alphas[k], betas[k]
+                if degree == 1:
+                    coefficients[k] = (s[0] + s[1] * b, s[1] * a, 0.0)
+                else:
+                    coefficients[k] = (
+                        s[0] + s[1] * b + s[2] * b * b, a * (s[1] + 2.0 * s[2] * b), s[2] * a * a
+                    )
+        return [(*coefficients[k], y_min[k], y_max[k]) for k in range(len(degrees))]
 
 
 def sample_curve(curve: LaneCurve, n: int) -> np.ndarray:

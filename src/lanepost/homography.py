@@ -60,18 +60,26 @@ class Homography:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) point array, got shape {pts.shape}")
+        return self._apply_into(pts, np.empty((len(pts), 2)), np.empty(len(pts)))
+
+    def _apply_into(self, pts: np.ndarray, out: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """apply(pts) written into out, a C-contiguous (n, 2) float64
+        array, with w (n float64) as scratch for the projective scale;
+        returns out."""
         if len(pts) == 1:
             # BLAS may route a one-row product through a matrix-vector
             # kernel that rounds differently; two rows round like any batch
-            return self.apply(np.concatenate([pts, pts]))[:1]
-        hom = pts @ self.m[:2, :2].T
-        hom += self.m[:2, 2]
-        w = pts @ self.m[2, :2]
+            two = self.apply(np.concatenate([pts, pts]))
+            out[:] = two[:1]
+            return out
+        np.matmul(pts, self.m[:2, :2].T, out=out)
+        out += self.m[:2, 2]
+        np.matmul(pts, self.m[2, :2], out=w)
         w += self.m[2, 2]
         if not np.all(np.abs(w) > _W_TOL):
             raise ProjectionError("some points map to projective infinity")
-        hom /= w[:, None]
-        return hom
+        out /= w[:, None]
+        return out
 
     def inverse(self) -> "Homography":
         try:
@@ -151,6 +159,14 @@ def transform_pixels(h: Homography, pixels) -> np.ndarray:
     Pixel (row, col) enters as the center point (col + 0.5, row + 0.5);
     the output (n, 2) array keeps pixel order and stays real-valued.
     """
-    # a fresh C-contiguous float64 array, so BLAS sees one layout
-    points = np.add(np.asarray(pixels)[:, ::-1], 0.5, dtype=np.float64)
-    return h.apply(points)
+    pixels = np.asarray(pixels)
+    n = len(pixels)
+    return _transform_pixels_into(h, pixels, np.empty((n, 2)), np.empty((n, 2)), np.empty(n))
+
+
+def _transform_pixels_into(h: Homography, pixels, centres, out, w) -> np.ndarray:
+    """transform_pixels(h, pixels) written into out, with centres (n, 2)
+    and w (n) as scratch, all C-contiguous float64; returns out."""
+    # a C-contiguous float64 array, so BLAS sees one layout
+    np.add(pixels[:, ::-1], 0.5, out=centres, dtype=np.float64)
+    return h._apply_into(centres, out, w)

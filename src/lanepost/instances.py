@@ -102,8 +102,10 @@ def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSe
     lengths = stops - starts
     sizes = np.bincount(run_label, weights=lengths, minlength=count).astype(np.int64)
     kept = sizes >= min_size
-    order = np.argsort(run_label, kind="stable")  # by component, then row-major
-    order = order[kept[run_label[order]]]
+    # the kept components' runs, by component, then row-major: only they
+    # are sorted, which on a speckle frame is a fraction of all runs
+    keep = np.flatnonzero(kept[run_label])
+    order = keep[np.argsort(run_label[keep], kind="stable")]
     run_start, run_len = starts[order], lengths[order]
 
     # one pixel array for all kept components, laid out run after run; each
@@ -112,14 +114,15 @@ def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSe
     run_row, run_col = np.divmod(run_start, pitch)
     first = np.cumsum(run_len[:-1])  # each later run's first pixel
     pixels = np.empty((int(run_len.sum()), 2), dtype=np.int32)
-    step = np.zeros(len(pixels), dtype=np.int32)
-    step[:1] = run_row[:1]
-    step[first] = np.diff(run_row)
-    np.cumsum(step, dtype=np.int32, out=pixels[:, 0])
-    step[:] = 1
-    step[:1] = run_col[:1]
-    step[first] = run_col[1:] - (run_col[:-1] + run_len[:-1] - 1)
-    np.cumsum(step, dtype=np.int32, out=pixels[:, 1])
+    with borrow("points.0", len(pixels), np.int32) as step:
+        step[:] = 0
+        step[:1] = run_row[:1]
+        step[first] = np.diff(run_row)
+        np.cumsum(step, dtype=np.int32, out=pixels[:, 0])
+        step[:] = 1
+        step[:1] = run_col[:1]
+        step[first] = run_col[1:] - (run_col[:-1] + run_len[:-1] - 1)
+        np.cumsum(step, dtype=np.int32, out=pixels[:, 1])
     return InstanceSegments(pixels, sizes[kept])
 
 
@@ -146,7 +149,7 @@ def _runs(mask: np.ndarray, pitch: int, isolated: int | None) -> tuple[np.ndarra
     """
     height, width = mask.shape
     size = height * pitch
-    with borrow("runs.grid", size + 1, bool) as flat, borrow("runs.flags", size, bool) as flags:
+    with borrow("image.0", size + 1, bool) as flat, borrow("image.1", size, bool) as flags:
         grid = flat[1:].reshape(height, pitch)
         flat[0] = False
         grid[:, width] = False

@@ -13,20 +13,22 @@ of its residuals nonzero, as in noise, keeps the per-pixel paths: a
 running sum along the rows, and a walker that finds its own events and
 hands off to an anti-diagonal wavefront.
 
-A PNG makes one image-sized temporary that the caller does not keep: the
-inflated stream, height * (width + 1) bytes, which `_inflate` returns
-whole (zlib holds it twice for a moment as it joins its output) and which
-is copied into the decode buffer. Beyond it, the residuals `_scan` keeps
-take at most 9/16 of a byte per pixel (twice that while they are joined),
+Reading a frame makes no image-sized temporary that the caller does not
+keep, and, once this thread has read a file as large, none that is
+allocated anew. The file is read into this thread's pooled `file`
+buffer (see `_scratch`). P5 samples are a read-only view of it. A PNG's
+IDAT payloads are views of it too, and `_inflate` inflates them at most
+_CHUNK bytes at a time straight into the pooled `image.0` buffer, whose
+rows already have the stream's layout. The residuals `_scan` keeps take
+at most 9/16 of a byte per pixel (twice that while they are joined),
 and the walkers' Python lists of them are made one chunk of rows at a
-time (see `_Residuals`). P5 samples are read in place, as a read-only
-view of the file's bytes, and a PNG is decoded into this thread's pooled
-buffer (see `_scratch`); `load_mask` thresholds either directly, and only
-`read_gray` copies the samples out.
+time (see `_Residuals`). `load_mask` thresholds the samples where they
+lie, and only `read_gray` copies them out.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
 from bisect import bisect_left, bisect_right
 
@@ -50,7 +52,7 @@ def read_gray(path) -> np.ndarray:
     below 255 is not rescaled. The array is the caller's own: writable,
     C-contiguous and shared with no other read.
     """
-    return _read_samples(path, lambda gray, maxval: np.array(gray, order="C"))
+    return _read_samples(path, np.uint8, lambda gray, maxval, out: np.copyto(out, gray))
 
 
 def load_mask(path, threshold: int = 127) -> np.ndarray:
@@ -62,25 +64,51 @@ def load_mask(path, threshold: int = 127) -> np.ndarray:
     every PNG) it is s > threshold. Binary graymaps with maxval 1 thus
     read as marked where the sample is 1.
     """
-    return _read_samples(path, lambda gray, maxval: gray > (threshold * maxval) // 255)
+    return _read_samples(
+        path, bool, lambda gray, maxval, out: np.greater(gray, (threshold * maxval) // 255, out=out)
+    )
 
 
-def _read_samples(path, use):
-    """use(samples, maxval) for a graymap or grayscale PNG file.
+def _read_samples(path, dtype, fill):
+    """A new (H, W) array of dtype for a graymap or grayscale PNG file,
+    which fill(samples, maxval, out) writes.
 
     samples is valid only during the call: a read-only view of the file's
     bytes for P5, and a view of this thread's pooled decode buffer for PNG.
+    The result is allocated as soon as the header gives its shape, before
+    any temporary of the decode, so that those temporaries never take the
+    memory the previous frame's result gave back.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb", buffering=0)
     except OSError as exc:
         raise ImageIOError(path, f"cannot read file: {exc}") from exc
-    if data.startswith(_PNG_SIGNATURE):
-        return _decode_png_gray(path, data, use)
-    if data[:2] in (b"P2", b"P5"):
-        return use(*_decode_pgm(path, data))
+    with fh, borrow("file", os.fstat(fh.fileno()).st_size + 1) as buf:
+        try:
+            data = _read_into(fh, buf)
+        except OSError as exc:
+            raise ImageIOError(path, f"cannot read file: {exc}") from exc
+        if data[: len(_PNG_SIGNATURE)] == _PNG_SIGNATURE:
+            return _decode_png_gray(path, data, dtype, fill)
+        if data[:2] in (b"P2", b"P5"):
+            gray, maxval = _decode_pgm(path, data)
+            out = np.empty(gray.shape, dtype)
+            fill(gray, maxval, out)
+            return out
     raise ImageIOError(path, "unsupported format (want P2/P5 graymap or grayscale PNG)")
+
+
+def _read_into(fh, buf):
+    """The rest of the file fh: a read-only view of buf when it fits with a
+    byte to spare, else (the file grew, or has no size, as a pipe) bytes of
+    its own."""
+    n = 0
+    while n < len(buf):
+        got = fh.readinto(buf[n:])
+        if not got:
+            return memoryview(buf)[:n].toreadonly()
+        n += got
+    return buf.tobytes() + fh.read()
 
 
 def write_pgm(path, gray) -> None:
@@ -101,23 +129,27 @@ def write_ppm(path, rgb) -> None:
 # portable graymap
 # ---------------------------------------------------------------------------
 
+_SPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() counts as whitespace
+_HASH = ord("#")
+
+
 def _pgm_tokens(data, i: int):
     """Yield (token, end) for the whitespace-separated header tokens from
     offset i on, skipping # comments; end is the offset just past the
-    token."""
+    token. data is bytes or a byte memoryview."""
     n = len(data)
     while i < n:
-        ch = data[i : i + 1]
-        if ch.isspace():
+        ch = data[i]
+        if ch in _SPACE:
             i += 1
-        elif ch == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
+        elif ch == _HASH:
+            while i < n and data[i] not in b"\n\r":
                 i += 1
         else:
             start = i
-            while i < n and not data[i : i + 1].isspace() and data[i : i + 1] != b"#":
+            while i < n and data[i] not in _SPACE and data[i] != _HASH:
                 i += 1
-            yield data[start:i], i
+            yield bytes(data[start:i]), i
 
 
 def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
@@ -156,7 +188,7 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
             raise ImageIOError(path, "sample value out of range")
         return arr.reshape(height, width), maxval
 
-    values = data[header_end:].split()
+    values = bytes(data[header_end:]).split()
     if len(values) != width * height:
         raise ImageIOError(path, f"expected {width * height} samples, found {len(values)}")
     try:
@@ -197,16 +229,17 @@ _SPARSE = 16
 _SHORT_SUB = 8
 
 
-def _decode_png_gray(path, data, use):
-    """use(samples, 255) for a grayscale PNG file's bytes, samples being a
-    view of this thread's pooled decode buffer."""
+def _decode_png_gray(path, data, dtype, fill):
+    """The (H, W) array of dtype that fill(samples, 255, out) writes for a
+    grayscale PNG file's bytes, samples being a view of this thread's
+    pooled decode buffer."""
     view = memoryview(data)  # chunk payloads are views, not copies
     pos = len(_PNG_SIGNATURE)
     ihdr = None
     idat = []
     while pos + 8 <= len(data):
         length = int.from_bytes(data[pos : pos + 4], "big")
-        ctype = data[pos + 4 : pos + 8]
+        ctype = bytes(data[pos + 4 : pos + 8])
         chunk = view[pos + 8 : pos + 8 + length]
         if len(chunk) != length:
             raise ImageIOError(path, "truncated chunk")
@@ -234,37 +267,51 @@ def _decode_png_gray(path, data, use):
     if interlace != 0:
         raise ImageIOError(path, "interlaced PNG not supported")
 
-    raw = _inflate(path, idat[0] if len(idat) == 1 else b"".join(idat), height * (width + 1))
     # buf row 0 is the zero row above the image and column 0 the zero pixel
-    # left of each row (where the stream has its filter byte), so every
-    # filter reads its left, up and up-left neighbours without edge cases.
-    stream = np.frombuffer(raw, dtype=np.uint8).reshape(height, width + 1)
-    kinds = stream[:, 0].copy()
-    with borrow("png", (height + 1) * (width + 1)) as flat:
+    # left of each row: the stream, a filter byte and then the row's
+    # residuals for each row, inflates into rows 1..height as they are, and
+    # once the filter bytes are taken out every filter reads its left, up
+    # and up-left neighbours without edge cases.
+    out = np.empty((height, width), dtype)
+    with borrow("image.0", (height + 1) * (width + 1)) as flat:
         buf = flat.reshape(height + 1, width + 1)
+        _inflate(path, idat, flat[width + 1 :])
+        kinds = buf[1:, 0].copy()
         buf[0] = 0
         buf[1:, 0] = 0
-        buf[1:, 1:] = stream[:, 1:]
-        del raw, stream
         _unfilter(path, kinds, buf)
-        return use(buf[1:, 1:], 255)
+        fill(buf[1:, 1:], 255, out)
+        return out
 
 
-def _inflate(path, idat, size: int) -> bytes:
-    """The zlib stream inflated to exactly `size` bytes; a stream that
-    inflates to more is refused after size + 1 bytes, not allocated whole."""
+def _inflate(path, idat, out) -> None:
+    """Inflate the zlib stream that the pieces idat hold end to end into
+    out, which it must fill exactly. The stream is inflated at most _CHUNK
+    bytes at a time, straight into out, and one that inflates past it is
+    refused after len(out) + 1 bytes; data after the stream's end is
+    ignored."""
     inflater = zlib.decompressobj()
+    size, filled = len(out), 0
     try:
-        raw = inflater.decompress(idat, size + 1)
+        for tail in idat:
+            while not inflater.eof:
+                room = min(_CHUNK, size + 1 - filled)
+                got = inflater.decompress(tail, room)
+                if len(got) > size - filled:
+                    raise ImageIOError(path, f"image data inflates past the expected {size} bytes")
+                out[filled : filled + len(got)] = np.frombuffer(got, np.uint8)
+                filled += len(got)
+                tail = inflater.unconsumed_tail
+                if not tail and len(got) < room:  # the piece is used up and nothing is pending
+                    break
+            if inflater.eof:
+                break
     except zlib.error as exc:
         raise ImageIOError(path, f"corrupt image data: {exc}") from exc
-    if len(raw) > size:
-        raise ImageIOError(path, f"image data inflates past the expected {size} bytes")
-    if len(raw) < size:
-        raise ImageIOError(path, f"decompressed size {len(raw)} != expected {size}")
+    if filled < size:
+        raise ImageIOError(path, f"decompressed size {filled} != expected {size}")
     if not inflater.eof:
         raise ImageIOError(path, "corrupt image data: incomplete or truncated stream")
-    return raw
 
 
 def _unfilter(path, kinds, buf) -> None:

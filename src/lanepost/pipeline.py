@@ -29,10 +29,11 @@ from functools import lru_cache
 import numpy as np
 
 from ._files import overwrite
+from ._scratch import borrow
 from .config import PipelineConfig
 from .curves import LaneCurve, fit_curves, project_curves
 from .errors import ConfigError, FileFormatError
-from .homography import Homography, QuadCorrespondence, estimate_homography, transform_pixels
+from .homography import Homography, QuadCorrespondence, _transform_pixels_into, estimate_homography
 from .instances import InstanceSegments, label_segments
 from .voting import cluster_segments
 
@@ -101,15 +102,25 @@ def crop_and_resize(mask, cfg: PipelineConfig) -> np.ndarray:
         )
     # gather the target grid's source pixels, then threshold only those;
     # taking whole rows first and then columns beats one np.ix_ gather, and
-    # np.take beats indexing for the columns. astype(bool) is the same
-    # truth as != 0 for every numeric dtype, and copies, so the result
-    # never aliases the input, but a gathered boolean grid is not copied
-    # again.
+    # np.take beats indexing for the columns. The rows are gathered into
+    # this thread's pooled scratch, where np.take reads them contiguous
+    # (from a strided view it would first make a contiguous copy of its
+    # own). astype(bool) is the same truth as != 0 for every numeric
+    # dtype, and copies, so the result never aliases the input, but a
+    # gathered boolean grid is not copied again.
     rows = _nearest(top, bottom, cfg.target_rows)
     cols = _nearest(left, right, cfg.target_cols)
     if isinstance(cols, slice):
         return mask[rows, cols].astype(bool)
-    return np.take(mask[rows], cols, axis=1).astype(bool, copy=False)
+    if mask.dtype.hasobject:  # the pool holds plain bytes
+        mask = mask.astype(bool)
+    with borrow("image.0", cfg.target_rows * width, mask.dtype) as flat:
+        gathered = flat.reshape(cfg.target_rows, width)
+        if isinstance(rows, slice):
+            np.copyto(gathered, mask[rows])
+        else:
+            np.take(mask, rows, axis=0, out=gathered, mode="clip")  # "raise" would buffer out
+        return np.take(gathered, cols, axis=1).astype(bool, copy=False)
 
 
 def _nearest(lo: int, hi: int, n: int):
@@ -146,19 +157,26 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
     t1 = time.perf_counter()
 
+    # the BEV points are this thread's pooled buffer (see `_scratch`), held
+    # through voting and fitting, which borrow the transform's scratch kind
+    # in turn; nothing the result keeps refers to either
     h, h_inv = _homographies(cfg.calibration)
-    points = transform_pixels(h, segments.pixels)
-    t2 = time.perf_counter()
+    n = len(segments.pixels)
+    with borrow("points.1", 2 * n, np.float64) as bev:
+        with borrow("points.0", 3 * n, np.float64) as scratch:
+            centres, w = scratch[: 2 * n].reshape(n, 2), scratch[2 * n :]
+            points = _transform_pixels_into(h, segments.pixels, centres, bev.reshape(n, 2), w)
+        t2 = time.perf_counter()
 
-    labels, count = cluster_segments(points, segments.sizes, cfg.eta)
-    t3 = time.perf_counter()
+        labels, count = cluster_segments(points, segments.sizes, cfg.eta)
+        t3 = time.perf_counter()
 
-    lanes = []
-    if count:
-        curves = fit_curves(points, np.repeat(labels, segments.sizes), count)
-        polylines = project_curves(h_inv, curves, cfg.sample_count)
-        lanes = [Lane(curve, polyline) for curve, polyline in zip(curves, polylines)]
-    t4 = time.perf_counter()
+        lanes = []
+        if count:
+            curves = fit_curves(points, np.repeat(labels, segments.sizes), count)
+            polylines = project_curves(h_inv, curves, cfg.sample_count)
+            lanes = [Lane(curve, polyline) for curve, polyline in zip(curves, polylines)]
+        t4 = time.perf_counter()
 
     timings = StageTimings(
         instance_detection_ms=(t1 - t0) * 1e3,

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -295,3 +296,29 @@ def test_steady_state_speckle_labeling_memory_is_bounded():
     assert got.pixels.tobytes() == want.pixels.tobytes()
     assert got.sizes.tolist() == want.sizes.tolist()
     assert peak < 512 << 10, peak
+
+
+# label_segments of SceneParams(noise_rate=0.08) scene 11 at (min_size,
+# connectivity): SHA-256 of pixels.tobytes() + sizes.tobytes(), as the
+# labeler gave them when it sorted every run before dropping speckle
+SPECKLE_RECORDS = {
+    (0, 4): "6682164e1cdc01e537fd87cb7ed3a933d7436eafdf5792a7702d0adbd722ca56",
+    (0, 8): "fb77d4deffcc16933acfcf4eefac061e9e319eaabb07b44bba156804850c084a",
+    (15, 4): "1a00d852bdd1f02f3f318d1b424d168731a9ba4c9e1423912b1c8ec94afe6a5a",
+    (15, 8): "ffcbcb836d6a4d988e1ce2a40688c4b8048517cc81f1eaedd9b43702bf137438",
+}
+
+
+@pytest.mark.parametrize("min_size, connectivity", sorted(SPECKLE_RECORDS))
+def test_speckle_record_matches_union_find_bit_for_bit(min_size, connectivity):
+    # only the kept components' runs are sorted: thousands of speckle runs
+    # are dropped first, and the record must not move a bit
+    mask = generate_scene(SceneParams(noise_rate=0.08), 11, default_config()).mask
+    record = label_segments(mask, connectivity, min_size)
+    components = [c for c in union_find_components(mask.tolist(), connectivity) if len(c) >= min_size]
+    components.sort(key=min)  # ids in the scan order of each first pixel
+    want = np.array([p for c in components for p in sorted(c)], dtype=np.int32).reshape(-1, 2)
+    assert record.pixels.tobytes() == want.tobytes()
+    assert record.sizes.tolist() == [len(c) for c in components]
+    digest = hashlib.sha256(record.pixels.tobytes() + record.sizes.tobytes()).hexdigest()
+    assert digest == SPECKLE_RECORDS[min_size, connectivity]

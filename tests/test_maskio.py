@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 import zlib
 
@@ -254,6 +256,39 @@ class TestSamplesInPlace:
         assert np.array_equal(load_mask(path, 127), gray > 127)
         assert (first == 7).all()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("kind", ["p2", "p5", "png"])
+    def test_a_file_without_a_size_is_read_whole(self, tmp_path, kind):
+        # a FIFO reports size 0, so its bytes overflow the pooled file
+        # buffer and are read into bytes of their own
+        gray = np.random.default_rng(6).integers(0, 256, (40, 50), dtype=np.uint8)
+        if kind == "p2":
+            rows = "\n".join(" ".join(map(str, row)) for row in gray.tolist())
+            blob = f"P2\n50 40\n255\n{rows}\n".encode()
+        elif kind == "p5":
+            blob = b"P5\n50 40\n255\n" + gray.tobytes()
+        else:
+            blob = make_gray_png(gray, [4] * 40)
+        fifo = tmp_path / "frame.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        try:
+            assert np.array_equal(read_gray(fifo), gray)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+
+    def test_p5_samples_are_a_read_only_view_during_use(self, tmp_path):
+        gray = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        path = tmp_path / "view.pgm"
+        write_pgm(path, gray)
+        seen = []
+        maskio._read_samples(path, np.uint8, lambda samples, maxval, out: seen.append(
+            (samples.tolist(), maxval, samples.flags.writeable, samples.base is not None)
+        ))
+        assert seen == [(gray.tolist(), 255, False, True)]
+
     @pytest.mark.parametrize(
         "header",
         [
@@ -392,6 +427,90 @@ class TestPng:
         with pytest.raises(ImageIOError, match="decompressed size"):
             read_gray(path)
         path.write_bytes(png_file(3, 2, zlib.compress(bytes(8))[:-4]))  # no checksum
+        with pytest.raises(ImageIOError, match="truncated"):
+            read_gray(path)
+
+
+def split_png(width: int, height: int, idat: bytes, cuts) -> bytes:
+    """png_file with the compressed stream split into IDAT chunks at the
+    given offsets."""
+    one = png_file(width, height, idat)
+    start = one.index(b"IDAT") - 4
+    bounds = [0, *cuts, len(idat)]
+    parts = [png_chunk(b"IDAT", idat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return one[:start] + b"".join(parts) + one[start + 12 + len(idat) :]
+
+
+class TestChunkedInflate:
+    """`_inflate` fills the decode buffer _CHUNK bytes at a time: the
+    stream must fill it exactly, whatever its IDAT split."""
+
+    # (width, height): a stream within one piece, one of exactly two
+    # pieces, and one that ends inside a third
+    SHAPES = [(7, 5), (511, 256), (400, 400)]
+
+    @pytest.mark.parametrize("width, height", SHAPES)
+    def test_exact_short_and_long_streams(self, tmp_path, width, height):
+        stream = random_stream(np.random.default_rng(width), height, width)
+        raw = stream.tobytes()
+        path = tmp_path / "edge.png"
+        path.write_bytes(png_file(width, height, zlib.compress(raw)))
+        assert read_gray(path).tolist() == png_unfilter(stream)
+        path.write_bytes(png_file(width, height, zlib.compress(raw[:-1])))
+        with pytest.raises(ImageIOError, match=f"decompressed size {len(raw) - 1} != expected {len(raw)}"):
+            read_gray(path)
+        path.write_bytes(png_file(width, height, zlib.compress(raw + b"\x00")))
+        with pytest.raises(ImageIOError, match=f"inflates past the expected {len(raw)} bytes"):
+            read_gray(path)
+
+    @pytest.mark.parametrize("width, height", SHAPES)
+    def test_trailing_data_after_a_full_image_is_ignored(self, tmp_path, width, height):
+        stream = random_stream(np.random.default_rng(height), height, width)
+        idat = zlib.compress(stream.tobytes())
+        path = tmp_path / "trailing.png"
+        path.write_bytes(png_file(width, height, idat))
+        want = read_gray(path)
+        for tail in (b"\x00", b"not a stream at all", zlib.compress(bytes(1000))):
+            path.write_bytes(png_file(width, height, idat + tail))  # in the stream's own IDAT
+            assert np.array_equal(read_gray(path), want)
+            path.write_bytes(split_png(width, height, idat + tail, [len(idat)]))  # in an IDAT of its own
+            assert np.array_equal(read_gray(path), want)
+
+    @pytest.mark.parametrize("width, height", SHAPES)
+    def test_any_split_of_the_stream_decodes_alike(self, tmp_path, width, height):
+        rng = np.random.default_rng([width, height])
+        stream = random_stream(rng, height, width)
+        stream[:, 1 : width // 2] = 0  # compressible rows: a piece inflates from a short input
+        idat = zlib.compress(stream.tobytes())
+        path = tmp_path / "split.png"
+        path.write_bytes(png_file(width, height, idat))
+        want = read_gray(path)
+        splits = [[1], [len(idat) - 1], list(range(1, len(idat), max(len(idat) // 7, 1)))]
+        splits += [sorted(rng.choice(np.arange(1, len(idat)), k, replace=False).tolist()) for k in (2, 5, 20)]
+        if len(idat) < 4096:
+            splits.append(range(1, len(idat)))  # a byte per IDAT
+        for cuts in splits:
+            path.write_bytes(split_png(width, height, idat, cuts))
+            assert np.array_equal(read_gray(path), want), cuts
+
+    def test_splits_inside_small_pieces(self, tmp_path, monkeypatch):
+        # with 7-byte pieces every IDAT boundary falls inside some piece's
+        # input, and the output limit stops zlib mid-block again and again
+        monkeypatch.setattr(maskio, "_CHUNK", 7)
+        stream = random_stream(np.random.default_rng(9), 6, 10)
+        raw = stream.tobytes()
+        idat = zlib.compress(raw)
+        path = tmp_path / "small.png"
+        for cuts in ([], [3], range(1, len(idat), 2), range(1, len(idat))):
+            path.write_bytes(split_png(10, 6, idat, cuts))
+            assert read_gray(path).tolist() == png_unfilter(stream)
+        path.write_bytes(split_png(10, 6, zlib.compress(raw + b"\x01"), [5]))
+        with pytest.raises(ImageIOError, match="inflates past"):
+            read_gray(path)
+        path.write_bytes(split_png(10, 6, zlib.compress(raw[:-1]), [5]))
+        with pytest.raises(ImageIOError, match="decompressed size"):
+            read_gray(path)
+        path.write_bytes(split_png(10, 6, idat[:-4], [5]))
         with pytest.raises(ImageIOError, match="truncated"):
             read_gray(path)
 
