@@ -8,6 +8,7 @@ so a serialize/parse round trip reproduces the exact value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from ._files import overwrite
@@ -43,6 +44,9 @@ class PipelineConfig:
     loss_epsilon: float = 1e-5
 
     def __post_init__(self):
+        for _, name, kind in _KEYS:
+            if kind is int:
+                _check_integer(name, getattr(self, name))
         if min(self.crop_top, self.crop_bottom, self.crop_left, self.crop_right) < 0:
             raise ConfigError("crop margins must be non-negative")
         if self.target_rows < 1 or self.target_cols < 1:
@@ -59,6 +63,13 @@ class PipelineConfig:
             raise ConfigError(f"sample count must be at least 2, got {self.sample_count}")
         if not (self.loss_alpha > 0 and self.loss_epsilon > 0):
             raise ConfigError("loss alpha and epsilon must be positive")
+
+
+def _check_integer(name: str, value) -> None:
+    try:
+        operator.index(value)  # Python and NumPy integers, not floats
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def default_config() -> PipelineConfig:

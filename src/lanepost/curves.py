@@ -111,7 +111,7 @@ def _fit_grouped(points: np.ndarray, order: np.ndarray, sizes) -> list[tuple]:
     # gathered points, the sort key and then the Vandermonde columns are
     # this thread's pooled scratch (see `_scratch`)
     xy = np.ascontiguousarray(points).view(np.complex128).ravel()
-    with borrow("points.0", 5 * len(xy), np.float64) as work:
+    with borrow(5 * len(xy), np.float64) as work:
         grouped, scratch = work[: 2 * len(xy)].view(np.complex128), work[2 * len(xy) :]
         np.take(xy, order, out=grouped, mode="clip")  # "raise" would buffer out
         # A stable sort of y + i*x orders by y, then x, exactly as

@@ -114,7 +114,7 @@ def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSe
     run_row, run_col = np.divmod(run_start, pitch)
     first = np.cumsum(run_len[:-1])  # each later run's first pixel
     pixels = np.empty((int(run_len.sum()), 2), dtype=np.int32)
-    with borrow("points.0", len(pixels), np.int32) as step:
+    with borrow(len(pixels), np.int32) as step:
         step[:] = 0
         step[:1] = run_row[:1]
         step[first] = np.diff(run_row)
@@ -149,7 +149,7 @@ def _runs(mask: np.ndarray, pitch: int, isolated: int | None) -> tuple[np.ndarra
     """
     height, width = mask.shape
     size = height * pitch
-    with borrow("image.0", size + 1, bool) as flat, borrow("image.1", size, bool) as flags:
+    with borrow(size + 1, bool) as flat, borrow(size, bool) as flags:
         grid = flat[1:].reshape(height, pitch)
         flat[0] = False
         grid[:, width] = False

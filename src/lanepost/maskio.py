@@ -15,11 +15,11 @@ hands off to an anti-diagonal wavefront.
 
 Reading a frame makes no image-sized temporary that the caller does not
 keep, and, once this thread has read a file as large, none that is
-allocated anew. The file is read into this thread's pooled `file`
-buffer (see `_scratch`). P5 samples are a read-only view of it. A PNG's
-IDAT payloads are views of it too, and `_inflate` inflates them at most
-_CHUNK bytes at a time straight into the pooled `image.0` buffer, whose
-rows already have the stream's layout. The residuals `_scan` keeps take
+allocated anew. The file is read into this thread's pooled scratch (see
+`_scratch`). P5 samples are a read-only view of it. A PNG's IDAT
+payloads are views of it too, and `_inflate` inflates them at most
+_CHUNK bytes at a time straight into a pooled decode buffer, whose rows
+already have the stream's layout. The residuals `_scan` keeps take
 at most 9/16 of a byte per pixel (twice that while they are joined),
 and the walkers' Python lists of them are made one chunk of rows at a
 time (see `_Residuals`). `load_mask` thresholds the samples where they
@@ -83,7 +83,7 @@ def _read_samples(path, dtype, fill):
         fh = open(path, "rb", buffering=0)
     except OSError as exc:
         raise ImageIOError(path, f"cannot read file: {exc}") from exc
-    with fh, borrow("file", os.fstat(fh.fileno()).st_size + 1) as buf:
+    with fh, borrow(os.fstat(fh.fileno()).st_size + 1) as buf:
         try:
             data = _read_into(fh, buf)
         except OSError as exc:
@@ -273,7 +273,7 @@ def _decode_png_gray(path, data, dtype, fill):
     # once the filter bytes are taken out every filter reads its left, up
     # and up-left neighbours without edge cases.
     out = np.empty((height, width), dtype)
-    with borrow("image.0", (height + 1) * (width + 1)) as flat:
+    with borrow((height + 1) * (width + 1)) as flat:
         buf = flat.reshape(height + 1, width + 1)
         _inflate(path, idat, flat[width + 1 :])
         kinds = buf[1:, 0].copy()

@@ -114,7 +114,7 @@ def crop_and_resize(mask, cfg: PipelineConfig) -> np.ndarray:
         return mask[rows, cols].astype(bool)
     if mask.dtype.hasobject:  # the pool holds plain bytes
         mask = mask.astype(bool)
-    with borrow("image.0", cfg.target_rows * width, mask.dtype) as flat:
+    with borrow(cfg.target_rows * width, mask.dtype) as flat:
         gathered = flat.reshape(cfg.target_rows, width)
         if isinstance(rows, slice):
             np.copyto(gathered, mask[rows])
@@ -157,13 +157,12 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
     t1 = time.perf_counter()
 
-    # the BEV points are this thread's pooled buffer (see `_scratch`), held
-    # through voting and fitting, which borrow the transform's scratch kind
-    # in turn; nothing the result keeps refers to either
+    # the BEV points are this thread's pooled scratch (see `_scratch`), held
+    # through voting and fitting; nothing the result keeps refers to it
     h, h_inv = _homographies(cfg.calibration)
     n = len(segments.pixels)
-    with borrow("points.1", 2 * n, np.float64) as bev:
-        with borrow("points.0", 3 * n, np.float64) as scratch:
+    with borrow(2 * n, np.float64) as bev:
+        with borrow(3 * n, np.float64) as scratch:
             centres, w = scratch[: 2 * n].reshape(n, 2), scratch[2 * n :]
             points = _transform_pixels_into(h, segments.pixels, centres, bev.reshape(n, 2), w)
         t2 = time.perf_counter()

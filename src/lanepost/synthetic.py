@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, _check_integer
 from .curves import LaneCurve
 from .errors import ConfigError
 from .homography import estimate_homography
@@ -56,6 +56,7 @@ class SceneParams:
     occlusion_rate: float = 0.0
 
     def __post_init__(self):
+        _check_integer("num_lanes", self.num_lanes)
         if self.num_lanes < 1:
             raise ConfigError(f"num_lanes must be >= 1, got {self.num_lanes}")
         if self.curvature_range < 0:

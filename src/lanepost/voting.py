@@ -84,7 +84,7 @@ def _extreme_arrays(points: np.ndarray, starts) -> tuple[np.ndarray, ...]:
     numbers compare by real part, then imaginary part, so one reduction
     over y + i*(-x) finds the bottom and one over y + i*x the top.
     """
-    with borrow("points.0", len(points), np.complex128) as key:
+    with borrow(len(points), np.complex128) as key:
         key.real = points[:, 1]
         np.negative(points[:, 0], out=key.imag)
         bottom = np.maximum.reduceat(key, starts)
@@ -233,7 +233,7 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
         else:
             factors, delta = scored
             lo, hi = math.nextafter(eta - delta, -math.inf), math.nextafter(eta + delta, math.inf)
-        with borrow("block", 2 * _block_entries(n), np.float64) as scratch:
+        with borrow(2 * _block_entries(n), np.float64) as scratch:
             for p0, rows in _block_rows(n):
                 scores = _block_scores(factors, p0, rows, scratch)
                 k, c, u, v = candidates(scores, p0)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from lanepost import (
@@ -124,3 +125,32 @@ class TestValidation:
             PipelineConfig(loss_alpha=0.0)
         with pytest.raises(ConfigError):
             PipelineConfig(target_rows=0)
+
+    INTEGER_FIELDS = (
+        "crop_top",
+        "crop_bottom",
+        "crop_left",
+        "crop_right",
+        "target_rows",
+        "target_cols",
+        "mask_threshold",
+        "connectivity",
+        "min_instance_size",
+        "sample_count",
+    )
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, 8.0, "8", None])
+    def test_integer_fields_refuse_non_integers(self, name, value):
+        # format_config would truncate 2.5 to 2, so the file would not read
+        # back as the config; an integral float is refused too
+        with pytest.raises(ConfigError, match=name):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    def test_integer_fields_take_numpy_integers(self, name):
+        value = getattr(default_config(), name)
+        for kind in (np.int64, np.int32, np.uint16):
+            cfg = PipelineConfig(**{name: kind(value)})
+            assert parse_config(format_config(cfg)) == cfg
+            assert format_config(cfg) == format_config(default_config())

@@ -1,47 +1,102 @@
+import functools
 import sys
 import threading
 import time
 
 import numpy as np
+import pytest
 
+from lanepost import _scratch
 from lanepost._scratch import borrow
 
 
+def in_a_new_thread(test):
+    """Run the test on a thread of its own, whose pool starts empty: the
+    test thread's pool holds whatever earlier tests left in it."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        errors = []
+
+        def target():
+            try:
+                test(*args, **kwargs)
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(timeout=300)
+        assert not thread.is_alive()
+        if errors:
+            raise errors[0]
+
+    return run
+
+
+@in_a_new_thread
 def test_a_returned_buffer_is_reused_and_grows_to_the_largest():
-    with borrow("test.reuse", 100, np.float64) as first:
+    with borrow(100, np.float64) as first:
         assert first.shape == (100,) and first.dtype == np.float64
-    with borrow("test.reuse", 50, np.float64) as second:
+    with borrow(50, np.float64) as second:
         assert np.shares_memory(first, second)
-    with borrow("test.reuse", 300, np.float64) as grown:
+    with borrow(300, np.float64) as grown:
         assert not np.shares_memory(first, grown)
-    with borrow("test.reuse", 200, bool) as again:
+    with borrow(200, bool) as again:
         assert again.shape == (200,) and np.shares_memory(grown, again)
+    with borrow(10) as small:
+        assert small.dtype == np.uint8 and np.shares_memory(grown, small)
+    assert [len(buf) for buf in _scratch._pools.slots] == [2400]
 
 
-def test_nested_borrows_of_one_kind_never_alias():
-    with borrow("test.nested", 64):
-        pass  # the pool now holds a buffer of this kind
-    with borrow("test.nested", 64) as outer:
-        with borrow("test.nested", 64) as inner:
+@in_a_new_thread
+def test_nested_borrows_never_alias():
+    with borrow(64) as outer:
+        with borrow(64) as inner:
             assert not np.shares_memory(outer, inner)
-        with borrow("test.other", 64) as other:
-            assert not np.shares_memory(outer, other)
+            with borrow(64) as innermost:
+                assert not np.shares_memory(outer, innermost)
+                assert not np.shares_memory(inner, innermost)
+        with borrow(64) as sibling:  # the inner borrow's slot, given back
+            assert np.shares_memory(inner, sibling)
+            assert not np.shares_memory(outer, sibling)
+    with borrow(64) as again:
+        assert np.shares_memory(outer, again)
 
 
+@in_a_new_thread
+def test_an_exception_in_a_nested_borrow_gives_every_slot_back():
+    with borrow(64) as outer:
+        with borrow(64) as inner:
+            pass
+    with pytest.raises(ValueError):
+        with borrow(64):
+            with borrow(64):
+                raise ValueError("frame refused")
+    assert all(buf is not None for buf in _scratch._pools.slots)  # none still borrowed
+    with borrow(64) as top:
+        assert np.shares_memory(outer, top)
+        with borrow(64) as nested:
+            assert np.shares_memory(inner, nested)
+
+
+@in_a_new_thread
 def test_each_thread_has_its_own_pool():
-    with borrow("test.thread", 64) as mine:
+    with borrow(64) as mine:
         pass
     seen = []
 
     def worker():
-        with borrow("test.thread", 64) as theirs:
+        with borrow(64) as theirs:
             seen.append(np.shares_memory(mine, theirs))
+            seen.append(len(_scratch._pools.slots))
 
-    thread = threading.Thread(target=worker)
-    thread.start()
-    thread.join()
-    assert seen == [False]
-    with borrow("test.thread", 64) as again:
+    with borrow(64):  # this thread's open borrow does not nest the other's
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+    assert seen == [False, 1]
+    with borrow(64) as again:
         assert np.shares_memory(mine, again)
 
 
@@ -52,7 +107,7 @@ def test_threads_borrowing_at_once_never_share_a_buffer():
 
     def worker(mark):
         for _ in range(200):
-            with borrow("test.stress", 4096) as buf:
+            with borrow(4096) as buf:
                 buf[:] = mark
                 time.sleep(0)
                 if not (buf == mark).all():

@@ -24,6 +24,7 @@ import lanepost as lp
 from lanepost import _scratch
 from test_golden import clutter_masks
 from test_maskio import filtered_stream, lane_image, stream_png
+from test_scratch import in_a_new_thread
 
 PNG_MODES = range(6)  # None, Sub, Up, Average, Paeth, adaptive
 
@@ -37,6 +38,11 @@ def write_png(path, mode, seed=4):
     gray = lane_image(seed, (720, 1280))
     path.write_bytes(stream_png(filtered_stream(gray, [mode] * 720)))
     return str(path)
+
+
+def pooled() -> list:
+    """The calling thread's pooled buffers."""
+    return [buf for buf in _scratch._pools.slots if buf is not None]
 
 
 def frame_outputs(result) -> int:
@@ -118,8 +124,26 @@ def test_results_do_not_alias_the_pools(tmp_path):
         lp.read_gray(path)
     assert [a.tobytes() for a in kept + reads] == before
     assert lp.format_lanes(frame.lanes) == text
-    pools = vars(_scratch._pools).values()
+    pools = pooled()
     assert pools and not any(np.shares_memory(a, buf) for a in kept + reads for buf in pools)
+
+
+@in_a_new_thread
+def test_a_thread_keeps_two_buffers_after_p5_and_png_frames(tmp_path):
+    # a lane scene and a clutter frame read from P5, then a 720x1280 PNG in
+    # every filter mode: the frame path nests borrows two deep, so the
+    # thread keeps two buffers, here the PNG's row gather (360 x 1280) and
+    # its decode buffer (721 x 1281), below the 2,077,609 bytes that six
+    # buffers, one per size class, kept after the same frames
+    cfg = lp.default_config()
+    scene = lp.generate_scene(lp.SceneParams(num_lanes=4, noise_rate=0.0005), 31, cfg)
+    paths = [write_mask(tmp_path / "scene.pgm", scene.mask)]
+    paths += [write_mask(tmp_path / "clutter.pgm", list(clutter_masks())[2])]
+    paths += [write_png(tmp_path / f"mode{mode}.png", mode) for mode in PNG_MODES]
+    for path in paths:
+        lp.run_frame(lp.crop_and_resize(lp.load_mask(path, cfg.mask_threshold), cfg), cfg)
+    held = [len(buf) for buf in pooled()]
+    assert len(held) == 2 and sum(held) < 2_077_609, held
 
 
 # Run in a child process: the mmap threshold must be set before the

@@ -88,6 +88,17 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             SceneParams(dash_length=0.0)
 
+    @pytest.mark.parametrize("num_lanes", [2.5, 3.0, "3", None])
+    def test_num_lanes_must_be_an_integer(self, num_lanes):
+        with pytest.raises(ConfigError, match="num_lanes"):
+            SceneParams(num_lanes=num_lanes)
+
+    def test_num_lanes_takes_numpy_integers(self):
+        cfg = default_config()
+        want = generate_scene(SceneParams(num_lanes=3), 7, cfg)
+        got = generate_scene(SceneParams(num_lanes=np.int64(3)), 7, cfg)
+        assert np.array_equal(got.mask, want.mask)
+
 
 class TestEvaluate:
     def test_perfect_run_on_noiseless_scene(self):
