@@ -8,6 +8,7 @@ so a serialize/parse round trip reproduces the exact value.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -47,6 +48,8 @@ class PipelineConfig:
         for _, name, kind in _KEYS:
             if kind is int:
                 _check_integer(name, getattr(self, name))
+            elif kind is float:
+                _check_real(name, getattr(self, name))
         if min(self.crop_top, self.crop_bottom, self.crop_left, self.crop_right) < 0:
             raise ConfigError("crop margins must be non-negative")
         if self.target_rows < 1 or self.target_cols < 1:
@@ -70,6 +73,11 @@ def _check_integer(name: str, value) -> None:
         operator.index(value)  # Python and NumPy integers, not floats
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_real(name: str, value) -> None:
+    if not isinstance(value, numbers.Real):  # Python and NumPy numbers, not strings or complex
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def default_config() -> PipelineConfig:

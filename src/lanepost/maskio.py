@@ -29,6 +29,7 @@ lie, and only `read_gray` copies them out.
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from bisect import bisect_left, bisect_right
 
@@ -129,46 +130,32 @@ def write_ppm(path, rgb) -> None:
 # portable graymap
 # ---------------------------------------------------------------------------
 
-_SPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() counts as whitespace
-_HASH = ord("#")
-
-
-def _pgm_tokens(data, i: int):
-    """Yield (token, end) for the whitespace-separated header tokens from
-    offset i on, skipping # comments; end is the offset just past the
-    token. data is bytes or a byte memoryview."""
-    n = len(data)
-    while i < n:
-        ch = data[i]
-        if ch in _SPACE:
-            i += 1
-        elif ch == _HASH:
-            while i < n and data[i] not in b"\n\r":
-                i += 1
-        else:
-            start = i
-            while i < n and data[i] not in _SPACE and data[i] != _HASH:
-                i += 1
-            yield bytes(data[start:i]), i
+# A Netpbm graymap header (https://netpbm.sourceforge.net/doc/pgm.html): P2
+# or P5, then width, height and maxval, tokens of bytes that are neither
+# whitespace (\s, as bytes.isspace() counts it) nor "#", each after
+# whitespace or # comments; width may follow the magic directly. A comment
+# must run to a line end or the file's end, so that a failed match cannot
+# backtrack into a comment and read a field out of it.
+_PGM_HEADER = re.compile(
+    rb"""P[25]
+    (?: \s | \#[^\n\r]*(?![^\n\r]) )* ([^\s\#]+)
+    (?: \s | \#[^\n\r]*(?![^\n\r]) )+ ([^\s\#]+)
+    (?: \s | \#[^\n\r]*(?![^\n\r]) )+ ([^\s\#]+)""",
+    re.VERBOSE,
+)
 
 
 def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
-    magic = data[:2]
-    tokens = _pgm_tokens(data, 2)
-
-    def next_int(what):
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ImageIOError(path, "truncated header: needs width, height and maxval")
+    fields = []
+    for what, token in zip(("width", "height", "maxval"), header.groups()):
         try:
-            token, end = next(tokens)
-        except StopIteration:
-            raise ImageIOError(path, f"truncated header: missing {what}") from None
-        try:
-            return int(token), end
+            fields.append(int(token))
         except ValueError:
             raise ImageIOError(path, f"bad {what} {token!r}") from None
-
-    width, _ = next_int("width")
-    height, _ = next_int("height")
-    maxval, header_end = next_int("maxval")
+    width, height, maxval = fields
     if width < 1 or height < 1:
         raise ImageIOError(path, f"bad dimensions {width}x{height}")
     if width * height > _MAX_PIXELS:
@@ -176,8 +163,8 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
     if not 0 < maxval <= 255:
         raise ImageIOError(path, f"unsupported maxval {maxval} (8-bit only)")
 
-    if magic == b"P5":
-        start = header_end + 1  # single whitespace byte after maxval
+    if data[:2] == b"P5":
+        start = header.end() + 1  # single whitespace byte after maxval
         count = width * height
         if len(data) - start < count:
             raise ImageIOError(
@@ -188,13 +175,15 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
             raise ImageIOError(path, "sample value out of range")
         return arr.reshape(height, width), maxval
 
-    values = bytes(data[header_end:]).split()
+    values = bytes(data[header.end() :]).split()
     if len(values) != width * height:
         raise ImageIOError(path, f"expected {width * height} samples, found {len(values)}")
     try:
         arr = np.array([int(v) for v in values], dtype=np.int64)
     except ValueError as exc:
         raise ImageIOError(path, f"bad sample value: {exc}") from exc
+    except OverflowError:
+        raise ImageIOError(path, "sample value out of range") from None
     if arr.min() < 0 or arr.max() > maxval:
         raise ImageIOError(path, "sample value out of range")
     return arr.astype(np.uint8).reshape(height, width), maxval

@@ -102,25 +102,23 @@ def crop_and_resize(mask, cfg: PipelineConfig) -> np.ndarray:
         )
     # gather the target grid's source pixels, then threshold only those;
     # taking whole rows first and then columns beats one np.ix_ gather, and
-    # np.take beats indexing for the columns. The rows are gathered into
-    # this thread's pooled scratch, where np.take reads them contiguous
-    # (from a strided view it would first make a contiguous copy of its
-    # own). astype(bool) is the same truth as != 0 for every numeric
-    # dtype, and copies, so the result never aliases the input, but a
-    # gathered boolean grid is not copied again.
+    # np.take beats indexing for the columns. The rows are gathered, as
+    # booleans, into this thread's pooled scratch, where np.take reads them
+    # contiguous (from a strided view it would first make a contiguous copy
+    # of its own). Casting to bool there is the truth of astype(bool) for
+    # every dtype, and the column gather copies, so the result never
+    # aliases the input or the pool.
     rows = _nearest(top, bottom, cfg.target_rows)
     cols = _nearest(left, right, cfg.target_cols)
     if isinstance(cols, slice):
         return mask[rows, cols].astype(bool)
-    if mask.dtype.hasobject:  # the pool holds plain bytes
-        mask = mask.astype(bool)
-    with borrow(cfg.target_rows * width, mask.dtype) as flat:
+    with borrow(cfg.target_rows * width, bool) as flat:
         gathered = flat.reshape(cfg.target_rows, width)
         if isinstance(rows, slice):
-            np.copyto(gathered, mask[rows])
+            np.copyto(gathered, mask[rows], casting="unsafe")
         else:
             np.take(mask, rows, axis=0, out=gathered, mode="clip")  # "raise" would buffer out
-        return np.take(gathered, cols, axis=1).astype(bool, copy=False)
+        return np.take(gathered, cols, axis=1)
 
 
 def _nearest(lo: int, hi: int, n: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig, _check_integer
+from .config import PipelineConfig, _check_integer, _check_real
 from .curves import LaneCurve
 from .errors import ConfigError
 from .homography import estimate_homography
@@ -57,6 +57,10 @@ class SceneParams:
 
     def __post_init__(self):
         _check_integer("num_lanes", self.num_lanes)
+        for name in (
+            "curvature_range", "dash_length", "gap_length", "dash_width", "noise_rate", "occlusion_rate"
+        ):
+            _check_real(name, getattr(self, name))
         if self.num_lanes < 1:
             raise ConfigError(f"num_lanes must be >= 1, got {self.num_lanes}")
         if self.curvature_range < 0:

@@ -242,6 +242,14 @@ def test_bad_mask_payload_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_oversized_p2_sample_exits_3(tmp_path, capsys):
+    bad = tmp_path / "huge.pgm"
+    bad.write_bytes(b"P2\n2 1\n255\n1 99999999999999999999\n")
+    assert main(["run", "--mask", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "io error" in err and "sample value out of range" in err
+
 def test_empty_mask_dir_exits_3(tmp_path, capsys):
     assert main(["bench", "--mask-dir", str(tmp_path), "--reps", "1"]) == 3
     capsys.readouterr()

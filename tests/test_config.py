@@ -147,6 +147,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=name):
             PipelineConfig(**{name: value})
 
+    FLOAT_FIELDS = ("eta", "loss_alpha", "loss_epsilon")
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", ["20", "1", None, 1 + 0j])
+    def test_float_fields_refuse_non_numbers(self, name, value):
+        # these used to raise TypeError from the range checks
+        with pytest.raises(ConfigError, match=name):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_float_fields_take_numpy_floats_and_integers(self, name):
+        value = getattr(default_config(), name)
+        for number in (np.float64(value), np.float32(2.0), np.int64(3), 3):
+            cfg = PipelineConfig(**{name: number})
+            assert parse_config(format_config(cfg)) == cfg
+        assert format_config(PipelineConfig(**{name: np.float64(value)})) == format_config(default_config())
+
     @pytest.mark.parametrize("name", INTEGER_FIELDS)
     def test_integer_fields_take_numpy_integers(self, name):
         value = getattr(default_config(), name)

@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import tracemalloc
 import zlib
@@ -231,6 +232,154 @@ class TestPgm:
         with pytest.raises(ImageIOError, match="sample value out of range"):
             load_mask(path, 127)
 
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"P5\n0 4\n255\n", "bad dimensions 0x4"),
+            (b"P2\n3 -1\n255\n", "bad dimensions 3x-1"),
+            (b"P5\n100000 1001\n255\n", "dimension overflow: 100000x1001"),
+            (b"P2\n3 2\n255\n1 2 3 4 5\n", "expected 6 samples, found 5"),
+            (b"P2\n3 2\n255\n1 2 3 4 5 6 7\n", "expected 6 samples, found 7"),
+            (b"P2\n2 1\n255\n1 x2\n", "bad sample value"),
+            (b"P2\n2 1\n255\n1 99999999999999999999\n", "sample value out of range"),
+            (b"P2\n2 1\n255\n-99999999999999999999 1\n", "sample value out of range"),
+            (b"P2\n2 1\n255\n1 -1\n", "sample value out of range"),
+        ],
+    )
+    def test_bad_dimensions_and_p2_samples_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        for read in (read_gray, load_mask):
+            with pytest.raises(ImageIOError, match=message):
+                read(path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"P5", b"P5\n", b"P2 4", b"P5\n4 4", b"P5\n4 4 # 255\n", b"P5 # 4 4 255", b"P2\n4\n# 4\r255"],
+    )
+    def test_truncated_header_rejected(self, tmp_path, blob):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ImageIOError, match="truncated header"):
+            read_gray(path)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"P5 x4 4 255\n" + bytes(16), "bad width b'x4'"),
+            (b"P5\n4 4.0 255\n" + bytes(16), "bad height b'4.0'"),
+            (b"P5\n4 4 2\xd9\xa35\n" + bytes(16), "bad maxval b'2\\xd9\\xa35'"),
+        ],
+    )
+    def test_non_numeric_header_field_is_named(self, tmp_path, blob, message):
+        path = tmp_path / "field.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ImageIOError, match=re.escape(message)):
+            read_gray(path)
+
+
+SPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() counts as whitespace
+HASH = ord("#")
+
+
+def pgm_tokens(data, i: int):
+    """A token-by-token graymap header lexer, the reference for
+    `maskio._PGM_HEADER`: yield (token, end) for the whitespace-separated
+    header tokens from offset i on, skipping # comments; end is the offset
+    just past the token. data is bytes or a byte memoryview."""
+    n = len(data)
+    while i < n:
+        ch = data[i]
+        if ch in SPACE:
+            i += 1
+        elif ch == HASH:
+            while i < n and data[i] not in b"\n\r":
+                i += 1
+        else:
+            start = i
+            while i < n and data[i] not in SPACE and data[i] != HASH:
+                i += 1
+            yield bytes(data[start:i]), i
+
+
+def lexer_header(data):
+    """(width, height, maxval, header end) as pgm_tokens reads them, or None
+    where a field is missing or not a number."""
+    tokens = pgm_tokens(data, 2)
+    fields = []
+    for _ in range(3):
+        token, end = next(tokens, (None, None))
+        if token is None:
+            return None
+        try:
+            fields.append(int(token))
+        except ValueError:
+            return None
+    return (*fields, end)
+
+
+def pattern_header(data: bytes):
+    """What `maskio._decode_pgm` reads with its pattern, in lexer_header's
+    terms."""
+    header = maskio._PGM_HEADER.match(data)
+    if header is None:
+        return None
+    try:
+        return (*map(int, header.groups()), header.end())
+    except ValueError:
+        return None
+
+
+def random_header(rng) -> bytes:
+    """A magic number and a few tokens, each after a run of whitespace
+    bytes and comments (maybe empty), sometimes cut short. Tokens are
+    mostly numbers, some with signs, underscores, letters or non-ASCII
+    bytes; comments end at \\n, \\r or nothing, and may hold any of these."""
+    noise = b"# 5+-_xA\x1c\x85\xa0\xd9" + SPACE
+    parts = [rng.choice([b"P2", b"P5"])]
+    for _ in range(rng.integers(2, 6)):
+        for _ in range(rng.integers(0, 4)):
+            if rng.random() < 0.6:
+                parts.append(bytes([rng.choice(list(SPACE))]))
+            else:
+                body = bytes(rng.choice(list(noise), rng.integers(0, 6)).tolist())
+                parts.append(b"#" + body + rng.choice([b"\n", b"\r", b""], p=[0.45, 0.45, 0.1]))
+        token = str(rng.integers(0, 1000)).encode()
+        if rng.random() < 0.1:
+            at = rng.integers(0, len(token) + 1)
+            token = token[:at] + bytes([rng.choice(list(b"+-_x#\x85\xd9"))]) + token[at:]
+        parts.append(token)
+    data = b"".join(parts)
+    if rng.random() < 0.3:
+        data = data[: rng.integers(2, len(data) + 1)]
+    return data
+
+
+class TestPgmHeader:
+    def test_pattern_reads_what_a_lexer_reads(self):
+        rng = np.random.default_rng(25)
+        accepted = 0
+        for _ in range(12_000):
+            data = random_header(rng)
+            want = lexer_header(data)
+            assert pattern_header(data) == want, data
+            assert pattern_header(memoryview(data).toreadonly()) == want, data
+            accepted += want is not None
+        assert 2_000 < accepted < 10_000  # both outcomes are well sampled
+
+    @pytest.mark.parametrize(
+        "data, want",
+        [
+            (b"P5480 360 255\n", (480, 360, 255, 13)),  # width right after the magic
+            (b"P5\r\x0c## c 5\n\x0c12\t\n3\x0b", None),  # a comment holds no field
+            (b"P2 1#c\n2#\r+3_0", (1, 2, 30, 14)),
+            (b"P5 1 2 3#", (1, 2, 3, 8)),
+        ],
+    )
+    def test_hand_cases(self, data, want):
+        assert lexer_header(data) == want
+        assert pattern_header(data) == want
+
 
 class TestSamplesInPlace:
     """P5 samples are read in place and PNG samples decoded into a pooled
@@ -392,6 +541,25 @@ class TestPng:
         path.write_bytes(blob)
         with pytest.raises(ImageIOError):
             read_gray(path)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (png_file(2, 2, zlib.compress(bytes(6)))[:-20], "truncated chunk"),
+            (b"\x89PNG\r\n\x1a\n" + png_chunk(b"IEND", b""), "missing or malformed IHDR"),
+            (b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", bytes(12)), "missing or malformed IHDR"),
+            (png_file(0, 2, b""), "bad or oversized dimensions 0x2"),
+            (png_file(20_000, 5_001, b""), "bad or oversized dimensions 20000x5001"),
+            (png_file(2, 2, b"").replace(bytes([8, 0, 0, 0, 0]), bytes([8, 0, 1, 0, 0])), "compression"),
+            (png_file(2, 2, b"").replace(bytes([8, 0, 0, 0, 0]), bytes([8, 0, 0, 1, 0])), "filter method"),
+        ],
+    )
+    def test_malformed_header_chunks_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "bad.png"
+        path.write_bytes(blob)
+        for read in (read_gray, load_mask):
+            with pytest.raises(ImageIOError, match=message):
+                read(path)
 
     def test_corrupt_data_rejected(self, tmp_path):
         ihdr = (2).to_bytes(4, "big") + (2).to_bytes(4, "big") + bytes([8, 0, 0, 0, 0])

@@ -119,20 +119,22 @@ class TestCropAndResize:
 
     def test_truth_of_every_dtype_and_never_the_input(self):
         # the output is a new boolean array, true where the source pixel is
-        # nonzero: NaN counts as nonzero, -0.0 as zero
+        # true as astype(bool) reads it: NaN counts as nonzero, -0.0 as
+        # zero, an object by its truth value
         cfg = default_config()
         rng = np.random.default_rng(4)
-        for shape in ((360, 480), (720, 960), (723, 1001)):
+        for shape in ((360, 480), (720, 960), (723, 1001), (720, 1280), (590, 1640)):
             codes = rng.integers(0, 4, shape)
             for src in (
                 codes == 1,
                 codes.astype(np.uint8) * 85,
                 np.choose(codes, [0.0, -0.0, np.nan, 0.5]),
                 np.choose(codes, [0j, 1j, -0.0 + 0j, 2.0 + 0j]),
+                np.choose(codes, np.array([0, None, "lane", ""], dtype=object)),
             ):
                 rows = (np.arange(360) * shape[0]) // 360
                 cols = (np.arange(480) * shape[1]) // 480
-                want = src[rows][:, cols] != 0
+                want = src[np.ix_(rows, cols)].astype(bool)
                 got = crop_and_resize(src, cfg)
                 assert got.dtype == bool and np.array_equal(got, want), (shape, src.dtype)
                 assert not np.shares_memory(got, src)

@@ -100,6 +100,21 @@ class TestGeneration:
         assert np.array_equal(got.mask, want.mask)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noise_rate", "0.1"), ("curvature_range", None), ("dash_length", "4"), ("gap_length", 1j),
+         ("dash_width", "4"), ("occlusion_rate", None)],
+    )
+    def test_float_fields_must_be_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SceneParams(**{field: value})
+
+    def test_float_fields_take_numpy_numbers(self):
+        cfg = default_config()
+        want = generate_scene(SceneParams(noise_rate=0.01, dash_length=40.0), 7, cfg)
+        got = generate_scene(SceneParams(noise_rate=np.float64(0.01), dash_length=np.int64(40)), 7, cfg)
+        assert np.array_equal(got.mask, want.mask)
+
 class TestEvaluate:
     def test_perfect_run_on_noiseless_scene(self):
         cfg = default_config()
