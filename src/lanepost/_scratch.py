@@ -5,14 +5,29 @@ glibc's mmap and trim thresholds, so a freed one goes back to the
 operating system and the next frame faults in fresh zero pages for it. A
 stage that needs such a buffer on every frame borrows it here instead.
 
+The rule: a buffer is borrowed by the stage that uses it, and only when
+it is image-sized, a vote block, or 16 bytes or more per point; smaller
+per-point, per-run and per-pair temporaries stay on the heap. By stage:
+
+- decode (`maskio._read_samples`): the file's bytes, and inside them a
+  PNG's decode buffer (`maskio._decode_png_gray`);
+- crop (`pipeline.crop_and_resize`): the gathered rows;
+- labeling (`instances._runs`): the padded grid, and inside it the run
+  boundary flags;
+- BEV (`pipeline.run_frame`): the BEV points (16 bytes per point), held
+  through voting and fitting; inside them `homography.transform_pixels`
+  borrows its pixel centres and projective scale (24 bytes per point);
+- voting: the complex sort key of `voting._extreme_arrays` (16 bytes per
+  point) and the vote block scores of `voting.cluster_segments`;
+- fitting (`curves._fit_grouped`): the gathered points, sort key and
+  Vandermonde columns (40 bytes per point).
+
 Each thread keeps one buffer per nesting depth: a borrow opened inside k
 other open borrows takes slot k, which grows to the largest size asked
 of it, so buffers in use at once never alias. The frame path nests two
-deep (the PNG decode buffer in the file's bytes, the labeler's run flags
-in its padded grid, the BEV transform's, voting's and fitting's scratch
-in the BEV points). Its two buffers hold about 0.35 MB after a stream of
-360x480 P5 lane frames, 0.6-0.7 MB after clutter frames, 1.4 MB after a
-720x1280 PNG, and 56 bytes per point of the largest frame (9.7 MB after
+deep, as listed above. Its two buffers hold about 0.35 MB after a stream
+of 360x480 P5 lane frames, 0.6-0.7 MB after clutter frames, 1.4 MB after
+a 720x1280 PNG, and 56 bytes per point of the largest frame (9.7 MB after
 an all-ones 360x480 frame). A stage called at two depths, as
 `fit_curves` is directly and inside `run_frame`, can fill two slots.
 """

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scratch import borrow
 from .errors import CalibrationError, ProjectionError
 
 __all__ = [
@@ -153,20 +154,21 @@ def transform_instance(h: Homography, inst) -> np.ndarray:
     return transform_pixels(h, inst.pixels)
 
 
-def transform_pixels(h: Homography, pixels) -> np.ndarray:
+def transform_pixels(h: Homography, pixels, out=None) -> np.ndarray:
     """Map (row, col) pixels into the target plane.
 
     Pixel (row, col) enters as the center point (col + 0.5, row + 0.5);
-    the output (n, 2) array keeps pixel order and stays real-valued.
+    the output (n, 2) array keeps pixel order and stays real-valued. It is
+    written into out, a C-contiguous (n, 2) float64 array, when one is
+    given, and is a new array otherwise. The centres and the projective
+    scale are this thread's pooled scratch (see `_scratch`).
     """
     pixels = np.asarray(pixels)
     n = len(pixels)
-    return _transform_pixels_into(h, pixels, np.empty((n, 2)), np.empty((n, 2)), np.empty(n))
-
-
-def _transform_pixels_into(h: Homography, pixels, centres, out, w) -> np.ndarray:
-    """transform_pixels(h, pixels) written into out, with centres (n, 2)
-    and w (n) as scratch, all C-contiguous float64; returns out."""
-    # a C-contiguous float64 array, so BLAS sees one layout
-    np.add(pixels[:, ::-1], 0.5, out=centres, dtype=np.float64)
-    return h._apply_into(centres, out, w)
+    if out is None:
+        out = np.empty((n, 2))
+    with borrow(3 * n, np.float64) as scratch:
+        centres = scratch[: 2 * n].reshape(n, 2)
+        # a C-contiguous float64 array, so BLAS sees one layout
+        np.add(pixels[:, ::-1], 0.5, out=centres, dtype=np.float64)
+        return h._apply_into(centres, out, scratch[2 * n :])

@@ -144,6 +144,13 @@ _PGM_HEADER = re.compile(
     re.VERBOSE,
 )
 
+# What ends the header after maxval: one whitespace byte, or a comment
+# glued to maxval through the \n or \r that ends it, which is then the
+# delimiter, as libnetpbm's pm_getuint reads it
+# (https://netpbm.sourceforge.net/doc/pbm.html). At the file's end no
+# raster follows.
+_PGM_RASTER = re.compile(rb"\s|\#[^\n\r]*[\n\r]|\Z")
+
 
 def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
     header = _PGM_HEADER.match(data)
@@ -162,9 +169,12 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
         raise ImageIOError(path, f"dimension overflow: {width}x{height}")
     if not 0 < maxval <= 255:
         raise ImageIOError(path, f"unsupported maxval {maxval} (8-bit only)")
+    raster = _PGM_RASTER.match(data, header.end())
+    if raster is None:
+        raise ImageIOError(path, "truncated header: the comment after maxval has no line end")
+    start = raster.end()
 
     if data[:2] == b"P5":
-        start = header.end() + 1  # single whitespace byte after maxval
         count = width * height
         if len(data) - start < count:
             raise ImageIOError(
@@ -175,7 +185,7 @@ def _decode_pgm(path, data) -> tuple[np.ndarray, int]:
             raise ImageIOError(path, "sample value out of range")
         return arr.reshape(height, width), maxval
 
-    values = bytes(data[header.end() :]).split()
+    values = bytes(data[start:]).split()
     if len(values) != width * height:
         raise ImageIOError(path, f"expected {width * height} samples, found {len(values)}")
     try:

@@ -33,7 +33,7 @@ from ._scratch import borrow
 from .config import PipelineConfig
 from .curves import LaneCurve, fit_curves, project_curves
 from .errors import ConfigError, FileFormatError
-from .homography import Homography, QuadCorrespondence, _transform_pixels_into, estimate_homography
+from .homography import Homography, QuadCorrespondence, estimate_homography, transform_pixels
 from .instances import InstanceSegments, label_segments
 from .voting import cluster_segments
 
@@ -160,9 +160,7 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     h, h_inv = _homographies(cfg.calibration)
     n = len(segments.pixels)
     with borrow(2 * n, np.float64) as bev:
-        with borrow(3 * n, np.float64) as scratch:
-            centres, w = scratch[: 2 * n].reshape(n, 2), scratch[2 * n :]
-            points = _transform_pixels_into(h, segments.pixels, centres, bev.reshape(n, 2), w)
+        points = transform_pixels(h, segments.pixels, bev.reshape(n, 2))
         t2 = time.perf_counter()
 
         labels, count = cluster_segments(points, segments.sizes, cfg.eta)

@@ -94,6 +94,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("calibration.src=0,0 1,0 1,1\ncalibration.dst=0,0 1,0 1,1 0,1\n")
 
+    @pytest.mark.parametrize("point", ["1,0,5", "a,b", "1,", "0;1"])
+    def test_bad_quad_point_named(self, point):
+        text = f"calibration.src=0,0 {point} 1,1 0,1\ncalibration.dst=0,0 1,0 1,1 0,1\n"
+        with pytest.raises(ConfigError, match=f"calibration.src: bad point '{point}'"):
+            parse_config(text)
+
     def test_lonely_calibration_half(self):
         with pytest.raises(ConfigError):
             parse_config("calibration.src=0,0 1,0 1,1 0,1\n")
@@ -125,6 +131,8 @@ class TestValidation:
             PipelineConfig(loss_alpha=0.0)
         with pytest.raises(ConfigError):
             PipelineConfig(target_rows=0)
+        with pytest.raises(ConfigError, match="min instance size must be non-negative"):
+            PipelineConfig(min_instance_size=-1)
 
     INTEGER_FIELDS = (
         "crop_top",

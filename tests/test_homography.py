@@ -10,6 +10,7 @@ from lanepost import (
     estimate_homography,
     transform_instance,
 )
+from lanepost.homography import transform_pixels
 from oracles import apply_homography, homography_from_quads
 
 UNIT_SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
@@ -108,6 +109,28 @@ class TestTransform:
                 assert np.array_equal(hom.apply(pts[k : k + 1])[0], batch[k]), k
                 assert np.array_equal(hom.apply(pts[k : k + 2])[0], batch[k]), k
 
+    @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros(2), np.zeros((2, 2, 2))])
+    def test_apply_refuses_what_is_not_a_point_array(self, points):
+        with pytest.raises(ValueError, match=r"expected an \(n, 2\) point array"):
+            Homography.identity().apply(points)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    def test_transform_pixels_into_out_matches_a_new_array(self, n):
+        # run_frame maps a frame's pixels into its pooled BEV points; they
+        # must be bitwise the points of a call that makes its own array
+        h = estimate_homography(QuadCorrespondence(ROAD_TRAPEZOID, BEV_RECTANGLE))
+        rng = np.random.default_rng(n)
+        pixels = np.stack([rng.integers(200, 360, n), rng.integers(0, 480, n)], axis=1)
+        pixels = pixels.astype(np.int32)
+        want = transform_pixels(h, pixels)
+        buf = np.full((n, 2), np.nan)
+        got = transform_pixels(h, pixels, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+        kept = want.copy()
+        transform_pixels(h, pixels[::-1], out=np.empty((n, 2)))  # reuses the pooled scratch
+        assert want.tobytes() == kept.tobytes()  # a fresh result is the caller's own
+
     def test_composition(self):
         rng = np.random.default_rng(2)
         h1 = random_well_conditioned(rng)
@@ -125,6 +148,20 @@ class TestEquality:
         assert (h == g) is False and (h != g) is True
         assert h == h
         assert {h: 1, g: 2}[h] == 1
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("m", [np.eye(2), np.eye(4), np.ones(9), np.ones((3, 4))])
+    def test_non_3x3_matrix_rejected(self, m):
+        with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+            Homography(m)
+
+    @pytest.mark.parametrize("w", [0.0, 1e-13, -1e-12])
+    def test_matrix_that_cannot_be_normalized_rejected(self, w):
+        m = np.eye(3)
+        m[2, 2] = w
+        with pytest.raises(CalibrationError, match="cannot be normalized"):
+            Homography(m)
 
 
 class TestInvert:

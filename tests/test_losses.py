@@ -124,6 +124,19 @@ class TestPenalizedDiceLoss:
         with pytest.raises(ValueError):
             penalized_dice_loss(gt, np.zeros((2, 3, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (2, 2, 2, 1), (0, 2, 2)])
+    def test_what_is_not_a_volume_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"must be a non-empty \(H, W, C\) volume"):
+            penalized_dice_loss(np.ones(shape), np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_rejected(self, bad):
+        gt = one_lane_pixel_2x2()
+        pred = gt.copy()
+        pred[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="prediction contains non-finite values"):
+            penalized_dice_loss(gt, pred)
+
     def test_out_of_range_prediction_rejected(self):
         gt = one_lane_pixel_2x2()
         pred = gt.copy()

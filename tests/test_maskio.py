@@ -168,6 +168,13 @@ class TestPgm:
         write_pgm(path, (board * 255).astype(np.uint8))
         assert np.array_equal(load_mask(path, 127), board.astype(bool))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (6,), ()])
+    def test_write_pgm_refuses_what_is_not_2d(self, tmp_path, shape):
+        path = tmp_path / "flat.pgm"
+        with pytest.raises(ValueError, match="expected a 2D gray image"):
+            write_pgm(path, np.zeros(shape, np.uint8))
+        assert not path.exists()
+
     def test_sixteen_bit_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
@@ -255,7 +262,9 @@ class TestPgm:
 
     @pytest.mark.parametrize(
         "blob",
-        [b"P5", b"P5\n", b"P2 4", b"P5\n4 4", b"P5\n4 4 # 255\n", b"P5 # 4 4 255", b"P2\n4\n# 4\r255"],
+        [b"P5", b"P5\n", b"P2 4", b"P5\n4 4", b"P5\n4 4 # 255\n", b"P5 # 4 4 255", b"P2\n4\n# 4\r255",
+         # a comment glued to maxval that the file's end cuts off
+         b"P5\n2 1\n255# hi", b"P2\n2 1\n255#", b"P2\n1 1\n1#0 1"],
     )
     def test_truncated_header_rejected(self, tmp_path, blob):
         path = tmp_path / "short.pgm"
@@ -276,6 +285,24 @@ class TestPgm:
         path.write_bytes(blob)
         with pytest.raises(ImageIOError, match=re.escape(message)):
             read_gray(path)
+
+    @pytest.mark.parametrize(
+        "blob, samples",
+        [
+            # a comment glued to maxval runs through its \n or \r, which is
+            # the one byte that ends the header, as libnetpbm reads it
+            (b"P5\n2 1\n255# hi\n\x00\xff", [[0, 255]]),
+            (b"P2\n2 1\n255# hi\n0 255\n", [[0, 255]]),
+            (b"P5\n2 1\n255#\r\x00\xff", [[0, 255]]),
+            (b"P2\n2 1\n255#c\r0 255", [[0, 255]]),
+            (b"P5\n2 1\n255#c\r\n\xff", [[10, 255]]),  # the \n after the \r is a sample
+            (b"P5\n2 1\n255 # hi\n", [[35, 32]]),  # whitespace came first: the raster starts at #
+        ],
+    )
+    def test_comment_glued_to_maxval_ends_the_header(self, tmp_path, blob, samples):
+        path = tmp_path / "glued.pgm"
+        path.write_bytes(blob)
+        assert read_gray(path).tolist() == samples
 
 
 SPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() counts as whitespace

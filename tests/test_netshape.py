@@ -51,6 +51,13 @@ class TestPropagateShapes:
         with pytest.raises(ValueError):
             propagate_shapes([], TensorShape(10, 10, 1))
 
+    @pytest.mark.parametrize("shape", [TensorShape(0, 10, 3), TensorShape(10, 0, 3), (-1, 4, 1)])
+    def test_empty_input_rejected(self, shape):
+        # a transposed layer would grow a 0-row input to 1 row unchecked
+        layer = LayerSpec("conv_transpose", 3, 2, 8)
+        with pytest.raises(ValueError, match="input shape must be at least 1x1"):
+            propagate_shapes([layer], shape)
+
 
 class TestReceptiveField:
     def test_encoder_is_63(self):
@@ -82,6 +89,11 @@ class TestLayerSpec:
             LayerSpec("conv", 0, 1, 8)
         with pytest.raises(ValueError):
             LayerSpec("conv", 3, 0, 8)
+
+    @pytest.mark.parametrize("channels", [0, -3])
+    def test_out_channels_must_be_positive(self, channels):
+        with pytest.raises(ValueError, match="out_channels must be >= 1"):
+            LayerSpec("conv", 3, 1, channels)
 
     def test_only_valid_padding(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,11 @@ class TestCropAndResize:
                 assert got.dtype == bool and np.array_equal(got, want), (shape, src.dtype)
                 assert not np.shares_memory(got, src)
 
+    @pytest.mark.parametrize("shape", [(400, 480, 1), (400,), ()])
+    def test_mask_that_is_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="mask must be 2D"):
+            crop_and_resize(np.zeros(shape, dtype=bool), default_config())
+
     def test_degenerate_crop_rejected(self):
         cfg = dataclasses.replace(default_config(), crop_top=300, crop_bottom=300)
         with pytest.raises(ConfigError):
@@ -304,6 +309,16 @@ class TestLaneFiles:
     def test_empty_lane_list(self):
         assert format_lanes([]) == ""
         assert parse_lanes("") == []
+
+    def test_blank_and_comment_lines_skipped(self):
+        record = "3 1 0.5 0 10 20 1,2 3,4"
+        text = f"# lanes of frame 7\n\n{record}\n   \n  # between records\n\t\n{record}\n"
+        lanes = parse_lanes(text)
+        assert format_lanes(lanes) == format_lanes(parse_lanes(record)) * 2
+        from lanepost import FileFormatError
+
+        with pytest.raises(FileFormatError, match="line 3: expected at least 8 fields"):
+            parse_lanes("# c\n\n1 2 3\n")  # skipped lines still count
 
     def test_malformed_record_rejected(self):
         from lanepost import FileFormatError

@@ -87,6 +87,10 @@ class TestGeneration:
             SceneParams(occlusion_rate=-0.1)
         with pytest.raises(ConfigError):
             SceneParams(dash_length=0.0)
+        with pytest.raises(ConfigError, match="curvature_range must be non-negative"):
+            SceneParams(curvature_range=-1e-4)
+        with pytest.raises(ConfigError, match="gap_length must be non-negative"):
+            SceneParams(gap_length=-1.0)
 
     @pytest.mark.parametrize("num_lanes", [2.5, 3.0, "3", None])
     def test_num_lanes_must_be_an_integer(self, num_lanes):
@@ -148,6 +152,26 @@ class TestEvaluate:
         result = run_frame(scene_a.mask, cfg)
         with pytest.raises(ValueError):
             evaluate(result, scene_b)
+
+    @pytest.mark.parametrize("shape", [(300, 480), (360, 400)])
+    def test_result_larger_than_its_scene_rejected(self, shape):
+        cfg = default_config()
+        scene = generate_scene(SceneParams(num_lanes=3), 1, cfg)
+        result = run_frame(scene.mask, cfg)  # it has pixels past either crop
+        small = SyntheticScene(
+            scene.mask[: shape[0], : shape[1]], scene.truth_curves,
+            scene.truth_assignment[: shape[0], : shape[1]],
+        )
+        with pytest.raises(ValueError, match="instance pixel out of bounds"):
+            evaluate(result, small)
+
+    def test_empty_frame_is_pure_and_finds_nothing(self):
+        cfg = default_config()
+        scene = generate_scene(SceneParams(num_lanes=3), 1, cfg)
+        metrics = evaluate(run_frame(np.zeros_like(scene.mask), cfg), scene)
+        assert metrics.purity == 1.0
+        assert (metrics.instance_count, metrics.cluster_count, metrics.lane_count) == (0, 0, 0)
+        assert metrics.recall == 0.0
 
 
 def oracle_purity(result, scene):
