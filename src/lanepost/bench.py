@@ -2,16 +2,15 @@
 
 One untimed warm-up pass over all frames precedes the measured
 repetitions, so cold caches and lazy allocations do not pollute the
-statistics. Each stage, and the total, is reported as mean, std, median
-and p95 over every frame of every measured pass. fps is defined as
-1000 / (mean total ms per frame); wall_fps is frames processed over the
-wall-clock time of the measured passes. Frames run one after another in
-the calling thread.
+statistics. Each stage, and the total, is reported as median and p95 over
+every frame of every measured pass; wall_fps, the one throughput figure,
+is frames processed over the wall-clock time of the measured passes.
+Frames run one after another in the calling thread.
 
 Frames given as sources with a `load` call (mask files, say) are loaded
 in every pass, and that call is timed as one more stage, `load`. The
-total and fps cover the four run_frame stages only, with or without it,
-so they compare across both kinds of input.
+total covers the four run_frame stages only, with or without it, so it
+compares across both kinds of input; wall_fps includes loading.
 
 A frame that run_frame refuses with a ProcessingError in the warm-up pass
 is counted by exception class in `refused` and left out of the measured
@@ -40,15 +39,10 @@ _STAGES = ("instance_detection", "bev", "voting", "fitting")
 class BenchReport:
     frames: int
     repetitions: int
-    stage_mean_ms: dict
-    stage_std_ms: dict
     stage_median_ms: dict
     stage_p95_ms: dict
-    total_mean_ms: float
-    total_std_ms: float
     total_median_ms: float
     total_p95_ms: float
-    fps: float
     wall_fps: float
     refused: dict
 
@@ -93,19 +87,13 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, load=None) -> Be
     totals = sum(per_stage.values())
     if load is not None:
         per_stage = {"load": np.array([load_ms for load_ms, _ in samples]), **per_stage}
-    total_mean = float(totals.mean())
     return BenchReport(
         frames=len(masks),
         repetitions=repetitions,
-        stage_mean_ms={k: float(v.mean()) for k, v in per_stage.items()},
-        stage_std_ms={k: float(v.std()) for k, v in per_stage.items()},
         stage_median_ms={k: float(np.median(v)) for k, v in per_stage.items()},
         stage_p95_ms={k: float(np.percentile(v, 95)) for k, v in per_stage.items()},
-        total_mean_ms=total_mean,
-        total_std_ms=float(totals.std()),
         total_median_ms=float(np.median(totals)),
         total_p95_ms=float(np.percentile(totals, 95)),
-        fps=1000.0 / total_mean,
         wall_fps=len(samples) / elapsed,
         refused=refused,
     )
@@ -114,20 +102,15 @@ def benchmark(masks, cfg: PipelineConfig, repetitions: int = 1, load=None) -> Be
 def format_report(report: BenchReport) -> str:
     lines = [
         f"frames={report.frames} repetitions={report.repetitions}",
-        f"{'stage':<20}{'mean ms':>12}{'std ms':>12}{'median ms':>12}{'p95 ms':>12}",
+        f"{'stage':<20}{'median ms':>12}{'p95 ms':>12}",
     ]
-    def row(stage):
-        return (stage, report.stage_mean_ms[stage], report.stage_std_ms[stage],
-                report.stage_median_ms[stage], report.stage_p95_ms[stage])
-
-    rows = [row(stage) for stage in _STAGES]
-    rows.append(("total", report.total_mean_ms, report.total_std_ms,
-                 report.total_median_ms, report.total_p95_ms))
-    if "load" in report.stage_mean_ms:  # after the total, which does not include it
-        rows.append(row("load"))
-    for name, *values in rows:
-        lines.append(f"{name:<20}" + "".join(f"{v:>12.4f}" for v in values))
-    lines.append(f"fps={report.fps:.2f} wall_fps={report.wall_fps:.2f}")
+    rows = [(stage, report.stage_median_ms[stage], report.stage_p95_ms[stage]) for stage in _STAGES]
+    rows.append(("total", report.total_median_ms, report.total_p95_ms))
+    if "load" in report.stage_median_ms:  # after the total, which does not include it
+        rows.append(("load", report.stage_median_ms["load"], report.stage_p95_ms["load"]))
+    for name, median, p95 in rows:
+        lines.append(f"{name:<20}{median:>12.4f}{p95:>12.4f}")
+    lines.append(f"wall_fps={report.wall_fps:.2f}")
     if report.refused:
         counts = " ".join(f"{name}={count}" for name, count in sorted(report.refused.items()))
         lines.append(f"refused {sum(report.refused.values())} of {report.frames} frames: {counts}")

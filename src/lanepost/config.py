@@ -8,6 +8,7 @@ so a serialize/parse round trip reproduces the exact value.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -60,12 +61,14 @@ class PipelineConfig:
             raise ConfigError(f"connectivity must be 4 or 8, got {self.connectivity}")
         if self.min_instance_size < 0:
             raise ConfigError("min instance size must be non-negative")
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if not isinstance(self.calibration, QuadCorrespondence):
+            raise ConfigError(f"calibration must be a QuadCorrespondence, got {self.calibration!r}")
+        if not 0 < self.eta < math.inf:
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if self.sample_count < 2:
             raise ConfigError(f"sample count must be at least 2, got {self.sample_count}")
-        if not (self.loss_alpha > 0 and self.loss_epsilon > 0):
-            raise ConfigError("loss alpha and epsilon must be positive")
+        if not (0 < self.loss_alpha < math.inf and 0 < self.loss_epsilon < math.inf):
+            raise ConfigError("loss alpha and epsilon must be positive and finite")
 
 
 def _check_integer(name: str, value) -> None:

@@ -28,6 +28,7 @@ lie, and only `read_gray` copies them out.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import zlib
@@ -64,7 +65,16 @@ def load_mask(path, threshold: int = 127) -> np.ndarray:
     s > floor(threshold * maxval / 255); for 8-bit files (maxval 255, and
     every PNG) it is s > threshold. Binary graymaps with maxval 1 thus
     read as marked where the sample is 1.
+
+    threshold must be an integer (Python or NumPy) in 0..255, as the
+    config's mask.threshold is; anything else raises ValueError.
     """
+    try:
+        threshold = operator.index(threshold)
+    except TypeError:
+        raise ValueError(f"threshold must be an integer, got {threshold!r}") from None
+    if not 0 <= threshold <= 255:
+        raise ValueError(f"threshold must be in 0..255, got {threshold}")
     return _read_samples(
         path, bool, lambda gray, maxval, out: np.greater(gray, (threshold * maxval) // 255, out=out)
     )
@@ -113,17 +123,26 @@ def _read_into(fh, buf):
 
 
 def write_pgm(path, gray) -> None:
-    arr = np.ascontiguousarray(gray, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2D gray image, got shape {arr.shape}")
-    overwrite(path, b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.tobytes())
+    _write_netpbm(path, b"P5", gray, (), "a 2D gray image")
 
 
 def write_ppm(path, rgb) -> None:
-    arr = np.ascontiguousarray(rgb, dtype=np.uint8)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"expected an (H, W, 3) RGB image, got shape {arr.shape}")
-    overwrite(path, b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.tobytes())
+    _write_netpbm(path, b"P6", rgb, (3,), "an (H, W, 3) RGB image")
+
+
+def _write_netpbm(path, magic: bytes, image, channels: tuple, what: str) -> None:
+    """Write image, of shape (H, W) + channels, as a binary Netpbm file of
+    maxval 255. Every sample must fit a byte exactly: booleans write as
+    0/1, and any other sample that is not an integer in 0..255 raises
+    ValueError. uint8 input is written without a copy of its own."""
+    arr = np.asarray(image)
+    if arr.ndim < 2 or arr.shape[2:] != channels:
+        raise ValueError(f"expected {what}, got shape {arr.shape}")
+    if arr.dtype != np.uint8:
+        if arr.dtype != bool and not np.array_equal(arr, np.clip(arr, 0, 255).round()):
+            raise ValueError("samples must be integers in 0..255")
+        arr = arr.astype(np.uint8)
+    overwrite(path, magic + b"\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ pixel of its segmented record, and its cluster label array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +62,14 @@ class SceneParams:
             "curvature_range", "dash_length", "gap_length", "dash_width", "noise_rate", "occlusion_rate"
         ):
             _check_real(name, getattr(self, name))
-        if self.num_lanes < 1:
-            raise ConfigError(f"num_lanes must be >= 1, got {self.num_lanes}")
-        if self.curvature_range < 0:
-            raise ConfigError("curvature_range must be non-negative")
-        if self.dash_length <= 0 or self.dash_width <= 0:
-            raise ConfigError("dash dimensions must be positive")
-        if self.gap_length < 0:
-            raise ConfigError("gap_length must be non-negative")
+        if not 1 <= self.num_lanes < NOISE_ID:  # divider ids 1..num_lanes stay below NOISE_ID
+            raise ConfigError(f"num_lanes must be in 1..{NOISE_ID - 1}, got {self.num_lanes}")
+        if not 0 <= self.curvature_range < math.inf:
+            raise ConfigError("curvature_range must be non-negative and finite")
+        if not (0 < self.dash_length < math.inf and 0 < self.dash_width < math.inf):
+            raise ConfigError("dash dimensions must be positive and finite")
+        if not 0 <= self.gap_length < math.inf:
+            raise ConfigError("gap_length must be non-negative and finite")
         if not (0.0 <= self.noise_rate <= 1.0 and 0.0 <= self.occlusion_rate <= 1.0):
             raise ConfigError("noise_rate and occlusion_rate must lie in [0, 1]")
 

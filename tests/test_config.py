@@ -134,6 +134,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="min instance size must be non-negative"):
             PipelineConfig(min_instance_size=-1)
 
+    @pytest.mark.parametrize("name", ["eta", "loss_alpha", "loss_epsilon"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_float_fields_must_be_finite(self, name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("line", ["cluster.eta=inf", "loss.alpha=inf", "loss.epsilon=Infinity"])
+    def test_infinite_values_do_not_parse(self, line):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(line + "\n")
+
+    @pytest.mark.parametrize("calibration", [5, None, ((0, 0), (1, 0), (1, 1), (0, 1))])
+    def test_calibration_must_be_a_quad_correspondence(self, calibration):
+        # 5 used to build, and run_frame then raised AttributeError
+        with pytest.raises(ConfigError, match="QuadCorrespondence"):
+            PipelineConfig(calibration=calibration)
+
     INTEGER_FIELDS = (
         "crop_top",
         "crop_bottom",

@@ -222,6 +222,21 @@ class TestPgm:
             want = [[int(s) * 255 > threshold * maxval for s in samples[0]]]
             assert load_mask(path, threshold).tolist() == want
 
+    @pytest.mark.parametrize("threshold", [-5, 256, 300, 127.0, 2.5, "127", None])
+    def test_threshold_the_config_refuses_is_refused(self, tmp_path, threshold):
+        # -5 used to mark every pixel, zeros included, and 300 none
+        path = tmp_path / "four.pgm"
+        write_pgm(path, np.array([[0, 255], [128, 10]], np.uint8))
+        with pytest.raises(ValueError, match="threshold"):
+            load_mask(path, threshold)
+
+    @pytest.mark.parametrize("kind", [np.uint8, np.int64, np.uint16])
+    def test_threshold_takes_numpy_integers(self, tmp_path, kind):
+        path = tmp_path / "four.pgm"
+        write_pgm(path, np.array([[0, 255], [128, 10]], np.uint8))
+        assert load_mask(path, kind(127)).tolist() == [[False, True], [True, False]]
+        assert load_mask(path, kind(255)).tolist() == [[False, False], [False, False]]
+
     @pytest.mark.parametrize(
         "blob",
         [
@@ -1079,3 +1094,53 @@ class TestPpm:
     def test_shape_validated(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "bad.ppm", np.zeros((2, 3), np.uint8))
+
+
+class TestNetpbmWriters:
+    @staticmethod
+    def as_rgb(gray):
+        return np.repeat(np.asarray(gray)[..., None], 3, axis=2)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[[256, -1]], [[1.7, 300.2]], [[0.5, 1.0]], [[np.nan, 0.0]], [[np.inf, 0.0]], [[-1.0, 0.0]]],
+    )
+    def test_samples_that_do_not_fit_a_byte_are_refused(self, tmp_path, samples):
+        # [[256, -1]] used to read back as [[0, 255]], and [[1.7, 300.2]] as [[1, 44]]
+        for write, image in ((write_pgm, np.array(samples)), (write_ppm, self.as_rgb(samples))):
+            path = tmp_path / "out.pnm"
+            with pytest.raises(ValueError, match="0..255"):
+                write(path, image)
+            assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            np.array([[True, False]]),
+            np.array([[0, 255]], np.int64),
+            np.array([[0.0, 255.0]]),
+            [[3, 200]],
+            np.arange(12, dtype=np.uint16).reshape(3, 4)[:, ::2],
+        ],
+    )
+    def test_byte_samples_of_any_dtype_are_written_as_bytes(self, tmp_path, image):
+        want = np.asarray(image).astype(np.uint8)  # booleans as 0/1
+        write_pgm(tmp_path / "g.pgm", image)
+        assert np.array_equal(read_gray(tmp_path / "g.pgm"), want)
+        write_ppm(tmp_path / "c.ppm", self.as_rgb(image))
+        rows, cols = want.shape
+        header = b"P6\n%d %d\n255\n" % (cols, rows)
+        assert (tmp_path / "c.ppm").read_bytes() == header + self.as_rgb(want).tobytes()
+
+    def test_uint8_is_written_without_a_copy_of_its_own(self, tmp_path):
+        gray = np.random.default_rng(3).integers(0, 256, (720, 1280), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            write_pgm(tmp_path / "big.pgm", gray)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the payload's bytes and the header joined to them; an astype or
+        # ascontiguousarray copy would add a third image
+        assert peak < 2.2 * gray.nbytes
+        assert np.array_equal(read_gray(tmp_path / "big.pgm"), gray)

@@ -8,20 +8,25 @@ run on one small frame and one frame that the library refuses.
 
 README.md is checked the same way: every backticked `lanepost.<module>`
 and `<module>._<name>` it names must resolve, so a change that renames or
-deletes a helper the README describes has to fix the README too. So is
-the source of every lanepost module: a backticked name that starts with
-an underscore must be one of its module's names or a lanepost submodule.
+deletes a helper the README describes has to fix the README too. Its
+`lanepost ...` command lines must parse with the CLI's parser, and the
+`bench --json` keys it lists must be the report's fields. So is the
+source of every lanepost module: a backticked name that starts with an
+underscore must be one of its module's names or a lanepost submodule.
 """
 
+import dataclasses
 import functools
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lanepost as lp
+from lanepost.cli import build_parser
 from test_golden import clutter_scenes, streak_mask
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -32,6 +37,7 @@ MODULES = sorted((PERFBENCH.parent / "src" / "lanepost").glob("*.py"))
 _LP_CHAIN = re.compile(r"\blp((?:\.[A-Za-z_]\w*)+)")
 _FROM_IMPORT = re.compile(r"^\s*from (lanepost(?:\.\w+)*) import ([\w, ]+)$", re.MULTILINE)
 _FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 _PRIVATE = re.compile(r"(?<![\w.])_[A-Za-z]\w*")
@@ -93,6 +99,37 @@ def test_readme_references_found():
 @pytest.mark.parametrize("dotted", readme_references())
 def test_readme_reference_resolves(dotted):
     resolve(dotted)
+
+
+def readme_commands():
+    """The argument lists of the `lanepost ...` lines in README's sh
+    blocks, with continued lines joined and comments dropped."""
+    commands = []
+    for block in _SH_BLOCK.findall(README.read_text(encoding="utf-8")):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["lanepost"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_lines_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"synth", "run", "eval", "bench"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: lanepost {shlex.join(argv)}")
+
+
+def test_readme_names_the_bench_json_keys():
+    # the sentence that starts "With `--json`" lists the keys after "keys"
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"With `--json`[^.]*\.", text).group(0)
+    keys = _CODE_SPAN.findall(sentence.split(" keys ", 1)[1])
+    assert keys == [field.name for field in dataclasses.fields(lp.BenchReport)]
 
 
 def source_references():

@@ -92,6 +92,21 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="gap_length must be non-negative"):
             SceneParams(gap_length=-1.0)
 
+    @pytest.mark.parametrize("field", ["curvature_range", "dash_length", "gap_length", "dash_width"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_lengths_must_be_finite(self, field, value):
+        # inf used to raise OverflowError or ValueError inside generate_scene
+        with pytest.raises(ConfigError, match=f"{field.split('_')[0]}.*finite"):
+            SceneParams(**{field: value})
+
+    def test_divider_ids_stay_below_noise(self):
+        # 255 lanes wrote divider 254 as id 255, NOISE_ID
+        with pytest.raises(ConfigError, match="num_lanes"):
+            SceneParams(num_lanes=NOISE_ID)
+        scene = generate_scene(SceneParams(num_lanes=NOISE_ID - 1), 0, default_config())
+        assert not (scene.truth_assignment == NOISE_ID).any()
+        assert scene.truth_assignment.max() == NOISE_ID - 1
+
     @pytest.mark.parametrize("num_lanes", [2.5, 3.0, "3", None])
     def test_num_lanes_must_be_an_integer(self, num_lanes):
         with pytest.raises(ConfigError, match="num_lanes"):
