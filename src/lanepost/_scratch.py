@@ -14,13 +14,18 @@ per-point, per-run and per-pair temporaries stay on the heap. By stage:
 - crop (`pipeline.crop_and_resize`): the gathered rows;
 - labeling (`instances._runs`): the padded grid, and inside it the run
   boundary flags;
-- BEV (`pipeline.run_frame`): the BEV points (16 bytes per point), held
-  through voting and fitting; inside them `homography.transform_pixels`
-  borrows its pixel centres and projective scale (24 bytes per point);
+- BEV (`pipeline.run_frame`): the BEV points (16 bytes per point),
+  gathered from the calibration's pixel map and held through voting and
+  fitting (the map is built from temporaries of its own);
 - voting: the complex sort key of `voting._extreme_arrays` (16 bytes per
   point) and the vote block scores of `voting.cluster_segments`;
-- fitting (`curves._fit_grouped`): the gathered points, sort key and
-  Vandermonde columns (40 bytes per point).
+- fitting (`curves._fit_grouped`): the gathered points and Vandermonde
+  columns (40 bytes per point).
+
+Off the frame path, `homography.transform_pixels` borrows its pixel
+centres and projective scale (24 bytes per point), and `curves.fit_curve`
+and `curves.fit_curves` the gathered points and complex sort key (32
+bytes per point) before the fit borrows its own.
 
 Each thread keeps one buffer per nesting depth: a borrow opened inside k
 other open borrows takes slot k, which grows to the largest size asked
@@ -28,8 +33,7 @@ of it, so buffers in use at once never alias. The frame path nests two
 deep, as listed above. Its two buffers hold about 0.35 MB after a stream
 of 360x480 P5 lane frames, 0.6-0.7 MB after clutter frames, 1.4 MB after
 a 720x1280 PNG, and 56 bytes per point of the largest frame (9.7 MB after
-an all-ones 360x480 frame). A stage called at two depths, as
-`fit_curves` is directly and inside `run_frame`, can fill two slots.
+an all-ones 360x480 frame).
 """
 
 from __future__ import annotations

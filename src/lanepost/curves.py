@@ -11,8 +11,11 @@ A frame's clusters are fitted in one pass (fit_curves): one stable sort
 groups the points by cluster, one stable sort per cluster orders them by
 (y, x), the extents and the rescaled y columns are computed for all
 clusters at once, and all normal systems are solved in one stacked call.
-fit_curve is the one-cluster case of that pass, so a cluster gets the same
-curve bit for bit alone or in a frame. That holds only while every
+The pass after the sorts (_fit_grouped) takes the order as given, so
+`pipeline.run_frame` hands it an order from one sort of its pixel map's
+ranks instead, which is the same order. fit_curve is the one-cluster case
+of that pass, so a cluster gets the same curve bit for bit alone or in a
+frame. That holds only while every
 cluster's normal matrix and right-hand side come from the same BLAS
 products on the same memory layout: the x column must stay the stride-16
 column view of the sorted (n, 2) points, because BLAS rounds a contiguous
@@ -25,7 +28,7 @@ refuses decides the error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,8 +74,9 @@ def fit_curve(points, cluster_id: int) -> LaneCurve:
     no place in that order.
     """
     pts = _point_array(points, "point")
-    (fields,) = _fit_grouped(pts, np.arange(len(pts)), [len(pts)])
-    return LaneCurve(*fields, cluster_id)
+    sizes = [len(pts)]
+    (curve,) = _fit_grouped(pts, _by_y_then_x(pts, np.arange(len(pts)), sizes), sizes)
+    return replace(curve, cluster_id=cluster_id)
 
 
 def fit_curves(points, labels, count: int) -> list[LaneCurve]:
@@ -95,38 +99,50 @@ def fit_curves(points, labels, count: int) -> list[LaneCurve]:
         raise ValueError(f"every cluster 0..{count - 1} needs at least one point")
     if not count:
         return []
-    fitted = _fit_grouped(pts, np.argsort(labels, kind="stable"), sizes)
-    return [LaneCurve(*fields, cluster_id) for cluster_id, fields in enumerate(fitted)]
+    order = _by_y_then_x(pts, np.argsort(labels, kind="stable"), sizes)
+    return _fit_grouped(pts, order, sizes)
 
 
-def _fit_grouped(points: np.ndarray, order: np.ndarray, sizes) -> list[tuple]:
-    """(c0, c1, c2, y_min, y_max) of each point group, for groups that
-    order lists one after another; sizes gives each group's non-zero
-    length."""
+def _by_y_then_x(points: np.ndarray, order: np.ndarray, sizes) -> np.ndarray:
+    """order, which lists point groups one after another (sizes gives each
+    group's length), with each group sorted stably by y and then x: the
+    canonical order of _fit_grouped. Sorted in place and returned."""
+    # one complex per (x, y) row gathers a point with a 1-D take; the
+    # gathered points and the sort key are this thread's pooled scratch
+    # (see `_scratch`)
+    xy = np.ascontiguousarray(points).view(np.complex128).ravel()
+    with borrow(4 * len(xy), np.float64) as work:
+        grouped, key = work.view(np.complex128).reshape(2, -1)
+        np.take(xy, order, out=grouped, mode="clip")  # "raise" would buffer out
+        # A stable sort of y + i*x orders by y, then x, exactly as
+        # np.lexsort((x, y)) does for non-NaN values, and several times faster.
+        key.real = grouped.imag
+        key.imag = grouped.real
+        stops = np.cumsum(sizes)
+        for start, stop in zip((stops - sizes).tolist(), stops.tolist()):
+            order[start:stop] = order[start:stop][np.argsort(key[start:stop], kind="stable")]
+    return order
+
+
+def _fit_grouped(points: np.ndarray, order: np.ndarray, sizes) -> list[LaneCurve]:
+    """The curves of point groups, numbered 0, 1, ... as their cluster_id,
+    for groups that order lists one after another, each in canonical
+    order (by y, then x); sizes gives each group's non-zero length."""
     if np.isnan(points).any():
         raise ValueError("points must not be NaN")
     stops = np.cumsum(sizes)
     starts = stops - sizes
-    # one complex per (x, y) row gathers a point with a 1-D take; the
-    # gathered points, the sort key and then the Vandermonde columns are
-    # this thread's pooled scratch (see `_scratch`)
+    # the gathered points and the Vandermonde columns are this thread's
+    # pooled scratch (see `_scratch`)
     xy = np.ascontiguousarray(points).view(np.complex128).ravel()
     with borrow(5 * len(xy), np.float64) as work:
-        grouped, scratch = work[: 2 * len(xy)].view(np.complex128), work[2 * len(xy) :]
-        np.take(xy, order, out=grouped, mode="clip")  # "raise" would buffer out
-        # A stable sort of y + i*x orders by y, then x, exactly as
-        # np.lexsort((x, y)) does for non-NaN values, and several times faster.
-        key = scratch[: 2 * len(xy)].view(np.complex128)
-        key.real = grouped.imag
-        key.imag = grouped.real
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            order[start:stop] = order[start:stop][np.argsort(key[start:stop], kind="stable")]
         # the x column stays a stride-16 view of the (n, 2) points: BLAS
         # rounds a contiguous copy of it differently
+        grouped = work[: 2 * len(xy)].view(np.complex128)
         pts = np.take(xy, order, out=grouped, mode="clip").view(np.float64).reshape(-1, 2)
         xs = pts[:, 0]
         ys = pts[:, 1]
-        v = scratch.reshape(-1, 3)  # the key is done with
+        v = work[2 * len(xy) :].reshape(-1, 3)
         last = stops - 1
         gaps = np.empty(len(ys), dtype=bool)
         np.greater(np.subtract(ys[1:], ys[:-1], out=v[:-1, 0]), _SAME_Y_TOL, out=gaps[:-1])
@@ -168,7 +184,7 @@ def _fit_grouped(points: np.ndarray, order: np.ndarray, sizes) -> list[tuple]:
                     coefficients[k] = (
                         s[0] + s[1] * b + s[2] * b * b, a * (s[1] + 2.0 * s[2] * b), s[2] * a * a
                     )
-        return [(*coefficients[k], y_min[k], y_max[k]) for k in range(len(degrees))]
+        return [LaneCurve(*coefficients[k], y_min[k], y_max[k], k) for k in range(len(degrees))]
 
 
 def sample_curve(curve: LaneCurve, n: int) -> np.ndarray:

@@ -67,20 +67,33 @@ class Homography:
         """apply(pts) written into out, a C-contiguous (n, 2) float64
         array, with w (n float64) as scratch for the projective scale;
         returns out."""
+        if self._map_into(pts, out, w) is not None:
+            raise ProjectionError("some points map to projective infinity")
+        return out
+
+    def _map_into(self, pts: np.ndarray, out: np.ndarray, w: np.ndarray):
+        """_apply_into without the refusal: a point at projective infinity
+        (|w| <= 1e-12) maps to NaN, and the boolean mask of those points
+        is returned, or None when there are none. Every other point gets
+        the bits that apply gives it."""
         if len(pts) == 1:
             # BLAS may route a one-row product through a matrix-vector
             # kernel that rounds differently; two rows round like any batch
-            two = self.apply(np.concatenate([pts, pts]))
+            two = np.empty((2, 2))
+            far = self._map_into(np.concatenate([pts, pts]), two, np.empty(2))
             out[:] = two[:1]
-            return out
+            return None if far is None else far[:1]
         np.matmul(pts, self.m[:2, :2].T, out=out)
         out += self.m[:2, 2]
         np.matmul(pts, self.m[2, :2], out=w)
         w += self.m[2, 2]
-        if not np.all(np.abs(w) > _W_TOL):
-            raise ProjectionError("some points map to projective infinity")
+        far = ~(np.abs(w) > _W_TOL)  # a NaN scale counts as infinity
+        if far.any():
+            w[far] = np.nan
+        else:
+            far = None
         out /= w[:, None]
-        return out
+        return far
 
     def inverse(self) -> "Homography":
         try:

@@ -134,10 +134,13 @@ def _write_netpbm(path, magic: bytes, image, channels: tuple, what: str) -> None
     """Write image, of shape (H, W) + channels, as a binary Netpbm file of
     maxval 255. Every sample must fit a byte exactly: booleans write as
     0/1, and any other sample that is not an integer in 0..255 raises
-    ValueError. uint8 input is written without a copy of its own."""
+    ValueError, and so does an image without a pixel, which the readers
+    refuse. uint8 input is written without a copy of its own."""
     arr = np.asarray(image)
     if arr.ndim < 2 or arr.shape[2:] != channels:
         raise ValueError(f"expected {what}, got shape {arr.shape}")
+    if not arr.shape[0] or not arr.shape[1]:
+        raise ValueError(f"expected {what} of at least one pixel, got shape {arr.shape}")
     if arr.dtype != np.uint8:
         if arr.dtype != bool and not np.array_equal(arr, np.clip(arr, 0, 255).round()):
             raise ValueError("samples must be integers in 0..255")

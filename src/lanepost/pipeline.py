@@ -6,13 +6,20 @@ each. Everything downstream of the mask is deterministic, so identical
 mask + config always reproduce identical lanes; only timings vary.
 
 A frame's instances travel as one segmented record from labeling to
-fitting: the labeler's pixel array and instance sizes, one homography
-application that maps the whole array into BEV, one voting pass over
-those points, which labels every instance with its cluster, and one fit
-of every cluster, with each point labelled by its instance's cluster. No
-per-instance object is built on the way: FrameResult keeps the record and
-the label array, and FrameResult.segments.instances() gives the Instance
-list when one is wanted.
+fitting: the labeler's pixel array and instance sizes, one lookup that
+gathers every pixel's BEV point from the calibration's pixel map, one
+voting pass over those points, which labels every instance with its
+cluster, and one fit of every cluster, whose points one sort of the key
+cluster * (rows * cols) + rank puts in canonical order. No per-instance
+object is built on the way: FrameResult keeps the record and the label
+array, and FrameResult.segments.instances() gives the Instance list when
+one is wanted.
+
+The pixel map (_pixel_map) holds, for one calibration and target grid,
+every pixel's BEV point and its rank in the grid's canonical fit order.
+It is built on the calibration's first frame, kept in a small cache, and
+gives the points and order that transform_pixels and fit_curves would
+compute, bit for bit.
 
 Lane files hold one line per lane: `cluster_id c0 c1 c2 y_min y_max`
 followed by the image-space polyline as `x,y` pairs, all numbers printed
@@ -31,9 +38,9 @@ import numpy as np
 from ._files import overwrite
 from ._scratch import borrow
 from .config import PipelineConfig
-from .curves import LaneCurve, fit_curves, project_curves
-from .errors import ConfigError, FileFormatError
-from .homography import Homography, QuadCorrespondence, estimate_homography, transform_pixels
+from .curves import LaneCurve, _fit_grouped, project_curves
+from .errors import ConfigError, FileFormatError, ProjectionError
+from .homography import Homography, QuadCorrespondence, estimate_homography
 from .instances import InstanceSegments, label_segments
 from .voting import cluster_segments
 
@@ -138,6 +145,85 @@ def _homographies(calibration: QuadCorrespondence) -> tuple[Homography, Homograp
     return h, h.inverse()
 
 
+# pixels per band while a pixel map is built: each of a band's temporaries
+# (at most 16 bytes per pixel) stays below glibc's default mmap threshold
+_BAND_PIXELS = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class _PixelMap:
+    """One calibration's BEV point and fit rank of every target pixel, in
+    row-major order: pixel (row, col) is entry row * cols + col.
+
+    points[i] is the complex x + iy of the point that transform_pixels
+    maps pixel i to, bit for bit. ranks[i] counts the grid's points that
+    come before it in canonical fit order, by y and then x, which is the
+    order of the stable sort of y + ix in `curves`. Points that tie in
+    that order share the lowest rank of their tie, so a stable sort of
+    the key cluster * (rows * cols) + rank leaves tied points in frame
+    order, as the complex sort does: the two sorts give the same order,
+    ties included, and every sum of the fit sees the same sequence. (Tied
+    points compare equal, so they can differ only in the sign of a zero;
+    the default and skewed calibrations of the tests have no ties.)
+
+    Both arrays are read-only, 20 bytes per pixel together. far holds the
+    indices of the pixels at projective infinity, whose points are NaN and
+    which transform_pixels refuses, or is None when there are none.
+    """
+
+    points: np.ndarray  # complex128
+    ranks: np.ndarray  # int32
+    far: np.ndarray | None
+
+
+@lru_cache(maxsize=4)
+def _pixel_map(calibration: QuadCorrespondence, rows: int, cols: int) -> _PixelMap:
+    """The pixel map of the calibration on a rows x cols target grid.
+
+    It is built band by band, from temporaries of its own (nothing from
+    `_scratch`), and holds at its peak just the two arrays it keeps: the
+    points array first holds the keys y + ix, which are sorted in place,
+    each pixel's rank is its key's place in them, and then the points
+    overwrite the keys. Each band is mapped anew for each of the three
+    steps, to the same bits.
+    """
+    h, _ = _homographies(calibration)
+    n = rows * cols
+    points = np.empty(n, np.complex128)
+    ranks = np.empty(n, np.int32)
+    band_rows = max(1, _BAND_PIXELS // cols)
+    centres = np.empty((band_rows, cols, 2))
+    centres[:, :, 0] = np.arange(cols) + 0.5
+    mapped = np.empty((band_rows * cols, 2))
+    w = np.empty(band_rows * cols)
+
+    def bands(as_keys: bool):
+        """(first pixel, far mask or None, complex points) of each band,
+        as keys y + ix or as points x + iy; the next band overwrites them."""
+        for top in range(0, rows, band_rows):
+            k = min(band_rows, rows - top)
+            m = k * cols
+            centres[:k, :, 1] = (np.arange(top, top + k) + 0.5)[:, None]
+            far = h._map_into(centres[:k].reshape(m, 2), mapped[:m], w[:m])
+            if as_keys:
+                mapped[:m, ::-1] = mapped[:m].copy()
+            yield top * cols, far, mapped[:m].view(np.complex128).ravel()
+
+    for start, _, keys in bands(as_keys=True):
+        points[start : start + len(keys)] = keys
+    points.sort()
+    far = []
+    for start, band_far, keys in bands(as_keys=True):
+        ranks[start : start + len(keys)] = np.searchsorted(points, keys)
+        if band_far is not None:
+            far.append(start + np.flatnonzero(band_far))
+    for start, _, band in bands(as_keys=False):
+        points[start : start + len(band)] = band
+    points.setflags(write=False)
+    ranks.setflags(write=False)
+    return _PixelMap(points, ranks, np.concatenate(far) if far else None)
+
+
 def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     """Run the post-segmentation pipeline on one mask at target size.
 
@@ -155,12 +241,21 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
     t1 = time.perf_counter()
 
-    # the BEV points are this thread's pooled scratch (see `_scratch`), held
-    # through voting and fitting; nothing the result keeps refers to it
-    h, h_inv = _homographies(cfg.calibration)
+    # the BEV points are gathered from the pixel map into this thread's
+    # pooled scratch (see `_scratch`), held through voting and fitting;
+    # nothing the result keeps refers to it
+    _, h_inv = _homographies(cfg.calibration)
+    grid = _pixel_map(cfg.calibration, cfg.target_rows, cfg.target_cols)
     n = len(segments.pixels)
+    flat = np.multiply(segments.pixels[:, 0], cfg.target_cols, dtype=np.intp)
+    flat += segments.pixels[:, 1]
+    if grid.far is not None and np.isin(flat, grid.far).any():
+        raise ProjectionError("some points map to projective infinity")
     with borrow(2 * n, np.float64) as bev:
-        points = transform_pixels(h, segments.pixels, bev.reshape(n, 2))
+        np.take(grid.points, flat, out=bev.view(np.complex128), mode="clip")  # "raise" would buffer out
+        points = bev.reshape(n, 2)
+        ranks = grid.ranks.take(flat)  # half the bytes of flat, held through voting
+        del flat
         t2 = time.perf_counter()
 
         labels, count = cluster_segments(points, segments.sizes, cfg.eta)
@@ -168,7 +263,12 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
 
         lanes = []
         if count:
-            curves = fit_curves(points, np.repeat(labels, segments.sizes), count)
+            # cluster by cluster, each in canonical order
+            key = np.repeat(labels, segments.sizes)
+            sizes = np.bincount(key, minlength=count)
+            key *= len(grid.ranks)
+            key += ranks
+            curves = _fit_grouped(points, np.argsort(key, kind="stable"), sizes)
             polylines = project_curves(h_inv, curves, cfg.sample_count)
             lanes = [Lane(curve, polyline) for curve, polyline in zip(curves, polylines)]
         t4 = time.perf_counter()

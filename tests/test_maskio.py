@@ -1113,6 +1113,16 @@ class TestNetpbmWriters:
                 write(path, image)
             assert not path.exists()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 2, 3)])
+    def test_an_image_without_pixels_is_refused_before_any_byte(self, tmp_path, shape):
+        # (0, 3) used to be written as P5 "3 0", which read_gray refuses
+        path = tmp_path / "empty.pnm"
+        path.write_bytes(b"old")
+        write = write_ppm if len(shape) == 3 else write_pgm
+        with pytest.raises(ValueError, match="at least one pixel"):
+            write(path, np.zeros(shape, np.uint8))
+        assert path.read_bytes() == b"old"
+
     @pytest.mark.parametrize(
         "image",
         [

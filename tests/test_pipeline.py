@@ -235,24 +235,38 @@ class TestRunFrame:
             run_frame(np.zeros((100, 100), dtype=bool), default_config())
 
     def test_homography_solved_once_per_calibration(self, monkeypatch):
-        from lanepost import QuadCorrespondence, pipeline
+        # and the pixel map built once: run_frame looks its points up in
+        # the map and never maps a frame's pixels itself
+        from lanepost import QuadCorrespondence, homography, pipeline
 
-        solved = []
+        solved, transformed = [], []
+        transform_pixels = homography.transform_pixels
 
         def counting(corr):
             solved.append(corr)
             return estimate_homography(corr)
 
+        def spy(*args, **kwargs):
+            transformed.append(args)
+            return transform_pixels(*args, **kwargs)
+
         monkeypatch.setattr(pipeline, "estimate_homography", counting)
+        monkeypatch.setattr(homography, "transform_pixels", spy)
+        monkeypatch.setattr(pipeline, "transform_pixels", spy, raising=False)
         pipeline._homographies.cache_clear()
+        pipeline._pixel_map.cache_clear()
         cfg = default_config()
         mask = rasterize_dashes(cfg, DIVIDERS, DASH_SPANS)
         first = run_frame(mask, cfg)
         twin = QuadCorrespondence(cfg.calibration.src, cfg.calibration.dst)  # equal, not identical
         again = run_frame(mask, dataclasses.replace(cfg, calibration=twin))
         assert solved == [cfg.calibration]
+        info = pipeline._pixel_map.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert transformed == []
         assert format_lanes(first.lanes) == format_lanes(again.lanes)
         pipeline._homographies.cache_clear()
+        pipeline._pixel_map.cache_clear()
 
     @pytest.mark.parametrize("noise_rate", [0.03, 0.08, 0.12])
     def test_speckle_clearing_leaves_the_frame_unchanged(self, monkeypatch, noise_rate):

@@ -68,7 +68,7 @@ def traced_peak(call):
 def test_steady_state_frame_memory_is_bounded():
     # a second run_frame on a clutter frame allocates its result and at
     # most this much besides: the labeler's run arrays, the merging pairs
-    # of a vote block and the per-cluster sort orders (about 0.36 MB on
+    # of a vote block and the fit's sort key and order (about 0.36 MB on
     # these frames, against 0.5-1.1 MB when the BEV, voting and fitting
     # temporaries were allocated per frame)
     cfg = lp.default_config()
