@@ -11,12 +11,14 @@ A frame's clusters are fitted in one pass (fit_curves): one stable sort
 groups the points by cluster, one stable sort per cluster orders them by
 (y, x), the extents and the rescaled y columns are computed for all
 clusters at once, and all normal systems are solved in one stacked call.
-The pass after the sorts (_fit_grouped) takes the order as given, so
-`pipeline.run_frame` hands it an order from one sort of its pixel map's
-ranks instead, which is the same order. fit_curve is the one-cluster case
-of that pass, so a cluster gets the same curve bit for bit alone or in a
-frame. That holds only while every
-cluster's normal matrix and right-hand side come from the same BLAS
+The canonical order is defined here once: _order_key builds the (y, x)
+sort key, which both the per-cluster sorts (_by_y_then_x) and
+_order_ranks sort. The pass after the sorts (_fit_grouped) takes the
+order as given, so `pipeline.run_frame` hands it an order from one sort
+of the ranks _order_ranks gave its pixel map instead, which is the same
+order. fit_curve is the one-cluster case of that pass, so a cluster gets
+the same curve bit for bit alone or in a frame. That holds only while
+every cluster's normal matrix and right-hand side come from the same BLAS
 products on the same memory layout: the x column must stay the stride-16
 column view of the sorted (n, 2) points, because BLAS rounds a contiguous
 copy differently. Likewise project_curves samples and back-projects all
@@ -114,14 +116,71 @@ def _by_y_then_x(points: np.ndarray, order: np.ndarray, sizes) -> np.ndarray:
     with borrow(4 * len(xy), np.float64) as work:
         grouped, key = work.view(np.complex128).reshape(2, -1)
         np.take(xy, order, out=grouped, mode="clip")  # "raise" would buffer out
-        # A stable sort of y + i*x orders by y, then x, exactly as
-        # np.lexsort((x, y)) does for non-NaN values, and several times faster.
-        key.real = grouped.imag
-        key.imag = grouped.real
+        _order_key(grouped, key)
         stops = np.cumsum(sizes)
         for start, stop in zip((stops - sizes).tolist(), stops.tolist()):
             order[start:stop] = order[start:stop][np.argsort(key[start:stop], kind="stable")]
     return order
+
+
+def _order_key(xy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The canonical-order key y + ix of the complex points xy (x + iy),
+    written into out, which may be xy itself; returns out.
+
+    A stable sort of the key orders the points by y, then x, exactly as
+    np.lexsort((x, y)) does for non-NaN values, and several times faster.
+    The key of a key is the point again."""
+    y = xy.imag.copy()
+    out.imag = xy.real
+    out.real = y
+    return out
+
+
+# points per step of _order_ranks: each step's temporaries hold about
+# 64 KiB whatever the number of points
+_RANK_STEP = 4096
+
+
+def _order_ranks(points: np.ndarray) -> np.ndarray:
+    """The int32 rank of each of the complex points (x + iy) in canonical
+    order: how many points come before it by y, then x.
+
+    Points whose keys compare equal share the lowest rank of their tie, so
+    a stable sort of group * len(points) + rank leaves tied points in the
+    group's order, as the stable sort of _by_y_then_x does: the two sorts
+    give the same permutation, ties included, and every sum of the fit
+    sees the same sequence. (Tied keys can differ only in the sign of a
+    zero, and such a pair keeps its order too.)
+
+    points holds its keys while they are sorted and its own bits again on
+    return. Besides the ranks, this takes the sort's permutation (8 bytes
+    per point, freed on return) and temporaries of _RANK_STEP points.
+    """
+    n = len(points)
+    steps = [(start, min(start + _RANK_STEP, n)) for start in range(0, n, _RANK_STEP)]
+    for start, stop in steps:
+        _order_key(points[start:stop], points[start:stop])
+    order = np.argsort(points, kind="stable")
+    ranks = np.empty(n, np.int32)
+    tie_rank = 0
+    for start, stop in steps:
+        keys = points.take(order[max(start - 1, 0) : stop])
+        rank = np.arange(start, stop, dtype=np.int32)
+        tied = keys[1:] == keys[:-1]
+        if start == 0:
+            tied = np.concatenate([[False], tied])
+        if tied.any():
+            # a tied point takes the rank of the point before it
+            rank[tied] = 0
+            if tied[0]:
+                rank[0] = tie_rank
+            np.maximum.accumulate(rank, out=rank)
+        ranks[order[start:stop]] = rank
+        tie_rank = rank[-1]
+    del order
+    for start, stop in steps:
+        _order_key(points[start:stop], points[start:stop])
+    return ranks
 
 
 def _fit_grouped(points: np.ndarray, order: np.ndarray, sizes) -> list[LaneCurve]:

@@ -17,9 +17,12 @@ one is wanted.
 
 The pixel map (_pixel_map) holds, for one calibration and target grid,
 every pixel's BEV point and its rank in the grid's canonical fit order.
-It is built on the calibration's first frame, kept in a small cache, and
-gives the points and order that transform_pixels and fit_curves would
-compute, bit for bit.
+It is built on the calibration's first frame, kept in a cache of as
+many maps as there are cached homographies, and gives the points and
+order that transform_pixels and fit_curves would compute, bit for bit.
+It pays off on streams of many frames under few calibrations: a single
+frame pays the whole build, and a stream that cycles through more
+calibrations than the cache holds builds a map on every frame.
 
 Lane files hold one line per lane: `cluster_id c0 c1 c2 y_min y_max`
 followed by the image-space polyline as `x,y` pairs, all numbers printed
@@ -38,7 +41,7 @@ import numpy as np
 from ._files import overwrite
 from ._scratch import borrow
 from .config import PipelineConfig
-from .curves import LaneCurve, _fit_grouped, project_curves
+from .curves import LaneCurve, _fit_grouped, _order_ranks, project_curves
 from .errors import ConfigError, FileFormatError, ProjectionError
 from .homography import Homography, QuadCorrespondence, estimate_homography
 from .instances import InstanceSegments, label_segments
@@ -145,8 +148,10 @@ def _homographies(calibration: QuadCorrespondence) -> tuple[Homography, Homograp
     return h, h.inverse()
 
 
-# pixels per band while a pixel map is built: each of a band's temporaries
-# (at most 16 bytes per pixel) stays below glibc's default mmap threshold
+# pixels per band while a pixel map is built: a band is the whole rows
+# that fit in this many pixels (one row when target_cols is larger), and
+# its temporaries, the pixel centres, projective scale and far flags,
+# hold 25 bytes per pixel of it
 _BAND_PIXELS = 4096
 
 
@@ -156,15 +161,12 @@ class _PixelMap:
     row-major order: pixel (row, col) is entry row * cols + col.
 
     points[i] is the complex x + iy of the point that transform_pixels
-    maps pixel i to, bit for bit. ranks[i] counts the grid's points that
-    come before it in canonical fit order, by y and then x, which is the
-    order of the stable sort of y + ix in `curves`. Points that tie in
-    that order share the lowest rank of their tie, so a stable sort of
-    the key cluster * (rows * cols) + rank leaves tied points in frame
-    order, as the complex sort does: the two sorts give the same order,
-    ties included, and every sum of the fit sees the same sequence. (Tied
-    points compare equal, so they can differ only in the sign of a zero;
-    the default and skewed calibrations of the tests have no ties.)
+    maps pixel i to, bit for bit. ranks[i] is its rank in canonical fit
+    order from `curves._order_ranks`: tied points share a rank, so a
+    stable sort of the key cluster * (rows * cols) + rank gives each
+    cluster the permutation its stable complex sort gives it, ties
+    included, and every sum of the fit sees the same sequence. (The
+    default and skewed calibrations of the tests have no ties.)
 
     Both arrays are read-only, 20 bytes per pixel together. far holds the
     indices of the pixels at projective infinity, whose points are NaN and
@@ -176,49 +178,33 @@ class _PixelMap:
     far: np.ndarray | None
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def _pixel_map(calibration: QuadCorrespondence, rows: int, cols: int) -> _PixelMap:
     """The pixel map of the calibration on a rows x cols target grid.
 
-    It is built band by band, from temporaries of its own (nothing from
-    `_scratch`), and holds at its peak just the two arrays it keeps: the
-    points array first holds the keys y + ix, which are sorted in place,
-    each pixel's rank is its key's place in them, and then the points
-    overwrite the keys. Each band is mapped anew for each of the three
-    steps, to the same bits.
+    The cache holds as many maps as `_homographies` holds homographies.
+    Each band of pixel centres is mapped straight into the points array
+    the map keeps, and `curves._order_ranks` ranks the points; nothing
+    comes from `_scratch`. The build peaks at the map, the rank sort's
+    permutation (8 bytes per pixel, freed before the map is returned) and
+    the band temporaries.
     """
     h, _ = _homographies(calibration)
-    n = rows * cols
-    points = np.empty(n, np.complex128)
-    ranks = np.empty(n, np.int32)
+    points = np.empty(rows * cols, np.complex128)
+    xy = points.view(np.float64).reshape(-1, 2)
     band_rows = max(1, _BAND_PIXELS // cols)
     centres = np.empty((band_rows, cols, 2))
     centres[:, :, 0] = np.arange(cols) + 0.5
-    mapped = np.empty((band_rows * cols, 2))
     w = np.empty(band_rows * cols)
-
-    def bands(as_keys: bool):
-        """(first pixel, far mask or None, complex points) of each band,
-        as keys y + ix or as points x + iy; the next band overwrites them."""
-        for top in range(0, rows, band_rows):
-            k = min(band_rows, rows - top)
-            m = k * cols
-            centres[:k, :, 1] = (np.arange(top, top + k) + 0.5)[:, None]
-            far = h._map_into(centres[:k].reshape(m, 2), mapped[:m], w[:m])
-            if as_keys:
-                mapped[:m, ::-1] = mapped[:m].copy()
-            yield top * cols, far, mapped[:m].view(np.complex128).ravel()
-
-    for start, _, keys in bands(as_keys=True):
-        points[start : start + len(keys)] = keys
-    points.sort()
     far = []
-    for start, band_far, keys in bands(as_keys=True):
-        ranks[start : start + len(keys)] = np.searchsorted(points, keys)
+    for top in range(0, rows, band_rows):
+        k = min(band_rows, rows - top)
+        start, stop = top * cols, (top + k) * cols
+        centres[:k, :, 1] = (np.arange(top, top + k) + 0.5)[:, None]
+        band_far = h._map_into(centres[:k].reshape(-1, 2), xy[start:stop], w[: stop - start])
         if band_far is not None:
             far.append(start + np.flatnonzero(band_far))
-    for start, _, band in bands(as_keys=False):
-        points[start : start + len(band)] = band
+    ranks = _order_ranks(points)
     points.setflags(write=False)
     ranks.setflags(write=False)
     return _PixelMap(points, ranks, np.concatenate(far) if far else None)

@@ -16,7 +16,7 @@ import pytest
 
 import lanepost as lp
 from lanepost import _scratch, pipeline
-from lanepost.curves import _by_y_then_x, fit_curves, project_curves
+from lanepost.curves import _RANK_STEP, _by_y_then_x, _order_ranks, fit_curves, project_curves
 from lanepost.homography import transform_pixels
 from lanepost.instances import label_segments
 from lanepost.voting import cluster_segments
@@ -56,6 +56,27 @@ def patched_homography(monkeypatch):
 
     yield patch
     pipeline._pixel_map.cache_clear()
+
+
+def test_order_ranks_count_the_points_before_and_restore_them():
+    # 49 distinct points, zeros of both signs among them: every step of
+    # _order_ranks starts inside a tie
+    rng = np.random.default_rng(5)
+    n = 3 * _RANK_STEP + 17
+    xy = rng.integers(-3, 4, size=(n, 2)).astype(np.float64)
+    xy[rng.random((n, 2)) < 0.1] = -0.0
+    points = xy.view(np.complex128).ravel()
+    before = points.tobytes()
+    ranks = _order_ranks(points)
+    assert points.tobytes() == before
+    key = np.empty(n, np.complex128)
+    key.real, key.imag = xy[:, 1], xy[:, 0]
+    assert ranks.dtype == np.int32
+    assert np.array_equal(ranks, np.searchsorted(np.sort(key), key))  # points strictly before
+    groups = rng.integers(0, 5, size=n)
+    sizes = np.bincount(groups)
+    by_key = _by_y_then_x(xy, np.argsort(groups, kind="stable"), sizes)
+    assert np.array_equal(np.argsort(groups * n + ranks, kind="stable"), by_key)
 
 
 def frame_orders(segments, labels, count, grid, points):
@@ -166,8 +187,10 @@ def test_far_pixels_refuse_only_the_frames_that_touch_them(patched_homography):
 
 @in_a_new_thread
 def test_map_holds_twenty_bytes_a_pixel_and_borrows_nothing():
-    # the build holds at its peak the map and its bands' temporaries
-    # (0.2 MB), never a sort permutation or a whole-grid transform
+    # the build holds at its peak the map, the rank sort's permutation (8
+    # bytes per pixel) and its bands' temporaries (0.25 MB), never a
+    # whole-grid transform or a second copy of the keys; the permutation
+    # is freed before the map is returned
     calibration = CALIBRATIONS["skewed"]
     pipeline._homographies(calibration)
     pipeline._pixel_map.cache_clear()
@@ -180,13 +203,14 @@ def test_map_holds_twenty_bytes_a_pixel_and_borrows_nothing():
     size = 20 * ROWS * COLS
     assert grid.points.nbytes + grid.ranks.nbytes == size and grid.far is None
     assert size <= held < size + (16 << 10), held
-    assert peak < size + (320 << 10), peak
+    assert peak < size + 8 * ROWS * COLS + (320 << 10), peak
     assert not getattr(_scratch._pools, "slots", None)  # this thread never borrowed
     pipeline._pixel_map.cache_clear()
 
 
 def test_map_cache_is_small_and_keyed_by_grid():
-    assert pipeline._pixel_map.cache_info().maxsize <= 4
+    # one map for each homography the cache beside it keeps
+    assert pipeline._pixel_map.cache_info().maxsize == pipeline._homographies.cache_info().maxsize
     cfg = lp.default_config()
     pipeline._pixel_map.cache_clear()
     lp.run_frame(np.zeros((90, 120), bool), dataclasses.replace(cfg, target_rows=90, target_cols=120))
