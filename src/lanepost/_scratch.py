@@ -22,11 +22,6 @@ per-point, per-run and per-pair temporaries stay on the heap. By stage:
 - fitting (`curves._fit_grouped`): the gathered points and Vandermonde
   columns (40 bytes per point).
 
-Off the frame path, `homography.transform_pixels` borrows its pixel
-centres and projective scale (24 bytes per point), and `curves.fit_curve`
-and `curves.fit_curves` the gathered points and complex sort key (32
-bytes per point) before the fit borrows its own.
-
 Each thread keeps one buffer per nesting depth: a borrow opened inside k
 other open borrows takes slot k, which grows to the largest size asked
 of it, so buffers in use at once never alias. The frame path nests two

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,6 +80,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     cfg = _load_cfg(args.config)
     params = SceneParams(
         num_lanes=args.lanes,
@@ -122,6 +125,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(f"--tolerance must be finite and positive, got {args.tolerance}")
     lanes = read_lanes(args.result)
     truth = read_truth_curves(args.truth)
     curves = [lane.curve for lane in lanes]

@@ -8,17 +8,16 @@ voting: BEV lane markings run close to vertical. The y axis is mapped to
 direct solve loses the trailing digits the tests check.
 
 A frame's clusters are fitted in one pass (fit_curves): one stable sort
-groups the points by cluster, one stable sort per cluster orders them by
-(y, x), the extents and the rescaled y columns are computed for all
-clusters at once, and all normal systems are solved in one stacked call.
-The canonical order is defined here once: _order_key builds the (y, x)
-sort key, which both the per-cluster sorts (_by_y_then_x) and
-_order_ranks sort. The pass after the sorts (_fit_grouped) takes the
-order as given, so `pipeline.run_frame` hands it an order from one sort
-of the ranks _order_ranks gave its pixel map instead, which is the same
-order. fit_curve is the one-cluster case of that pass, so a cluster gets
-the same curve bit for bit alone or in a frame. That holds only while
-every cluster's normal matrix and right-hand side come from the same BLAS
+puts the points in canonical order, grouped by cluster and within each
+cluster by (y, x); the extents and the rescaled y columns are computed for
+all clusters at once, and all normal systems are solved in one stacked
+call. The canonical order is defined here once: _order_key builds the
+(y, x) sort key, _order_ranks ranks points by it, and _group_order sorts
+the key cluster * n + rank, as `pipeline.run_frame` does with the ranks
+of its pixel map. The pass after the sort (_fit_grouped) takes the order
+as given. fit_curve is fit_curves with one cluster, so a cluster gets the
+same curve bit for bit alone or in a frame. That holds only while every
+cluster's normal matrix and right-hand side come from the same BLAS
 products on the same memory layout: the x column must stay the stride-16
 column view of the sorted (n, 2) points, because BLAS rounds a contiguous
 copy differently. Likewise project_curves samples and back-projects all
@@ -76,8 +75,7 @@ def fit_curve(points, cluster_id: int) -> LaneCurve:
     no place in that order.
     """
     pts = _point_array(points, "point")
-    sizes = [len(pts)]
-    (curve,) = _fit_grouped(pts, _by_y_then_x(pts, np.arange(len(pts)), sizes), sizes)
+    (curve,) = fit_curves(pts, np.zeros(len(pts), np.intp), 1)
     return replace(curve, cluster_id=cluster_id)
 
 
@@ -96,31 +94,24 @@ def fit_curves(points, labels, count: int) -> list[LaneCurve]:
         )
     if labels.size and labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got {labels.dtype}")
-    sizes = np.bincount(labels.astype(np.intp), minlength=count)  # refuses negative labels
+    key = labels.astype(np.intp)
+    sizes = np.bincount(key, minlength=count)  # refuses negative labels
     if len(sizes) != count or not sizes.all():
         raise ValueError(f"every cluster 0..{count - 1} needs at least one point")
     if not count:
         return []
-    order = _by_y_then_x(pts, np.argsort(labels, kind="stable"), sizes)
-    return _fit_grouped(pts, order, sizes)
+    ranks = _order_ranks(pts.copy().view(np.complex128).ravel())
+    return _fit_grouped(pts, _group_order(key, ranks, len(pts)), sizes)
 
 
-def _by_y_then_x(points: np.ndarray, order: np.ndarray, sizes) -> np.ndarray:
-    """order, which lists point groups one after another (sizes gives each
-    group's length), with each group sorted stably by y and then x: the
-    canonical order of _fit_grouped. Sorted in place and returned."""
-    # one complex per (x, y) row gathers a point with a 1-D take; the
-    # gathered points and the sort key are this thread's pooled scratch
-    # (see `_scratch`)
-    xy = np.ascontiguousarray(points).view(np.complex128).ravel()
-    with borrow(4 * len(xy), np.float64) as work:
-        grouped, key = work.view(np.complex128).reshape(2, -1)
-        np.take(xy, order, out=grouped, mode="clip")  # "raise" would buffer out
-        _order_key(grouped, key)
-        stops = np.cumsum(sizes)
-        for start, stop in zip((stops - sizes).tolist(), stops.tolist()):
-            order[start:stop] = order[start:stop][np.argsort(key[start:stop], kind="stable")]
-    return order
+def _group_order(groups: np.ndarray, ranks: np.ndarray, n: int) -> np.ndarray:
+    """The canonical order of _fit_grouped: the points one group after
+    another, each group by y, then x. groups (intp) holds each point's
+    group and ranks its rank from _order_ranks among n points; groups is
+    turned into the sort key group * n + rank in place."""
+    groups *= n
+    groups += ranks
+    return np.argsort(groups, kind="stable")
 
 
 def _order_key(xy: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -146,11 +137,11 @@ def _order_ranks(points: np.ndarray) -> np.ndarray:
     order: how many points come before it by y, then x.
 
     Points whose keys compare equal share the lowest rank of their tie, so
-    a stable sort of group * len(points) + rank leaves tied points in the
-    group's order, as the stable sort of _by_y_then_x does: the two sorts
-    give the same permutation, ties included, and every sum of the fit
-    sees the same sequence. (Tied keys can differ only in the sign of a
-    zero, and such a pair keeps its order too.)
+    the stable sort of _group_order leaves tied points in the group's
+    order, as a stable sort of each group's keys would: ties keep their
+    input order, and every sum of the fit sees the same sequence whatever
+    grid or frame the ranks were taken over. (Tied keys can differ only in
+    the sign of a zero, and such a pair keeps its order too.)
 
     points holds its keys while they are sorted and its own bits again on
     return. Besides the ranks, this takes the sort's permutation (8 bytes

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scratch import borrow
 from .errors import CalibrationError, ProjectionError
 
 __all__ = [
@@ -61,21 +60,18 @@ class Homography:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) point array, got shape {pts.shape}")
-        return self._apply_into(pts, np.empty((len(pts), 2)), np.empty(len(pts)))
-
-    def _apply_into(self, pts: np.ndarray, out: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """apply(pts) written into out, a C-contiguous (n, 2) float64
-        array, with w (n float64) as scratch for the projective scale;
-        returns out."""
-        if self._map_into(pts, out, w) is not None:
+        out = np.empty((len(pts), 2))
+        if self._map_into(pts, out, np.empty(len(pts))) is not None:
             raise ProjectionError("some points map to projective infinity")
         return out
 
     def _map_into(self, pts: np.ndarray, out: np.ndarray, w: np.ndarray):
-        """_apply_into without the refusal: a point at projective infinity
-        (|w| <= 1e-12) maps to NaN, and the boolean mask of those points
-        is returned, or None when there are none. Every other point gets
-        the bits that apply gives it."""
+        """apply(pts) written into out, a C-contiguous (n, 2) float64
+        array, with w (n float64) as scratch for the projective scale, and
+        without the refusal: a point at projective infinity (|w| <= 1e-12)
+        maps to NaN, and the boolean mask of those points is returned, or
+        None when there are none. Every other point gets the bits that
+        apply gives it."""
         if len(pts) == 1:
             # BLAS may route a one-row product through a matrix-vector
             # kernel that rounds differently; two rows round like any batch
@@ -167,21 +163,11 @@ def transform_instance(h: Homography, inst) -> np.ndarray:
     return transform_pixels(h, inst.pixels)
 
 
-def transform_pixels(h: Homography, pixels, out=None) -> np.ndarray:
+def transform_pixels(h: Homography, pixels) -> np.ndarray:
     """Map (row, col) pixels into the target plane.
 
     Pixel (row, col) enters as the center point (col + 0.5, row + 0.5);
-    the output (n, 2) array keeps pixel order and stays real-valued. It is
-    written into out, a C-contiguous (n, 2) float64 array, when one is
-    given, and is a new array otherwise. The centres and the projective
-    scale are this thread's pooled scratch (see `_scratch`).
+    the output (n, 2) array keeps pixel order and stays real-valued.
     """
-    pixels = np.asarray(pixels)
-    n = len(pixels)
-    if out is None:
-        out = np.empty((n, 2))
-    with borrow(3 * n, np.float64) as scratch:
-        centres = scratch[: 2 * n].reshape(n, 2)
-        # a C-contiguous float64 array, so BLAS sees one layout
-        np.add(pixels[:, ::-1], 0.5, out=centres, dtype=np.float64)
-        return h._apply_into(centres, out, scratch[2 * n :])
+    # C-ordered float64 centres whatever the pixels' layout, so BLAS sees one layout
+    return h.apply(np.add(np.asarray(pixels)[:, ::-1], 0.5, dtype=np.float64, order="C"))

@@ -44,6 +44,16 @@ __all__ = ["read_gray", "load_mask", "write_pgm", "write_ppm"]
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _MAX_PIXELS = 100_000_000
+# The most bytes a file may hold: 5 per pixel of the largest image the
+# decoders accept, and 1 MiB for headers, comments and ancillary chunks.
+# An 8-bit P2 sample takes at most 3 digits and one separator, 4 bytes (5
+# with a CRLF line end); a P5 sample takes 1 byte; and a PNG's zlib stream
+# takes at most 2 bytes per pixel (a filter byte for each row of at least
+# one sample), 5 bytes per 64 KiB stored block and 6 of framing, in chunks
+# whose 12 bytes of overhead stay under 3 bytes per pixel when each holds
+# 8 bytes or more. A longer file is refused, by its size or, for a pipe or
+# a device without one (/dev/zero), once that many bytes have been read.
+_MAX_FILE_BYTES = 5 * _MAX_PIXELS + (1 << 20)
 
 
 def read_gray(path) -> np.ndarray:
@@ -94,32 +104,46 @@ def _read_samples(path, dtype, fill):
         fh = open(path, "rb", buffering=0)
     except OSError as exc:
         raise ImageIOError(path, f"cannot read file: {exc}") from exc
-    with fh, borrow(os.fstat(fh.fileno()).st_size + 1) as buf:
-        try:
-            data = _read_into(fh, buf)
-        except OSError as exc:
-            raise ImageIOError(path, f"cannot read file: {exc}") from exc
-        if data[: len(_PNG_SIGNATURE)] == _PNG_SIGNATURE:
-            return _decode_png_gray(path, data, dtype, fill)
-        if data[:2] in (b"P2", b"P5"):
-            gray, maxval = _decode_pgm(path, data)
-            out = np.empty(gray.shape, dtype)
-            fill(gray, maxval, out)
-            return out
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > _MAX_FILE_BYTES:
+            raise ImageIOError(path, f"file too large: {size} bytes, at most {_MAX_FILE_BYTES}")
+        with borrow(size + 1) as buf:
+            try:
+                data = _read_into(fh, buf, _MAX_FILE_BYTES)
+            except OSError as exc:
+                raise ImageIOError(path, f"cannot read file: {exc}") from exc
+            if data is None:
+                raise ImageIOError(path, f"file too large: more than {_MAX_FILE_BYTES} bytes")
+            if data[: len(_PNG_SIGNATURE)] == _PNG_SIGNATURE:
+                return _decode_png_gray(path, data, dtype, fill)
+            if data[:2] in (b"P2", b"P5"):
+                gray, maxval = _decode_pgm(path, data)
+                out = np.empty(gray.shape, dtype)
+                fill(gray, maxval, out)
+                return out
     raise ImageIOError(path, "unsupported format (want P2/P5 graymap or grayscale PNG)")
 
 
-def _read_into(fh, buf):
+def _read_into(fh, buf, limit: int):
     """The rest of the file fh: a read-only view of buf when it fits with a
     byte to spare, else (the file grew, or has no size, as a pipe) bytes of
-    its own."""
+    its own; None, once limit + 1 bytes are read, when it holds more than
+    limit bytes."""
     n = 0
     while n < len(buf):
         got = fh.readinto(buf[n:])
         if not got:
             return memoryview(buf)[:n].toreadonly()
         n += got
-    return buf.tobytes() + fh.read()
+    pieces = [buf.tobytes()]
+    while n <= limit:
+        piece = fh.read(min(limit + 1 - n, 1 << 20))
+        if not piece:
+            return b"".join(pieces)
+        pieces.append(piece)
+        n += len(piece)
+    return None
 
 
 def write_pgm(path, gray) -> None:

@@ -10,16 +10,17 @@ fitting: the labeler's pixel array and instance sizes, one lookup that
 gathers every pixel's BEV point from the calibration's pixel map, one
 voting pass over those points, which labels every instance with its
 cluster, and one fit of every cluster, whose points one sort of the key
-cluster * (rows * cols) + rank puts in canonical order. No per-instance
-object is built on the way: FrameResult keeps the record and the label
-array, and FrameResult.segments.instances() gives the Instance list when
-one is wanted.
+cluster * (rows * cols) + rank (`curves._group_order`) puts in canonical
+order. No per-instance object is built on the way: FrameResult keeps the
+record and the label array, and FrameResult.segments.instances() gives
+the Instance list when one is wanted.
 
 The pixel map (_pixel_map) holds, for one calibration and target grid,
-every pixel's BEV point and its rank in the grid's canonical fit order.
-It is built on the calibration's first frame, kept in a cache of as
-many maps as there are cached homographies, and gives the points and
-order that transform_pixels and fit_curves would compute, bit for bit.
+every pixel's BEV point and its rank in the grid's canonical fit order,
+and the inverse homography that back-projects the lanes; it is the only
+per-calibration state. It is built on the calibration's first frame,
+kept in a cache of at most 8 maps, and gives the points and order that
+transform_pixels and fit_curves would compute, bit for bit.
 It pays off on streams of many frames under few calibrations: a single
 frame pays the whole build, and a stream that cycles through more
 calibrations than the cache holds builds a map on every frame.
@@ -41,7 +42,7 @@ import numpy as np
 from ._files import overwrite
 from ._scratch import borrow
 from .config import PipelineConfig
-from .curves import LaneCurve, _fit_grouped, _order_ranks, project_curves
+from .curves import LaneCurve, _fit_grouped, _group_order, _order_ranks, project_curves
 from .errors import ConfigError, FileFormatError, ProjectionError
 from .homography import Homography, QuadCorrespondence, estimate_homography
 from .instances import InstanceSegments, label_segments
@@ -139,15 +140,6 @@ def _nearest(lo: int, hi: int, n: int):
     return lo + (np.arange(n) * (hi - lo)) // n
 
 
-@lru_cache(maxsize=8)
-def _homographies(calibration: QuadCorrespondence) -> tuple[Homography, Homography]:
-    """The calibration's homography and its inverse, solved once per
-    correspondence rather than once per frame. Homography is immutable, so
-    sharing one across frames and threads is safe."""
-    h = estimate_homography(calibration)
-    return h, h.inverse()
-
-
 # pixels per band while a pixel map is built: a band is the whole rows
 # that fit in this many pixels (one row when target_cols is larger), and
 # its temporaries, the pixel centres, projective scale and far flags,
@@ -162,34 +154,37 @@ class _PixelMap:
 
     points[i] is the complex x + iy of the point that transform_pixels
     maps pixel i to, bit for bit. ranks[i] is its rank in canonical fit
-    order from `curves._order_ranks`: tied points share a rank, so a
-    stable sort of the key cluster * (rows * cols) + rank gives each
+    order from `curves._order_ranks`: tied points share a rank, so the
+    stable sort of `curves._group_order` over rows * cols gives each
     cluster the permutation its stable complex sort gives it, ties
     included, and every sum of the fit sees the same sequence. (The
     default and skewed calibrations of the tests have no ties.)
 
     Both arrays are read-only, 20 bytes per pixel together. far holds the
     indices of the pixels at projective infinity, whose points are NaN and
-    which transform_pixels refuses, or is None when there are none.
+    which transform_pixels refuses, or is None when there are none. h_inv
+    maps BEV points back into the image; Homography is immutable, so
+    frames and threads share it safely.
     """
 
     points: np.ndarray  # complex128
     ranks: np.ndarray  # int32
     far: np.ndarray | None
+    h_inv: Homography
 
 
 @lru_cache(maxsize=8)
 def _pixel_map(calibration: QuadCorrespondence, rows: int, cols: int) -> _PixelMap:
     """The pixel map of the calibration on a rows x cols target grid.
 
-    The cache holds as many maps as `_homographies` holds homographies.
-    Each band of pixel centres is mapped straight into the points array
-    the map keeps, and `curves._order_ranks` ranks the points; nothing
-    comes from `_scratch`. The build peaks at the map, the rank sort's
-    permutation (8 bytes per pixel, freed before the map is returned) and
-    the band temporaries.
+    The calibration's homography is solved here, once per map rather than
+    once per frame. Each band of pixel centres is mapped straight into the
+    points array the map keeps, and `curves._order_ranks` ranks the
+    points; nothing comes from `_scratch`. The build peaks at the map, the
+    rank sort's permutation (8 bytes per pixel, freed before the map is
+    returned) and the band temporaries.
     """
-    h, _ = _homographies(calibration)
+    h = estimate_homography(calibration)
     points = np.empty(rows * cols, np.complex128)
     xy = points.view(np.float64).reshape(-1, 2)
     band_rows = max(1, _BAND_PIXELS // cols)
@@ -207,7 +202,7 @@ def _pixel_map(calibration: QuadCorrespondence, rows: int, cols: int) -> _PixelM
     ranks = _order_ranks(points)
     points.setflags(write=False)
     ranks.setflags(write=False)
-    return _PixelMap(points, ranks, np.concatenate(far) if far else None)
+    return _PixelMap(points, ranks, np.concatenate(far) if far else None, h.inverse())
 
 
 def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
@@ -230,7 +225,6 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
     # the BEV points are gathered from the pixel map into this thread's
     # pooled scratch (see `_scratch`), held through voting and fitting;
     # nothing the result keeps refers to it
-    _, h_inv = _homographies(cfg.calibration)
     grid = _pixel_map(cfg.calibration, cfg.target_rows, cfg.target_cols)
     n = len(segments.pixels)
     flat = np.multiply(segments.pixels[:, 0], cfg.target_cols, dtype=np.intp)
@@ -252,10 +246,8 @@ def run_frame(mask, cfg: PipelineConfig) -> FrameResult:
             # cluster by cluster, each in canonical order
             key = np.repeat(labels, segments.sizes)
             sizes = np.bincount(key, minlength=count)
-            key *= len(grid.ranks)
-            key += ranks
-            curves = _fit_grouped(points, np.argsort(key, kind="stable"), sizes)
-            polylines = project_curves(h_inv, curves, cfg.sample_count)
+            curves = _fit_grouped(points, _group_order(key, ranks, len(grid.ranks)), sizes)
+            polylines = project_curves(grid.h_inv, curves, cfg.sample_count)
             lanes = [Lane(curve, polyline) for curve, polyline in zip(curves, polylines)]
         t4 = time.perf_counter()
 

@@ -193,13 +193,23 @@ def best_lateral_errors(truth_curves, lane_curves, grid: int = 100) -> list[floa
     return errors
 
 
+def _check_tolerance(lateral_tolerance) -> None:
+    """Refuse a lateral tolerance that is not a finite positive number: no
+    error is below a NaN, negative or zero tolerance, and every finite
+    error is below an infinite one."""
+    if not (math.isfinite(lateral_tolerance) and lateral_tolerance > 0):
+        raise ValueError(f"lateral_tolerance must be finite and positive, got {lateral_tolerance!r}")
+
+
 def match_dividers(
     truth_curves, lane_curves, lateral_tolerance: float = 2.0
 ) -> tuple[int, float, float]:
     """(matched dividers, recall, mean lateral error) of lane curves against
     truth curves. A divider counts as found when some curve tracks it
     within lateral_tolerance BEV pixels on average; the mean lateral error
-    averages the best errors of the matched dividers (inf when none)."""
+    averages the best errors of the matched dividers (inf when none).
+    lateral_tolerance must be finite and positive."""
+    _check_tolerance(lateral_tolerance)
     errors = best_lateral_errors(truth_curves, lane_curves)
     matched = [e for e in errors if e < lateral_tolerance]
     recall = len(matched) / len(errors) if errors else 1.0
@@ -211,7 +221,9 @@ def match_lanes(truth_curves, lane_curves, lateral_tolerance: float = 2.0) -> tu
     """(false lanes, precision) of lane curves against truth curves. A lane
     is correct when it stays within lateral_tolerance BEV pixels on average
     of its nearest divider over the lane's own y extent; precision is the
-    share of correct lanes (1.0 when there are no lanes)."""
+    share of correct lanes (1.0 when there are no lanes). lateral_tolerance
+    must be finite and positive."""
+    _check_tolerance(lateral_tolerance)
     errors = best_lateral_errors(lane_curves, truth_curves)
     correct = sum(e < lateral_tolerance for e in errors)
     return len(errors) - correct, correct / len(errors) if errors else 1.0

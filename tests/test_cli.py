@@ -3,6 +3,7 @@ import json
 import sys
 
 import numpy as np
+import pytest
 
 from lanepost import (
     BenchReport,
@@ -11,7 +12,9 @@ from lanepost import (
     format_config,
     generate_scene,
     read_lanes,
+    write_lanes,
     write_pgm,
+    write_truth_curves,
 )
 from lanepost.cli import main
 
@@ -211,6 +214,24 @@ def test_synth_with_more_lanes_than_divider_ids_exits_2(tmp_path, capsys):
     assert main(["synth", "--lanes", "300", *out]) == 2
     assert "num_lanes" in capsys.readouterr().err
     assert not (tmp_path / "m.pgm").exists()
+
+
+def test_negative_synth_seed_exits_2(tmp_path, capsys):
+    out = ["--out-mask", str(tmp_path / "m.pgm"), "--out-truth", str(tmp_path / "m.truth")]
+    assert main(["synth", "--seed", "-1", *out]) == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "m.pgm").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+def test_eval_tolerance_that_is_not_finite_and_positive_exits_2(tmp_path, capsys, tolerance):
+    truth, lanes = tmp_path / "s.truth", tmp_path / "s.lanes"
+    write_truth_curves([], truth)
+    write_lanes([], lanes)
+    args = ["eval", "--result", str(lanes), "--truth", str(truth)]
+    assert main([*args, "--tolerance", tolerance]) == 2
+    assert "--tolerance must be finite and positive" in capsys.readouterr().err
+    assert main([*args, "--tolerance", "0.5"]) == 0
 
 
 def test_bad_mask_payload_exits_3(tmp_path, capsys):

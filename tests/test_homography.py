@@ -10,7 +10,6 @@ from lanepost import (
     estimate_homography,
     transform_instance,
 )
-from lanepost.homography import transform_pixels
 from oracles import apply_homography, homography_from_quads
 
 UNIT_SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
@@ -113,23 +112,6 @@ class TestTransform:
     def test_apply_refuses_what_is_not_a_point_array(self, points):
         with pytest.raises(ValueError, match=r"expected an \(n, 2\) point array"):
             Homography.identity().apply(points)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
-    def test_transform_pixels_into_out_matches_a_new_array(self, n):
-        # run_frame maps a frame's pixels into its pooled BEV points; they
-        # must be bitwise the points of a call that makes its own array
-        h = estimate_homography(QuadCorrespondence(ROAD_TRAPEZOID, BEV_RECTANGLE))
-        rng = np.random.default_rng(n)
-        pixels = np.stack([rng.integers(200, 360, n), rng.integers(0, 480, n)], axis=1)
-        pixels = pixels.astype(np.int32)
-        want = transform_pixels(h, pixels)
-        buf = np.full((n, 2), np.nan)
-        got = transform_pixels(h, pixels, out=buf)
-        assert got is buf
-        assert got.tobytes() == want.tobytes()
-        kept = want.copy()
-        transform_pixels(h, pixels[::-1], out=np.empty((n, 2)))  # reuses the pooled scratch
-        assert want.tobytes() == kept.tobytes()  # a fresh result is the caller's own
 
     def test_composition(self):
         rng = np.random.default_rng(2)

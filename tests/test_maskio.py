@@ -10,6 +10,7 @@ import pytest
 from lanepost import ImageIOError, SceneParams, default_config, generate_scene
 from lanepost import load_mask, read_gray, write_pgm, write_ppm
 from lanepost import maskio
+from lanepost.cli import main
 from oracles import png_unfilter
 
 
@@ -527,6 +528,74 @@ class TestSamplesInPlace:
         for kind in (1, 2, 3, 4):
             stream = random_stream(np.random.default_rng(kind), 6, 7, kinds=(kind,))
             assert decode_stream(tmp_path, stream).tolist() == png_unfilter(stream)
+
+
+class TestFileBound:
+    """No file is read past _MAX_FILE_BYTES: one whose size says more is
+    refused unread, and a pipe or device without a size is refused once
+    one byte more has been read."""
+
+    def test_the_bound_covers_the_largest_images_the_decoders_accept(self):
+        pixels = maskio._MAX_PIXELS
+        # P2 of one column: "255\r\n" for every sample
+        assert len(b"P2\n1 100000000\n255\n") + 5 * pixels <= maskio._MAX_FILE_BYTES
+        # PNG of one column: a filter byte and a sample per row, stored
+        # blocks, zlib framing, 8-byte IDAT chunks, signature, IHDR, IEND
+        stream = 2 * pixels + 5 * -(-2 * pixels // 65535) + 6
+        png = 8 + 25 + stream + 12 * -(-stream // 8) + 12
+        assert png <= maskio._MAX_FILE_BYTES
+
+    def test_a_file_at_the_bound_is_read_and_one_byte_more_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "frame.pgm"
+        write_pgm(path, np.full((4, 5), 200, np.uint8))
+        monkeypatch.setattr(maskio, "_MAX_FILE_BYTES", path.stat().st_size)
+        assert (read_gray(path) == 200).all()
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ImageIOError, match="file too large: 32 bytes, at most 31"):
+            read_gray(path)
+
+    def test_an_endless_file_is_read_no_further_than_the_bound(self):
+        class Endless:
+            """A file object of zeros without end, as /dev/zero."""
+
+            def __init__(self):
+                self.given = 0
+
+            def readinto(self, buf):
+                buf[:] = 0
+                self.given += len(buf)
+                return len(buf)
+
+            def read(self, n):
+                self.given += n
+                return bytes(n)
+
+        endless = Endless()
+        assert maskio._read_into(endless, np.empty(3, np.uint8), 1000) is None
+        assert endless.given == 1001
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_past_the_bound_is_refused(self, tmp_path, monkeypatch, capsys):
+        # a pipe has no size: the bound is found while reading
+        monkeypatch.setattr(maskio, "_MAX_FILE_BYTES", 100)
+        fifo = tmp_path / "frame.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            try:
+                fifo.write_bytes(b"P5\n40 40\n255\n" + bytes(1600))
+            except BrokenPipeError:  # the reader stopped at the bound
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            assert main(["run", "--mask", str(fifo)]) == 3
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert "file too large: more than 100 bytes" in capsys.readouterr().err
 
 
 class TestPng:

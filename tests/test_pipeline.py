@@ -253,7 +253,6 @@ class TestRunFrame:
         monkeypatch.setattr(pipeline, "estimate_homography", counting)
         monkeypatch.setattr(homography, "transform_pixels", spy)
         monkeypatch.setattr(pipeline, "transform_pixels", spy, raising=False)
-        pipeline._homographies.cache_clear()
         pipeline._pixel_map.cache_clear()
         cfg = default_config()
         mask = rasterize_dashes(cfg, DIVIDERS, DASH_SPANS)
@@ -265,7 +264,6 @@ class TestRunFrame:
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         assert transformed == []
         assert format_lanes(first.lanes) == format_lanes(again.lanes)
-        pipeline._homographies.cache_clear()
         pipeline._pixel_map.cache_clear()
 
     @pytest.mark.parametrize("noise_rate", [0.03, 0.08, 0.12])

@@ -3,7 +3,7 @@ under one calibration, looked up by run_frame instead of transforming and
 sorting each frame's points.
 
 The map must give the points transform_pixels gives, bit for bit, the
-order the complex (y, x) sort of `curves` gives, ties included, and the
+order a complex (y, x) sort gives (by_y_then_x), ties included, and the
 refusals transform_pixels makes, no more; and it must hold no more memory
 than its two arrays, during the build as after it.
 """
@@ -16,7 +16,7 @@ import pytest
 
 import lanepost as lp
 from lanepost import _scratch, pipeline
-from lanepost.curves import _RANK_STEP, _by_y_then_x, _order_ranks, fit_curves, project_curves
+from lanepost.curves import _RANK_STEP, _order_ranks, fit_curves, project_curves
 from lanepost.homography import transform_pixels
 from lanepost.instances import label_segments
 from lanepost.voting import cluster_segments
@@ -40,17 +40,31 @@ def six_calibrations():
         )
 
 
+def by_y_then_x(points, order, sizes):
+    """order, which lists point groups one after another (sizes gives each
+    group's length), with each group sorted stably by y and then x: the
+    canonical order, by one complex sort per group."""
+    grouped = np.asarray(points)[order]
+    key = np.empty(len(grouped), np.complex128)
+    key.real, key.imag = grouped[:, 1], grouped[:, 0]
+    order = order.copy()
+    stops = np.cumsum(sizes)
+    for start, stop in zip((stops - sizes).tolist(), stops.tolist()):
+        order[start:stop] = order[start:stop][np.argsort(key[start:stop], kind="stable")]
+    return order
+
+
 def grid_pixels(rows=ROWS, cols=COLS):
     return np.stack(np.indices((rows, cols)), axis=-1).reshape(-1, 2).astype(np.int32)
 
 
 @pytest.fixture
 def patched_homography(monkeypatch):
-    """Patch `pipeline._homographies` to give h for every calibration,
-    with the map cache cleared before and after."""
+    """Patch `pipeline.estimate_homography` to give h for every
+    calibration, with the map cache cleared before and after."""
 
     def patch(h):
-        monkeypatch.setattr(pipeline, "_homographies", lambda calibration: (h, h.inverse()))
+        monkeypatch.setattr(pipeline, "estimate_homography", lambda calibration: h)
         pipeline._pixel_map.cache_clear()
         return pipeline._pixel_map(lp.default_config().calibration, ROWS, COLS)
 
@@ -75,7 +89,7 @@ def test_order_ranks_count_the_points_before_and_restore_them():
     assert np.array_equal(ranks, np.searchsorted(np.sort(key), key))  # points strictly before
     groups = rng.integers(0, 5, size=n)
     sizes = np.bincount(groups)
-    by_key = _by_y_then_x(xy, np.argsort(groups, kind="stable"), sizes)
+    by_key = by_y_then_x(xy, np.argsort(groups, kind="stable"), sizes)
     assert np.array_equal(np.argsort(groups * n + ranks, kind="stable"), by_key)
 
 
@@ -87,7 +101,7 @@ def frame_orders(segments, labels, count, grid, points):
     key = point_labels * (ROWS * COLS) + grid.ranks[flat]
     sizes = np.bincount(point_labels, minlength=count)
     grouped = np.argsort(point_labels, kind="stable")
-    return np.argsort(key, kind="stable"), _by_y_then_x(points, grouped, sizes)
+    return np.argsort(key, kind="stable"), by_y_then_x(points, grouped, sizes)
 
 
 def pixel_chain(mask, cfg, h):
@@ -118,7 +132,7 @@ SIX = dict(six_calibrations())
 def test_map_is_transform_pixels_and_the_complex_sort_bit_for_bit(name):
     calibration = SIX[name]
     grid = pipeline._pixel_map(calibration, ROWS, COLS)
-    h, _ = pipeline._homographies(calibration)
+    h = lp.estimate_homography(calibration)
     want = transform_pixels(h, grid_pixels())
     assert grid.points.dtype == np.complex128 and grid.ranks.dtype == np.int32
     assert grid.points.tobytes() == want.tobytes()
@@ -131,7 +145,7 @@ def test_map_is_transform_pixels_and_the_complex_sort_bit_for_bit(name):
 
 def test_rank_order_is_the_complex_sort_on_every_frame():
     cfg = lp.default_config()
-    h, _ = pipeline._homographies(cfg.calibration)
+    h = lp.estimate_homography(cfg.calibration)
     grid = pipeline._pixel_map(cfg.calibration, ROWS, COLS)
     masks = [scene.mask for scene in corpus_scenes()] + list(clutter_masks())
     for i, mask in enumerate(masks):
@@ -192,7 +206,6 @@ def test_map_holds_twenty_bytes_a_pixel_and_borrows_nothing():
     # whole-grid transform or a second copy of the keys; the permutation
     # is freed before the map is returned
     calibration = CALIBRATIONS["skewed"]
-    pipeline._homographies(calibration)
     pipeline._pixel_map.cache_clear()
     tracemalloc.start()
     try:
@@ -209,8 +222,7 @@ def test_map_holds_twenty_bytes_a_pixel_and_borrows_nothing():
 
 
 def test_map_cache_is_small_and_keyed_by_grid():
-    # one map for each homography the cache beside it keeps
-    assert pipeline._pixel_map.cache_info().maxsize == pipeline._homographies.cache_info().maxsize
+    assert pipeline._pixel_map.cache_info().maxsize == 8
     cfg = lp.default_config()
     pipeline._pixel_map.cache_clear()
     lp.run_frame(np.zeros((90, 120), bool), dataclasses.replace(cfg, target_rows=90, target_cols=120))
@@ -218,3 +230,36 @@ def test_map_cache_is_small_and_keyed_by_grid():
     assert pipeline._pixel_map.cache_info().currsize == 2
     assert len(pipeline._pixel_map(cfg.calibration, 90, 120).points) == 90 * 120
     pipeline._pixel_map.cache_clear()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_transform_pixels_gives_one_set_of_bits_for_every_layout(n, dtype, monkeypatch):
+    # the pixel centres are C-ordered float64 whatever the pixels' layout,
+    # so BLAS sees one layout; the map holds the same bits
+    seen = []
+    apply = lp.Homography.apply
+
+    def spy(self, points):
+        seen.append((points.dtype, points.flags.c_contiguous))
+        return apply(self, points)
+
+    cfg = lp.default_config()
+    h = lp.estimate_homography(cfg.calibration)
+    grid = pipeline._pixel_map(cfg.calibration, ROWS, COLS)
+    rng = np.random.default_rng(n)
+    pixels = np.stack([rng.integers(0, ROWS, n), rng.integers(0, COLS, n)], axis=1).astype(dtype)
+    want = grid.points[pixels[:, 0] * COLS + pixels[:, 1]].view(np.float64).reshape(-1, 2)
+    layouts = {
+        "C": np.ascontiguousarray(pixels),
+        "F": np.asfortranarray(pixels),
+        "reversed rows": np.ascontiguousarray(pixels[::-1])[::-1],
+        "reversed columns": np.ascontiguousarray(pixels[:, ::-1])[:, ::-1],
+    }
+    monkeypatch.setattr(lp.Homography, "apply", spy)
+    for name, layout in layouts.items():
+        assert np.array_equal(layout, pixels) and layout.dtype == dtype
+        got = transform_pixels(h, layout)
+        assert got.shape == (n, 2) and got.flags.c_contiguous, name
+        assert got.tobytes() == want.tobytes(), name
+    assert seen == [(np.float64, True)] * len(layouts)

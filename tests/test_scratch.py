@@ -1,11 +1,15 @@
+import ast
 import functools
+import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lanepost
 from lanepost import _scratch
 from lanepost._scratch import borrow
 
@@ -125,3 +129,38 @@ def test_threads_borrowing_at_once_never_share_a_buffer():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+def borrowing_functions():
+    """module.function of every function in the package that calls
+    borrow( itself, not only through a function nested in it."""
+    found = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.stack = module, []
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "borrow" and self.stack:
+                found.add(f"{self.module}.{self.stack[-1]}")
+            self.generic_visit(node)
+
+    for path in Path(lanepost.__file__).parent.glob("*.py"):
+        if path.stem != "_scratch":
+            Visitor(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_the_docstring_names_every_borrow_site():
+    # the by-stage list of the `_scratch` docstring names exactly the
+    # functions that borrow: a new borrow must be listed, and a function
+    # that stops borrowing must leave the list
+    listed = _scratch.__doc__.split("By stage:", 1)[1].lstrip("\n").split("\n\n", 1)[0]
+    named = set(re.findall(r"`(\w+\.\w+)`", listed))
+    assert named and named == borrowing_functions()

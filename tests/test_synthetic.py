@@ -13,6 +13,7 @@ from lanepost import (
     evaluate,
     generate_scene,
     label_segments,
+    match_dividers,
     match_lanes,
     read_truth_curves,
     run_frame,
@@ -179,6 +180,19 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError, match="instance pixel out of bounds"):
             evaluate(result, small)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0, -0.0])
+    def test_a_tolerance_that_is_not_finite_and_positive_is_refused(self, tolerance):
+        cfg = default_config()
+        scene = generate_scene(SceneParams(num_lanes=3), 1, cfg)
+        result = run_frame(scene.mask, cfg)
+        curves = [lane.curve for lane in result.lanes]
+        for match in (match_dividers, match_lanes):
+            with pytest.raises(ValueError, match="lateral_tolerance must be finite and positive"):
+                match(scene.truth_curves, curves, tolerance)
+        with pytest.raises(ValueError, match="lateral_tolerance must be finite and positive"):
+            evaluate(result, scene, tolerance)
+        assert evaluate(result, scene, 1e-300).recall == 0.0  # a tiny tolerance still scores
 
     def test_empty_frame_is_pure_and_finds_nothing(self):
         cfg = default_config()
