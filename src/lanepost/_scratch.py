@@ -13,7 +13,8 @@ per-point, per-run and per-pair temporaries stay on the heap. By stage:
   PNG's decode buffer (`maskio._decode_png_gray`);
 - crop (`pipeline.crop_and_resize`): the gathered rows;
 - labeling (`instances._runs`): the padded grid, and inside it the run
-  boundary flags;
+  boundary flags, which on a speckle-dense mask first hold each cell's
+  neighbour count;
 - BEV (`pipeline.run_frame`): the BEV points (16 bytes per point),
   gathered from the calibration's pixel map and held through voting and
   fitting (the map is built from temporaries of its own);

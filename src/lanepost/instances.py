@@ -8,12 +8,17 @@ never a per-pixel loop: real masks contain components of ~10^4 pixels.
 Component ids follow the row-major scan order of each component's first
 pixel, so a given mask always labels identically.
 
-On a speckle-dense mask most runs are single pixels that form components
-of their own, and min_size drops them after they have been labelled.
-When min_size > 1 and a mask has many runs, the labeler first clears
-every pixel with no neighbour under the frame's connectivity, inside the
-scratch it already uses for the runs, and cuts runs from what is left.
-Such a pixel is a one-pixel component, so the result does not change.
+On a speckle-dense mask most runs belong to one- and two-pixel
+components, and min_size drops them after they have been labelled. When
+a mask has many runs, the labeler first counts each pixel's neighbours
+under the frame's connectivity, inside the scratch it already uses for
+the runs, and cuts runs from what is left after clearing
+- with min_size > 1, every pixel with no neighbour (a one-pixel
+  component);
+- with min_size > 2, also every pixel with exactly one neighbour that in
+  turn has only it (a two-pixel component).
+min_size drops every cleared component anyway, so the result does not
+change.
 
 The labeler's result is one segmented record, InstanceSegments: all kept
 pixels in one array, grouped by instance, plus each instance's size.
@@ -91,9 +96,9 @@ def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSe
         raise ValueError(f"min_size must be non-negative, got {min_size}")
 
     pitch = mask.shape[1] + 1
-    # a pixel with no neighbour is a one-pixel component, dropped anyway
-    # when min_size > 1, so _runs may clear it first
-    starts, stops = _runs(mask, pitch, connectivity if min_size > 1 else None)
+    # one- and two-pixel components that min_size drops anyway may be
+    # cleared first on a speckle-dense mask
+    starts, stops = _runs(mask, pitch, connectivity, min_size)
     upper, lower = _touching_runs(starts, stops, pitch, connectivity)
     run_label, count = component_labels(len(starts), upper, lower)
 
@@ -122,7 +127,7 @@ def label_segments(mask, connectivity: int = 8, min_size: int = 0) -> InstanceSe
     return InstanceSegments(pixels, sizes[kept])
 
 
-def _runs(mask: np.ndarray, pitch: int, isolated: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _runs(mask: np.ndarray, pitch: int, connectivity: int, min_size: int) -> tuple[np.ndarray, np.ndarray]:
     """(starts, stops) of the runs of true pixels, as positions in the mask
     laid out row after row with `pitch` cells per row; stops are one past
     each run's last cell, and runs are in row-major order.
@@ -132,12 +137,12 @@ def _runs(mask: np.ndarray, pitch: int, isolated: int | None) -> tuple[np.ndarra
     change between cells p and p + 1 of the padded grid a run boundary at
     position p. Boundaries alternate between starts and stops.
 
-    With `isolated` set to a connectivity (4 or 8), a speckle-dense mask,
-    one with more than _CLEAR_BOUNDARIES run boundaries, has every pixel
-    with no neighbour under that connectivity cleared from the padded grid
-    first, the flags buffer serving as the neighbour scratch (see
-    `_clear_isolated`); the runs are those of the cleared grid. With
-    `isolated` None every true pixel is kept.
+    A speckle-dense mask, one with more than _CLEAR_BOUNDARIES run
+    boundaries, first has the components that min_size drops anyway
+    cleared from the padded grid: one-pixel components when min_size > 1,
+    and two-pixel ones too when min_size > 2, under `connectivity`, the
+    flags buffer serving as the neighbour-count scratch (see
+    `_clear_specks`). The runs are then those of the cleared grid.
 
     The padded grid and the boundary flags are this thread's pooled
     scratch (see `_scratch`), so a steady stream of frames reuses the
@@ -151,48 +156,71 @@ def _runs(mask: np.ndarray, pitch: int, isolated: int | None) -> tuple[np.ndarra
         grid[:, width] = False
         grid[:, :width] = mask
         np.not_equal(flat[1:], flat[:-1], out=flags)
-        if isolated is not None and np.count_nonzero(flags) > _CLEAR_BOUNDARIES:
-            _clear_isolated(flat, flags, pitch, isolated)
+        if min_size > 1 and np.count_nonzero(flags) > _CLEAR_BOUNDARIES:
+            _clear_specks(flat, flags.view(np.uint8), pitch, connectivity, min_size > 2)
             np.not_equal(flat[1:], flat[:-1], out=flags)
         boundaries = np.flatnonzero(flags)
     return boundaries[0::2], boundaries[1::2]
 
 
-# Run boundaries (twice the runs) above which _runs clears isolated
-# pixels. Clearing and recounting the flags take 75 us under
-# 8-connectivity (48 under 4) at 360x480, and save about 0.12 us per
-# isolated run. On 360x480 SceneParams(noise_rate=r) scenes (label_segments
-# thread CPU time, min of 15-30, off -> on): r = 0.001, about 1,000
-# boundaries, 0.27-0.33 -> 0.33-0.41 ms; 0.003 (1,700) 0.31 -> 0.32-0.34;
-# 0.005 (2,400) 0.48-0.50 -> 0.41-0.46; 0.02 (7,300) 0.90-0.93 ->
-# 0.50-0.59; 0.05 (17,000) 1.74-1.85 -> 0.91-0.97; 0.12 (36,800)
-# 2.65-2.82 -> 1.87-1.95. Where every run is isolated the break-even is
-# near 2,000; blob-grid frames with no isolated pixel, 2,100-4,000, lose
-# 0.04-0.10 ms. At 8,192 a frame gains once about a seventh of its runs
-# are isolated; the densest frame without speckle in perfbench's seed-11
-# corpora has 4,888.
+# Run boundaries (twice the runs) above which _runs clears one- and
+# two-pixel components. Counting neighbours twice and recounting the flags
+# take about 0.14 ms under 8-connectivity at 360x480, and save the
+# touching-run, union and sort work of every cleared run. On 360x480
+# SceneParams(noise_rate=r) scenes, seeds 0-2 (label_segments thread CPU
+# time at min_size 15, min of 31 interleaved, off -> on): r = 0.001, about
+# 1,000 boundaries, 0.20-0.31 -> 0.31-0.49 ms; 0.003 (1,700) 0.22-0.23 ->
+# 0.31-0.32; 0.005 (2,400) loses 0.05-0.06; 0.008 (3,400) breaks even;
+# 0.011 (4,400) gains 0.03-0.06; 0.015 (5,700) 0.43-0.45 -> 0.33-0.34;
+# 0.02 (7,300) gains 0.18-0.23; 0.05 (16,900) 1.05-1.09 -> 0.45-0.48;
+# 0.12 (36,900) 1.86-1.91 -> 1.17-1.20. Blob-grid frames of perfbench's
+# seed-11 clutter corpus with no speckle, 4,500-4,900 boundaries, lose
+# 0.13-0.17 ms, and its speckle frames, 26,000-27,700, gain 0.58-0.99.
+# At 8,192 a frame gains once about two fifths of its runs belong to one-
+# or two-pixel components (about 0.09 us saved per such run); the densest
+# frame without speckle in perfbench's seed-11 corpora has 4,888.
 _CLEAR_BOUNDARIES = 2 * 4096
 
+# _clear_specks' code for a cell: _CELL if it is true, plus twice its
+# count of true neighbours; a true cell with one neighbour reads _CELL + 2
+_CELL = 128
 
-def _clear_isolated(flat: np.ndarray, neighbours: np.ndarray, pitch: int, connectivity: int) -> None:
+
+def _clear_specks(flat: np.ndarray, code: np.ndarray, pitch: int, connectivity: int, pairs: bool) -> None:
     """Set false every cell of the padded grid `flat` (as laid out by
-    `_runs`) with no true neighbour under `connectivity`, using
-    `neighbours` (one cell per grid cell) as scratch.
+    `_runs`) that has no true neighbour under `connectivity` and, with
+    `pairs`, every cell whose only true neighbour has no other: the one-
+    and two-pixel components. `code` (a uint8 per grid cell) is scratch.
 
-    Each neighbour direction is one OR of the grid, shifted by its offset
-    in the row-after-row layout, over the cells where the shift stays in
-    bounds. A row's first and last cells see a false cell across the row
-    end, the separator or the leading cell, so no row wraps into another.
+    code first holds _CELL for a true cell plus twice its neighbour count:
+    the grid is doubled in place, and each neighbour direction adds it,
+    shifted by its offset in the row-after-row layout, over the cells
+    where the shift stays in bounds. For pairs the grid then holds the
+    true cells with exactly one neighbour, and each direction subtracts
+    it: a cell of a pair drops to _CELL + 1, and every other true cell
+    with a neighbour still reads _CELL + 2 or more (c >= 2 neighbours
+    take off at most c). A row's first and last cells see a false cell
+    across the row end, the separator or the leading cell, so no row
+    wraps into another.
     """
     cells = flat[1:]
+    grid = flat.view(np.uint8)[1:]
     size = len(cells)
-    np.copyto(neighbours, flat[:-1])  # the cell before, false before the first
-    np.logical_or(neighbours[:-1], cells[1:], out=neighbours[:-1])  # the cell after
-    for step in (pitch - 1, pitch, pitch + 1) if connectivity == 8 else (pitch,):
-        span = max(size - step, 0)
-        np.logical_or(neighbours[step:], cells[:span], out=neighbours[step:])  # the row above
-        np.logical_or(neighbours[:span], cells[step:], out=neighbours[:span])  # the row below
-    np.logical_and(cells, neighbours, out=cells)
+    steps = (1, pitch - 1, pitch, pitch + 1) if connectivity == 8 else (1, pitch)
+
+    def each_neighbour(ufunc):
+        for step in steps:
+            span = max(size - step, 0)
+            ufunc(code[step:], grid[:span], out=code[step:])  # the cell step before
+            ufunc(code[:span], grid[step:], out=code[:span])  # the cell step after
+
+    np.multiply(grid, _CELL, out=code)
+    np.add(grid, grid, out=grid)
+    each_neighbour(np.add)
+    if pairs:
+        np.equal(code, _CELL + 2, out=cells)
+        each_neighbour(np.subtract)
+    np.greater_equal(code, _CELL + 2, out=cells)
 
 
 def _touching_runs(starts, stops, pitch: int, connectivity: int) -> tuple[np.ndarray, np.ndarray]:

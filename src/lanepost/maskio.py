@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 import os
 import re
+import stat
 import zlib
 from bisect import bisect_left, bisect_right
 
@@ -43,6 +44,7 @@ from .errors import ImageIOError
 __all__ = ["read_gray", "load_mask", "write_pgm", "write_ppm"]
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_UNSUPPORTED = "unsupported format (want P2/P5 graymap or grayscale PNG)"
 _MAX_PIXELS = 100_000_000
 # The most bytes a file may hold: 5 per pixel of the largest image the
 # decoders accept, and 1 MiB for headers, comments and ancillary chunks.
@@ -51,9 +53,12 @@ _MAX_PIXELS = 100_000_000
 # takes at most 2 bytes per pixel (a filter byte for each row of at least
 # one sample), 5 bytes per 64 KiB stored block and 6 of framing, in chunks
 # whose 12 bytes of overhead stay under 3 bytes per pixel when each holds
-# 8 bytes or more. A longer file is refused, by its size or, for a pipe or
-# a device without one (/dev/zero), once that many bytes have been read.
-_MAX_FILE_BYTES = 5 * _MAX_PIXELS + (1 << 20)
+# 8 bytes or more. A longer file is refused by its size. A pipe or a
+# device has none (/dev/zero): it is refused at once unless it starts as
+# one of those formats, and once it gives more bytes than its header's
+# image may take under the same rule, or than this bound.
+_HEADER_BYTES = 1 << 20
+_MAX_FILE_BYTES = 5 * _MAX_PIXELS + _HEADER_BYTES
 
 
 def read_gray(path) -> np.ndarray:
@@ -105,29 +110,81 @@ def _read_samples(path, dtype, fill):
     except OSError as exc:
         raise ImageIOError(path, f"cannot read file: {exc}") from exc
     with fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size > _MAX_FILE_BYTES:
-            raise ImageIOError(path, f"file too large: {size} bytes, at most {_MAX_FILE_BYTES}")
-        with borrow(size + 1) as buf:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe or a device has no size
+            return _decode(path, _read_stream(path, fh), dtype, fill)
+        if info.st_size > _MAX_FILE_BYTES:
+            raise ImageIOError(path, f"file too large: {info.st_size} bytes, at most {_MAX_FILE_BYTES}")
+        with borrow(info.st_size + 1) as buf:
             try:
                 data = _read_into(fh, buf, _MAX_FILE_BYTES)
             except OSError as exc:
                 raise ImageIOError(path, f"cannot read file: {exc}") from exc
             if data is None:
                 raise ImageIOError(path, f"file too large: more than {_MAX_FILE_BYTES} bytes")
-            if data[: len(_PNG_SIGNATURE)] == _PNG_SIGNATURE:
-                return _decode_png_gray(path, data, dtype, fill)
-            if data[:2] in (b"P2", b"P5"):
-                gray, maxval = _decode_pgm(path, data)
-                out = np.empty(gray.shape, dtype)
-                fill(gray, maxval, out)
-                return out
-    raise ImageIOError(path, "unsupported format (want P2/P5 graymap or grayscale PNG)")
+            return _decode(path, data, dtype, fill)
+
+
+def _decode(path, data, dtype, fill):
+    """_read_samples' result for the file's bytes, by their signature."""
+    if data[: len(_PNG_SIGNATURE)] == _PNG_SIGNATURE:
+        return _decode_png_gray(path, data, dtype, fill)
+    if data[:2] in (b"P2", b"P5"):
+        gray, maxval = _decode_pgm(path, data)
+        out = np.empty(gray.shape, dtype)
+        fill(gray, maxval, out)
+        return out
+    raise ImageIOError(path, _UNSUPPORTED)
+
+
+def _read_stream(path, fh) -> bytes:
+    """The bytes of a file with no size, such as a pipe or a device.
+
+    Reading stops at the first bytes that start neither a PNG signature
+    nor P2/P5, and once more bytes have come than the image its header
+    declares may take under the rule of _MAX_FILE_BYTES (5 per pixel and
+    1 MiB), or than _MAX_FILE_BYTES if that is less. The header is looked
+    for in the first MiB, as a P2/P5 header or a PNG's leading IHDR chunk;
+    until it is found the bound is _MAX_FILE_BYTES.
+    """
+    pieces, n, limit, shape = [], 0, _MAX_FILE_BYTES, None
+    while n <= limit:
+        try:
+            piece = fh.read(min(limit + 1 - n, 1 << 20))
+        except OSError as exc:
+            raise ImageIOError(path, f"cannot read file: {exc}") from exc
+        if not piece:
+            return b"".join(pieces)
+        pieces.append(piece)
+        n += len(piece)
+        if shape is None and n - len(piece) < _HEADER_BYTES:
+            head = b"".join(pieces)
+            if not (_PNG_SIGNATURE.startswith(head[:8]) or head[:2] in (b"P2", b"P5", b"P")):
+                raise ImageIOError(path, _UNSUPPORTED)
+            shape = _stream_shape(head)
+            if shape is not None:
+                limit = min(limit, 5 * max(shape[0] * shape[1], 0) + _HEADER_BYTES)
+    what = f" for a {shape[0]}x{shape[1]} image" if limit < _MAX_FILE_BYTES else ""
+    raise ImageIOError(path, f"file too large: more than {limit} bytes{what}")
+
+
+def _stream_shape(head: bytes):
+    """(width, height) as the header at the start of a file's bytes gives
+    them, or None while it is incomplete or does not parse."""
+    if head[:8] == _PNG_SIGNATURE:
+        if len(head) < 24 or head[12:16] != b"IHDR":
+            return None
+        return int.from_bytes(head[16:20], "big"), int.from_bytes(head[20:24], "big")
+    header = _PGM_HEADER.match(head)  # width and height end in a delimiter
+    try:
+        return None if header is None else (int(header[1]), int(header[2]))
+    except ValueError:
+        return None
 
 
 def _read_into(fh, buf, limit: int):
     """The rest of the file fh: a read-only view of buf when it fits with a
-    byte to spare, else (the file grew, or has no size, as a pipe) bytes of
+    byte to spare, else (the file grew since its size was read) bytes of
     its own; None, once limit + 1 bytes are read, when it holds more than
     limit bytes."""
     n = 0

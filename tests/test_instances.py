@@ -215,24 +215,32 @@ def test_steady_state_labeling_memory_is_bounded():
     assert peak < 128 << 10, peak
 
 
+def cleared_pixels_left(mask, connectivity, min_size):
+    """The pixels of the runs _runs cuts from `mask` with clearing forced on."""
+    pitch = mask.shape[1] + 1
+    starts, stops = instances._runs(mask, pitch, connectivity, min_size)
+    return {divmod(p, pitch) for a, b in zip(starts.tolist(), stops.tolist()) for p in range(a, b)}
+
+
 class TestIsolatedPixelClearing:
-    """On a speckle-dense mask the labeler clears pixels with no neighbour
-    before cutting runs; with min_size > 1 that must not change the result."""
+    """On a speckle-dense mask the labeler clears one-pixel components
+    (min_size > 1) and two-pixel ones (min_size > 2) before cutting runs;
+    that must not change the result."""
 
     @pytest.fixture
     def cleared(self, monkeypatch):
         calls = []
-        clear = instances._clear_isolated
+        clear = instances._clear_specks
 
         def counting(*args):
-            calls.append(args[3])
+            calls.append(args[3:])  # (connectivity, pairs)
             clear(*args)
 
-        monkeypatch.setattr(instances, "_clear_isolated", counting)
+        monkeypatch.setattr(instances, "_clear_specks", counting)
         return calls
 
     @pytest.mark.parametrize("connectivity", [4, 8])
-    @pytest.mark.parametrize("min_size", [0, 1, 2, 15])
+    @pytest.mark.parametrize("min_size", [0, 1, 2, 3, 4, 15])
     def test_forced_clearing_matches_union_find_oracle(self, monkeypatch, cleared, connectivity, min_size):
         monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", 0)
         for seed in range(40):
@@ -248,9 +256,33 @@ class TestIsolatedPixelClearing:
             assert record.pixels.tobytes() == plain.pixels.tobytes(), f"seed {seed}"
             assert record.sizes.tolist() == plain.sizes.tolist(), f"seed {seed}"
         if min_size > 1:
-            assert cleared and set(cleared) == {connectivity}
+            assert cleared and set(cleared) == {(connectivity, min_size > 2)}
         else:
             assert cleared == []
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("min_size", [2, 3])
+    def test_clears_exactly_the_small_components(self, monkeypatch, connectivity, min_size):
+        monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", 0)
+        for seed in range(20):
+            rng = np.random.default_rng([seed, connectivity, min_size, 1])
+            mask = rng.random((int(rng.integers(1, 20)), int(rng.integers(1, 20)))) < rng.uniform(0.05, 0.5)
+            big = [c for c in union_find_components(mask.tolist(), connectivity) if len(c) >= min_size]
+            assert cleared_pixels_left(mask, connectivity, min_size) == set().union(*big), f"seed {seed}"
+
+    def test_diagonal_pair_depends_on_connectivity(self, monkeypatch):
+        monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", 0)
+        mask = np.zeros((4, 4), bool)
+        mask[1, 1] = mask[2, 2] = True
+        assert cleared_pixels_left(mask, 8, 3) == set()  # one pair
+        assert cleared_pixels_left(mask, 8, 2) == {(1, 1), (2, 2)}
+        assert cleared_pixels_left(mask, 4, 2) == set()  # two single pixels
+        assert label_instances(mask, 4, 2) == []
+        (pair,) = label_instances(mask, 8, 2)
+        assert pair.pixels.tolist() == [[1, 1], [2, 2]]
+        anti = np.fliplr(mask)
+        assert cleared_pixels_left(anti, 8, 3) == set()
+        assert cleared_pixels_left(anti, 8, 2) == {(1, 2), (2, 1)}
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_row_ends_do_not_neighbour_each_other(self, monkeypatch, connectivity):
@@ -260,16 +292,58 @@ class TestIsolatedPixelClearing:
         mask[2, 4] = mask[3, 4] = True  # one pixel under the other
         (kept,) = label_instances(mask, connectivity, min_size=2)
         assert kept.pixels.tolist() == [[2, 4], [3, 4]]
+        assert cleared_pixels_left(mask, connectivity, 3) == set()
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_pair_split_by_a_row_end(self, monkeypatch, connectivity):
+        # (0, 3)-(0, 4) is a pair at a row end; (1, 0) follows it in
+        # row-major order but touches neither, and the pair (2, 4)-(3, 0)
+        # exists only across the row end
+        monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", 0)
+        mask = np.zeros((4, 5), bool)
+        mask[0, 3] = mask[0, 4] = mask[1, 0] = True
+        mask[2, 4] = mask[3, 0] = True
+        assert cleared_pixels_left(mask, connectivity, 2) == {(0, 3), (0, 4)}
+        assert cleared_pixels_left(mask, connectivity, 3) == set()
+        (pair,) = label_instances(mask, connectivity, min_size=2)
+        assert pair.pixels.tolist() == [[0, 3], [0, 4]]
+
+    def test_pair_touching_a_third_pixel_diagonally(self, monkeypatch):
+        monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", 0)
+        mask = np.zeros((4, 5), bool)
+        mask[1, 1] = mask[1, 2] = mask[2, 3] = True
+        trio = {(1, 1), (1, 2), (2, 3)}
+        assert cleared_pixels_left(mask, 8, 3) == trio  # one 3-pixel component
+        (kept,) = label_instances(mask, 8, 3)
+        assert kept.pixels.tolist() == [[1, 1], [1, 2], [2, 3]]
+        assert cleared_pixels_left(mask, 4, 3) == set()  # a pair and a single pixel
+        assert cleared_pixels_left(mask, 4, 2) == {(1, 1), (1, 2)}
+        assert label_instances(mask, 4, 3) == []
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_min_size_two_keeps_every_pair(self, monkeypatch, connectivity):
+        # pairs in all four directions, apart from each other and from a
+        # single pixel
+        monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", 0)
+        mask = np.zeros((9, 12), bool)
+        pairs = [((1, 1), (1, 2)), ((1, 5), (2, 5)), ((4, 1), (5, 2)), ((4, 6), (5, 5))]
+        for a, b in pairs:
+            mask[a] = mask[b] = True
+        mask[7, 9] = True
+        kept = [p for a, b in pairs for p in (a, b) if connectivity == 8 or a[0] == b[0] or a[1] == b[1]]
+        assert cleared_pixels_left(mask, connectivity, 2) == set(kept)
+        assert sum(len(i.pixels) for i in label_instances(mask, connectivity, 2)) == len(kept)
+        assert cleared_pixels_left(mask, connectivity, 3) == set()
 
     def test_fires_on_a_speckle_scene_at_the_default_threshold(self, monkeypatch, cleared):
         cfg = default_config()
         mask = generate_scene(SceneParams(noise_rate=0.08), 17, cfg).mask
         assert mask.shape == (360, 480)
         record = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
-        assert cleared == [cfg.connectivity]
+        assert cleared == [(cfg.connectivity, True)]
         monkeypatch.setattr(instances, "_CLEAR_BOUNDARIES", np.inf)
         plain = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
-        assert cleared == [cfg.connectivity]
+        assert cleared == [(cfg.connectivity, True)]
         assert record.pixels.tobytes() == plain.pixels.tobytes()
         assert record.sizes.tolist() == plain.sizes.tolist()
 
@@ -280,22 +354,53 @@ class TestIsolatedPixelClearing:
         assert cleared == []
 
 
+def test_speckle_scene_cuts_only_the_runs_of_three_pixel_components(monkeypatch):
+    # every one- and two-pixel component is cleared before runs are cut,
+    # so the run graph holds only runs of components of 3 pixels or more:
+    # 3,018 runs, where clearing single pixels alone leaves 5,978
+    cfg = default_config()
+    mask = generate_scene(SceneParams(noise_rate=0.08), 504, cfg).mask
+    seen = []
+    touching = instances._touching_runs
+
+    def spy(starts, *args):
+        seen.append(len(starts))
+        return touching(starts, *args)
+
+    monkeypatch.setattr(instances, "_touching_runs", spy)
+    label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+    # a run starts at each pixel whose left neighbour is false
+    big = [c for c in union_find_components(mask.tolist(), cfg.connectivity) if len(c) >= 3]
+    runs = sum(1 for c in big for r, col in c if col == 0 or not mask[r, col - 1])
+    assert seen == [runs] == [3018]
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_steady_state_speckle_labeling_memory_is_bounded():
-    # on a speckle-dense frame the isolated pixels are cleared inside the
-    # pooled grid before runs are cut, so the run arrays scale with the
-    # runs that can survive, not with all the speckle
+    # on a speckle-dense frame the one- and two-pixel components are
+    # cleared inside the pooled grid before runs are cut, so the run arrays
+    # scale with the runs that can survive, not with all the speckle:
+    # labeling peaks at 208 KB (364 KB when only single pixels are
+    # cleared), and cutting the runs at 51 KB, their boundaries, where an
+    # image-sized temporary of one byte per cell would add 173 KB
     cfg = default_config()
     mask = generate_scene(SceneParams(noise_rate=0.08), 504, cfg).mask
     want = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
-    tracemalloc.start()
-    try:
-        got = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(label_segments, mask, cfg.connectivity, cfg.min_instance_size)
     assert got.pixels.tobytes() == want.pixels.tobytes()
     assert got.sizes.tolist() == want.sizes.tolist()
-    assert peak < 512 << 10, peak
+    assert peak < 256 << 10, peak
+    (starts, _), peak = traced_peak(instances._runs, mask, mask.shape[1] + 1, cfg.connectivity, cfg.min_instance_size)
+    assert len(starts) == 3018
+    assert peak < 96 << 10, peak
 
 
 # label_segments of SceneParams(noise_rate=0.08) scene 11 at (min_size,

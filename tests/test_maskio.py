@@ -533,7 +533,9 @@ class TestSamplesInPlace:
 class TestFileBound:
     """No file is read past _MAX_FILE_BYTES: one whose size says more is
     refused unread, and a pipe or device without a size is refused once
-    one byte more has been read."""
+    one byte more has been read. Such a stream is also refused at once if
+    it starts as no supported format, and once it passes its header's
+    image's share of the bound (5 bytes per pixel and 1 MiB)."""
 
     def test_the_bound_covers_the_largest_images_the_decoders_accept(self):
         pixels = maskio._MAX_PIXELS
@@ -596,6 +598,78 @@ class TestFileBound:
             writer.join(timeout=30)
         assert not writer.is_alive()
         assert "file too large: more than 100 bytes" in capsys.readouterr().err
+
+    def test_a_stream_of_zeros_is_refused_after_its_first_read(self):
+        class Zeros:
+            """A file object of zeros without end, as /dev/zero."""
+
+            def __init__(self):
+                self.reads = []
+
+            def read(self, n):
+                self.reads.append(n)
+                return bytes(n)
+
+        zeros = Zeros()
+        with pytest.raises(ImageIOError, match="unsupported format"):
+            maskio._read_stream("zeros", zeros)
+        assert zeros.reads == [1 << 20]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_dev_zero_exits_3_as_an_unsupported_format(self, capsys):
+        assert main(["run", "--mask", "/dev/zero"]) == 3
+        assert "unsupported format" in capsys.readouterr().err
+
+    def test_a_stream_is_refused_when_a_short_start_rules_every_format_out(self):
+        class Trickle:
+            """A pipe that gives one byte a read."""
+
+            def __init__(self, blob):
+                self.blob, self.given = blob, 0
+
+            def read(self, n):
+                piece = self.blob[self.given : self.given + 1]
+                self.given += len(piece)
+                return piece
+
+        for blob, given in ((b"PX" + bytes(99), 2), (b"\x89PNGX" + bytes(99), 5), (b"Q", 1)):
+            trickle = Trickle(blob)
+            with pytest.raises(ImageIOError, match="unsupported format"):
+                maskio._read_stream("trickle", trickle)
+            assert trickle.given == given
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("kind", ["p5", "png"])
+    def test_an_endless_pipe_is_refused_past_its_images_bound(self, tmp_path, kind, capsys):
+        # a 4x5 image may take 5 * 20 bytes and 1 MiB, however large the
+        # global bound
+        if kind == "p5":
+            header = b"P5\n4 5\n255\n"
+        else:
+            header = make_gray_png(np.zeros((5, 4), np.uint8), [0] * 5)[:33]  # signature and IHDR
+        fifo = tmp_path / "frame.fifo"
+        os.mkfifo(fifo)
+        written = []
+
+        def write():
+            with open(fifo, "wb", buffering=0) as fh:  # nothing left to flush on close
+                try:
+                    fh.write(header)
+                    while sum(written) < 64 << 20:
+                        written.append(fh.write(bytes(1 << 16)))
+                except BrokenPipeError:  # the reader stopped at the bound
+                    pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            assert main(["run", "--mask", str(fifo)]) == 3
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        bound = 5 * 20 + (1 << 20)
+        assert f"file too large: more than {bound} bytes for a 4x5 image" in capsys.readouterr().err
+        assert sum(written) < 2 * bound
 
 
 class TestPng:

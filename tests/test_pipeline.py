@@ -117,6 +117,28 @@ class TestCropAndResize:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (shape, margins)
 
+    @pytest.mark.parametrize("shape, margins", [
+        ((590, 1640), (0, 0, 0, 0)),
+        ((590, 1640), (230, 0, 0, 0)),  # whole rows, 1640 / 480 columns
+        ((590, 1640), (10, 20, 40, 40)),
+        ((720, 1280), (0, 0, 0, 0)),
+        ((720, 1280), (0, 0, 160, 160)),  # a whole scale both ways
+        ((720, 1280), (80, 40, 3, 0)),
+    ])
+    def test_camera_widths_match_the_index_rule(self, shape, margins):
+        # CULane (590x1640) and TuSimple (720x1280) frames: every branch of
+        # the crop must pick lo + (i * (hi - lo)) // n on both axes
+        top, bottom, left, right = margins
+        cfg = dataclasses.replace(
+            default_config(), crop_top=top, crop_bottom=bottom, crop_left=left, crop_right=right
+        )
+        mask = np.random.default_rng(list(shape) + list(margins)).random(shape) < 0.3
+        rows = [top + (i * (shape[0] - bottom - top)) // cfg.target_rows for i in range(cfg.target_rows)]
+        cols = [left + (i * (shape[1] - right - left)) // cfg.target_cols for i in range(cfg.target_cols)]
+        got = crop_and_resize(mask, cfg)
+        assert got.dtype == bool
+        assert np.array_equal(got, mask[np.ix_(rows, cols)])
+
     def test_truth_of_every_dtype_and_never_the_input(self):
         # the output is a new boolean array, true where the source pixel is
         # true as astype(bool) reads it: NaN counts as nonzero, -0.0 as
