@@ -55,8 +55,9 @@ _MAX_PIXELS = 100_000_000
 # whose 12 bytes of overhead stay under 3 bytes per pixel when each holds
 # 8 bytes or more. A longer file is refused by its size. A pipe or a
 # device has none (/dev/zero): it is refused at once unless it starts as
-# one of those formats, and once it gives more bytes than its header's
-# image may take under the same rule, or than this bound.
+# one of those formats, once it gives 1 MiB without a complete header,
+# and once it gives more bytes than its header's image may take under the
+# same rule, or than this bound.
 _HEADER_BYTES = 1 << 20
 _MAX_FILE_BYTES = 5 * _MAX_PIXELS + _HEADER_BYTES
 
@@ -144,8 +145,10 @@ def _read_stream(path, fh) -> bytes:
     nor P2/P5, and once more bytes have come than the image its header
     declares may take under the rule of _MAX_FILE_BYTES (5 per pixel and
     1 MiB), or than _MAX_FILE_BYTES if that is less. The header is looked
-    for in the first MiB, as a P2/P5 header or a PNG's leading IHDR chunk;
-    until it is found the bound is _MAX_FILE_BYTES.
+    for in the first MiB, as a P2/P5 header or a PNG's leading IHDR chunk,
+    and a stream that has given that much without one is refused: its
+    header, such as an unterminated P2/P5 comment or a PNG whose first
+    chunk is not IHDR, never completes within the bound's allowance.
     """
     pieces, n, limit, shape = [], 0, _MAX_FILE_BYTES, None
     while n <= limit:
@@ -164,6 +167,8 @@ def _read_stream(path, fh) -> bytes:
             shape = _stream_shape(head)
             if shape is not None:
                 limit = min(limit, 5 * max(shape[0] * shape[1], 0) + _HEADER_BYTES)
+            elif n >= _HEADER_BYTES:
+                raise ImageIOError(path, f"no complete header in the first {_HEADER_BYTES} bytes")
     what = f" for a {shape[0]}x{shape[1]} image" if limit < _MAX_FILE_BYTES else ""
     raise ImageIOError(path, f"file too large: more than {limit} bytes{what}")
 

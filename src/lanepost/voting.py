@@ -24,7 +24,11 @@ delta, and computes the exact vote of only those pairs whose score lies
 within delta of eta. The pairs that merge are still exactly those whose
 vote is below eta. No frame-wide edge list is kept: each block's pairs
 below eta are folded into the running cluster labels as the block is
-decided, so memory is O(n + block) however many pairs merge.
+decided, so memory is O(n + block) however many pairs merge. Nor are the
+pairs inside one cluster scored once it dominates: when more than three
+quarters of the instances still ahead share a label, only the pairs with
+an end outside that cluster are scored, and the frame is done. A pair
+inside it would only join a label to itself, so the labels are the same.
 cluster_instances and vote are the per-instance views of the same core:
 they lay BevInstance points end to end in id order.
 """
@@ -201,6 +205,19 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
     numbered by smallest member, so they are those of the whole sub-eta
     graph, at any block size.
 
+    Each time a block has at least halved the label count since the last
+    such check, at most log2(n) times, the largest cluster among the m
+    positions still ahead is found (`_outside_largest`); the first block
+    is half size, so that the first check comes early. The pairs inside
+    that cluster would all be dropped as same-label pairs. So when
+    scoring only the pairs with an end outside it, at most 2*|O|*m
+    entries for the |O| positions outside, costs fewer than the plain
+    blocks' m(m - 1)/2, just those pairs are scored and decided as
+    above, in chunks of at most a block, and the frame is done. Their
+    scores come from products of other shapes than the plain blocks',
+    but delta bounds any of them, so every pair is still decided as its
+    exact vote decides it.
+
     sizes may have any integer dtype; every size must be positive.
     """
     if not eta > 0:
@@ -210,20 +227,29 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
         return np.zeros(0, dtype=np.intp), 0
     n = len(sizes)
     labels, count = np.arange(n), n
+    position = np.arange(n)
 
-    def candidates(scores, p0):
-        """(k, c, u, v): the block entries (k, c), c >= k, scored below hi
-        whose instances' labels u and v differ."""
-        hit = scores < hi
-        rows, cols = scores.shape
-        u, v = order[p0 : p0 + rows], order[p0 + 1 :]
+    def fold(rows, cols):
+        """Score facing positions rows against cols (slices or ascending
+        index arrays), and fold the facing pairs among them, row before
+        column, that vote below eta into the labels."""
+        nonlocal labels, count
+        scores = _block_scores(factors, rows, cols, scratch)
+        hit = np.flatnonzero(scores < hi)
+        if not len(hit):
+            return
+        k, c = divmod(hit, scores.shape[1])
+        p, q = position[rows][k], position[cols][c]
+        u, v = order[p], order[q]
         if count < n:  # until the first merge, every instance is its own label
             u, v = labels[u], labels[v]
-            hit &= np.not_equal(u[:, None], v[None, :])
-        k, c = divmod(np.flatnonzero(hit), cols)
-        facing = c >= k
-        k, c = k[facing], c[facing]
-        return k, c, u[k], v[c]
+        merge = (p < q) & (u != v)
+        band = merge & (scores.ravel()[hit] >= lo)
+        if band.any():  # the exact votes decide the pairs in the band
+            merge[band] = _pair_votes(lines, p[band], q[band]) < eta
+        if merge.any():
+            merged, count = component_labels(count, u[merge], v[merge])
+            labels = merged[labels]
 
     with np.errstate(all="ignore"):
         order, lines = _facing_lines(points, sizes)
@@ -233,19 +259,42 @@ def cluster_segments(points, sizes, eta: float) -> tuple[np.ndarray, int]:
         else:
             factors, delta = scored
             lo, hi = math.nextafter(eta - delta, -math.inf), math.nextafter(eta + delta, math.inf)
-        with borrow(2 * _block_entries(n), np.float64) as scratch:
+        entries = _block_entries(n)
+        with borrow(2 * entries, np.float64) as scratch:
+            checked = count
             for p0, rows in _block_rows(n):
-                scores = _block_scores(factors, p0, rows, scratch)
-                k, c, u, v = candidates(scores, p0)
-                band = scores[k, c] >= lo
-                if band.any():  # the exact votes decide the pairs in the band
-                    merge = ~band
-                    merge[band] = _pair_votes(lines, p0 + k[band], p0 + 1 + c[band]) < eta
-                    u, v = u[merge], v[merge]
-                if len(u):
-                    merged, count = component_labels(count, u, v)
-                    labels = merged[labels]
+                fold(slice(p0, p0 + rows), slice(p0 + 1, n))
+                ahead = p0 + rows
+                if 2 * count > checked or ahead == n - 1:
+                    continue
+                checked = count
+                apart = _outside_largest(labels[order[ahead:]])
+                if apart is None:
+                    continue
+                # only the pairs with an end outside the largest cluster:
+                # rows outside it against every later position, and
+                # earlier positions inside it against columns outside it
+                outside, inside = ahead + np.flatnonzero(apart), ahead + np.flatnonzero(~apart)
+                step = entries // (n - ahead)  # entries >= n - 1: at least one row
+                for j in range(0, len(outside), step):
+                    chunk = outside[j : j + step]
+                    fold(chunk, slice(chunk[0] + 1, n))
+                    fold(inside[: np.searchsorted(inside, chunk[-1])], chunk)
+                break
     return labels, count
+
+
+def _outside_largest(ahead):
+    """Where ahead, the labels of the m facing positions still to be
+    scored, lies outside its largest cluster (the first, on a tie); or
+    None when scoring only the pairs with an end there, at most 2*|O|*m
+    entries for |O| such positions, would not score fewer than the plain
+    blocks' m(m - 1)/2."""
+    m = len(ahead)
+    counts = np.bincount(ahead)
+    if 4 * (m - int(counts.max())) >= m - 1:
+        return None
+    return ahead != counts.argmax()
 
 
 def _segments(points, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -291,13 +340,15 @@ def _facing_lines(points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np
 def _block_rows(n: int):
     """The blocks (p0, rows) of an n-instance vote matrix's strict upper
     triangle: facing rows p0..p0+rows-1 against columns p0+1..n-1, as many
-    rows as fill _BLOCK_ELEMENTS entries with the columns left."""
-    p0 = 0
+    rows as fill _BLOCK_ELEMENTS entries with the columns left. The first
+    block fills half as many, so that a frame where one cluster soon
+    dominates is found out after fewer rows (`cluster_segments`)."""
+    p0, limit = 0, _BLOCK_ELEMENTS // 2
     while p0 < n - 1:
         cols = n - 1 - p0
-        rows = min(max(1, _BLOCK_ELEMENTS // cols), cols)
+        rows = min(max(1, limit // cols), cols)
         yield p0, rows
-        p0 += rows
+        p0, limit = p0 + rows, _BLOCK_ELEMENTS
 
 
 def _block_entries(n: int) -> int:
@@ -381,14 +432,14 @@ def _score_factors(lines):
     return factors, _BAND * (x_max + float(np.abs(b * h).max())) + _TINY
 
 
-def _block_scores(factors, p0, rows, scratch):
-    """The scores |S_p| + |S_q| of block (p0, rows), as a (rows, cols)
-    view of scratch, which must hold two blocks of float64."""
-    r, c = slice(p0, p0 + rows), slice(p0 + 1, None)
-    cols = factors.shape[1] - 1 - p0
+def _block_scores(factors, rows, cols, scratch):
+    """The scores |S_p| + |S_q| of facing positions rows against cols,
+    each a slice or an index array, as a (len(rows), len(cols)) view of
+    scratch, which must hold twice that many float64."""
+    top, bottom = factors[:, rows], factors[:, cols]
+    rows, cols = top.shape[1], bottom.shape[1]
     s = scratch[: 2 * rows * cols].reshape(2, rows, cols)
-    np.matmul(factors[0:3, r].T, factors[6:9, c], out=s[0])  # (K_top, h, -a*h) . (1, bx, by)
-    np.matmul(factors[4:7, r].T, factors[1:4, c], out=s[1])  # (tx, ty, 1) . (h, -a*h, K_bottom)
+    np.matmul(top[0:3].T, bottom[6:9], out=s[0])  # (K_top, h, -a*h) . (1, bx, by)
+    np.matmul(top[4:7].T, bottom[1:4], out=s[1])  # (tx, ty, 1) . (h, -a*h, K_bottom)
     np.abs(s, out=s)
     return np.add(s[0], s[1], out=s[0])
-

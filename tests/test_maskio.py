@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import threading
@@ -670,6 +671,81 @@ class TestFileBound:
         bound = 5 * 20 + (1 << 20)
         assert f"file too large: more than {bound} bytes for a 4x5 image" in capsys.readouterr().err
         assert sum(written) < 2 * bound
+
+
+# starts of streams whose header never completes: a graymap comment that
+# runs on without a line end, and a PNG whose first chunk is not IHDR
+_HEADERLESS = {
+    "p2-comment": b"P2\n#",
+    "p5-comment": b"P5 4 #",
+    "png-no-ihdr": make_gray_png(np.zeros((5, 4), np.uint8))[:8] + png_chunk(b"tEXt", b"a\0b"),
+}
+
+
+class Headerless:
+    """A stream of `start` and then filler bytes, endless or of `length`
+    bytes, giving at most `piece` bytes a read."""
+
+    def __init__(self, start: bytes, piece: int, length: float = math.inf):
+        self.start, self.piece, self.length, self.reads = start, piece, length, []
+
+    def read(self, n):
+        given = sum(self.reads)
+        n = int(min(n, self.piece, self.length - given))
+        head = self.start[given : given + n]
+        self.reads.append(n)
+        return head + b"x" * (n - len(head))
+
+
+class TestHeaderBound:
+    """A stream without a size whose header has not completed within the
+    bound's allowance for headers (_HEADER_BYTES) is refused there, not
+    read on to _MAX_FILE_BYTES."""
+
+    @pytest.mark.parametrize("kind", sorted(_HEADERLESS))
+    @pytest.mark.parametrize("piece", [1 << 20, 100_000, 1 << 16])
+    def test_an_endless_headerless_stream_is_refused_within_one_read_of_the_allowance(self, kind, piece):
+        stream = Headerless(_HEADERLESS[kind], piece)
+        with pytest.raises(ImageIOError, match=f"no complete header in the first {maskio._HEADER_BYTES} bytes"):
+            maskio._read_stream("headerless", stream)
+        assert sum(stream.reads) <= maskio._HEADER_BYTES + stream.reads[-1]
+        assert sum(stream.reads) - stream.reads[-1] < maskio._HEADER_BYTES
+
+    @pytest.mark.parametrize("kind", sorted(_HEADERLESS))
+    def test_a_short_headerless_stream_is_left_to_the_decoder(self, kind):
+        # a stream that ends before the allowance is read whole, and its
+        # decoder refuses it as it refuses the same bytes from a file
+        start = _HEADERLESS[kind]
+        stream = Headerless(start, 1 << 16, length=maskio._HEADER_BYTES - 1)
+        data = maskio._read_stream("short", stream)
+        assert data == start + b"x" * (maskio._HEADER_BYTES - 1 - len(start))
+        with pytest.raises(ImageIOError, match="headerless"):
+            maskio._decode("headerless", data, np.uint8, None)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_with_an_unterminated_comment_exits_3(self, tmp_path, capsys):
+        fifo = tmp_path / "frame.fifo"
+        os.mkfifo(fifo)
+        written = []
+
+        def write():
+            with open(fifo, "wb", buffering=0) as fh:
+                try:
+                    fh.write(_HEADERLESS["p2-comment"])
+                    while sum(written) < 64 << 20:
+                        written.append(fh.write(b"x" * (1 << 16)))
+                except BrokenPipeError:  # the reader stopped at the allowance
+                    pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            assert main(["run", "--mask", str(fifo)]) == 3
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert f"no complete header in the first {1 << 20} bytes" in capsys.readouterr().err
+        assert sum(written) < 2 << 20
 
 
 class TestPng:

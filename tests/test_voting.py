@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -682,7 +683,7 @@ def score_errors(points, sizes):
     scratch = np.empty(2 * voting._block_entries(n))
     worst = 0.0
     for p0, rows in voting._block_rows(n):
-        scores = voting._block_scores(factors, p0, rows, scratch)
+        scores = voting._block_scores(factors, slice(p0, p0 + rows), slice(p0 + 1, n), scratch)
         votes = exact_block(lines, p0, rows)
         upper = np.triu(np.ones(votes.shape, dtype=bool))
         worst = max(worst, float(np.abs(scores - votes)[upper].max()))
@@ -786,7 +787,7 @@ class TestScoredBlocks:
         _, lines = voting._facing_lines(points, sizes)
         factors, delta = voting._score_factors(lines)
         assert list(voting._block_rows(n)) == [(0, n - 1)]
-        scores = voting._block_scores(factors, 0, n - 1, np.empty(2 * (n - 1) ** 2))
+        scores = voting._block_scores(factors, slice(0, n - 1), slice(1, n), np.empty(2 * (n - 1) ** 2))
         facing = np.triu(np.ones(scores.shape, dtype=bool))
         banded = 0
         for eta in [float(v) for v in picked] + [float(np.nextafter(v, np.inf)) for v in picked]:
@@ -843,3 +844,231 @@ class TestScoredBlocks:
             labels, count = cluster_segments(points, sizes, eta)
             want, want_count = component_labels(2, upper, lower)
             assert (labels.tolist(), count) == (want.tolist(), want_count), eta
+
+
+def dominated_frame(rng, outsiders=9):
+    """(points, sizes) of 40 dashes of one straight divider, which vote
+    near 0 among themselves, and `outsiders` short dashes 8-60 BEV px to
+    either side of it, in shuffled id order: a frame where one cluster
+    dominates once the first rows are decided."""
+    x0, slope = rng.uniform(100.0, 200.0), rng.uniform(-0.2, 0.2)
+    segments = []
+    for k in range(40):
+        ys = 20.0 * k + np.linspace(0.0, 10.0, 4)
+        segments.append(np.stack([x0 + slope * ys + rng.normal(0.0, 0.02, 4), ys], axis=1))
+    for _ in range(outsiders):
+        ys = rng.uniform(0.0, 800.0) + np.linspace(0.0, 10.0, 3)
+        offset = rng.choice([-1.0, 1.0]) * rng.uniform(8.0, 60.0)
+        segments.append(np.stack([x0 + offset + slope * ys + rng.normal(0.0, 0.5, 3), ys], axis=1))
+    segments = [segments[i] for i in rng.permutation(len(segments))]
+    return np.concatenate(segments), np.array([len(s) for s in segments])
+
+
+def random_frame(seed):
+    """(points, sizes, eta) of a random frame: a dominated frame with 0-30
+    outsiders, or random dashes and single points (vote_matrix_cases), at
+    an eta of 5, 20 or 50."""
+    rng = np.random.default_rng([seed, 32])
+    eta = float(rng.choice([5.0, 20.0, 50.0]))
+    if seed % 2:
+        return (*dominated_frame(rng, int(rng.integers(0, 31))), eta)
+    return (*laid_end_to_end(vote_matrix_cases(rng)), eta)
+
+
+@functools.cache
+def exactness_corpus():
+    """(name, points, sizes, eta, labels, count) of the frames the pruned
+    pass is checked on: the 40 golden scenes, the 12 clutter frames, blob
+    grids on a 5, 8 and 12 px pitch and 200 random frames, with labels
+    and count from the reference edge list."""
+    cfg = default_config()
+    h = estimate_homography(cfg.calibration)
+    frames = []
+    for kind, masks in (("golden", [s.mask for s in corpus_scenes()]), ("clutter", clutter_masks())):
+        for i, mask in enumerate(masks):
+            segments = label_segments(mask, cfg.connectivity, cfg.min_instance_size)
+            frames.append((f"{kind} {i}", transform_pixels(h, segments.pixels), segments.sizes, cfg.eta))
+    frames += [(f"grid {pitch}", *blob_grid_frame(pitch), 20.0) for pitch in (5, 8, 12)]
+    frames += [(f"random {seed}", *random_frame(seed)) for seed in range(200)]
+    return [
+        (name, points, sizes, eta, *component_labels(len(sizes), *pairs_below(points, sizes, eta)))
+        for name, points, sizes, eta in frames
+    ]
+
+
+def spy_checks(monkeypatch):
+    """Wrap voting._outside_largest; returns the list of (m, taken) of
+    every check for a dominant cluster: the positions still ahead, and
+    whether the pruned pass was taken."""
+    checks = []
+    real = voting._outside_largest
+
+    def spy(ahead):
+        apart = real(ahead)
+        checks.append((len(ahead), apart is not None))
+        return apart
+
+    monkeypatch.setattr(voting, "_outside_largest", spy)
+    return checks
+
+
+def trace_fold(monkeypatch):
+    """Record, in call order, what cluster_segments does as events:
+    ("check", ahead labels, taken), ("scores", row positions, column
+    positions, scores), ("merge", merged) and ("votes", p, q)."""
+    events = []
+    real_check, real_scores = voting._outside_largest, voting._block_scores
+    real_merge, real_votes = voting.component_labels, voting._pair_votes
+
+    def check(ahead):
+        apart = real_check(ahead)
+        events.append(("check", ahead.copy(), apart is not None))
+        return apart
+
+    def scores(factors, rows, cols, scratch):
+        out = real_scores(factors, rows, cols, scratch)
+        position = np.arange(factors.shape[1])
+        events.append(("scores", position[rows], position[cols], out.copy()))
+        return out
+
+    def merge(n, u, v):
+        merged, count = real_merge(n, u, v)
+        events.append(("merge", merged))
+        return merged, count
+
+    def votes(lines, p, q):
+        events.append(("votes", np.ravel(p), np.ravel(q)))
+        return real_votes(lines, p, q)
+
+    for name, spy in (
+        ("_outside_largest", check),
+        ("_block_scores", scores),
+        ("component_labels", merge),
+        ("_pair_votes", votes),
+    ):
+        monkeypatch.setattr(voting, name, spy)
+    return events
+
+
+def pruned_votes(events, n, lo, hi):
+    """The (p, q) of every exact vote taken after the pruned pass began,
+    once each is checked to join distinct labels as they stand at the
+    vote and to score in [lo, hi) in the block that scored it."""
+    start = next((i for i, event in enumerate(events) if event[0] == "check" and event[2]), None)
+    if start is None:
+        return []
+    labels = events[start][1]  # of positions n - len(labels)..n-1
+    first = n - len(labels)
+    voted = []
+    for event in events[start + 1 :]:
+        if event[0] == "merge":
+            labels = event[1][labels]
+        elif event[0] == "scores":
+            rows, cols, scores = event[1:]
+        elif event[0] == "votes":
+            for p, q in zip(event[1].tolist(), event[2].tolist()):
+                assert labels[p - first] != labels[q - first], (p, q)
+                score = scores[np.searchsorted(rows, p), np.searchsorted(cols, q)]
+                assert lo <= score < hi, (p, q, score, lo, hi)
+                voted.append((p, q))
+    return voted
+
+
+class TestPrunedPass:
+    """Once one cluster dominates the positions still ahead, only the
+    pairs with an end outside it are scored, and the labels stay those
+    of the whole sub-eta graph."""
+
+    @pytest.mark.parametrize("block", [1, 500, 1 << 14])
+    def test_labels_equal_the_reference_edge_list(self, monkeypatch, block):
+        corpus = exactness_corpus()
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+        checks = spy_checks(monkeypatch)
+        taken = {}
+        for name, points, sizes, eta, want, want_count in corpus:
+            checks.clear()
+            labels, count = cluster_segments(points, sizes, eta)
+            assert (labels.tolist(), count) == (want.tolist(), want_count), (block, name)
+            assert len(checks) <= math.log2(max(len(sizes), 1)), (block, name)
+            kind = name.split()[0]
+            taken[kind] = taken.get(kind, 0) + any(t for _, t in checks)
+        # the pass is taken on every clutter frame and grid, and on many
+        # random frames where they take more than one block
+        assert (taken["clutter"], taken["grid"]) == (12, 3), taken
+        assert taken["random"] >= 50 or block == 1 << 14, taken
+
+    def test_single_block_frames_never_check(self, monkeypatch):
+        # every golden scene holds at most 44 instances: one vote block
+        checks = spy_checks(monkeypatch)
+        golden = [frame for frame in exactness_corpus() if frame[0].startswith("golden")]
+        for name, points, sizes, eta, _, _ in golden:
+            assert len(list(voting._block_rows(len(sizes)))) <= 1, name
+            cluster_segments(points, sizes, eta)
+        assert len(golden) == 40 and checks == []
+
+    def test_frames_without_a_dominant_cluster_take_no_pruned_pass(self, monkeypatch):
+        # 20 dashed dividers 100 BEV px apart, 30 dashes each: the labels
+        # halve block after block, and no cluster ever holds 3/4 of what
+        # is left
+        n_lanes, per_lane = 20, 30
+        xs = np.repeat(100.0 * np.tile(np.arange(n_lanes), per_lane), 2)
+        ys = np.repeat(20.0 * np.repeat(np.arange(per_lane), n_lanes), 2) + np.tile([0.0, 10.0], n_lanes * per_lane)
+        points, sizes = np.stack([xs, ys], axis=1), np.full(n_lanes * per_lane, 2)
+        want, want_count = component_labels(len(sizes), *pairs_below(points, sizes, 20.0))
+        checks = spy_checks(monkeypatch)
+        for block in (500, 1 << 14):
+            monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+            checks.clear()
+            labels, count = cluster_segments(points, sizes, 20.0)
+            assert (labels.tolist(), count) == (want.tolist(), want_count) and count == n_lanes
+            assert checks and not any(t for _, t in checks), (block, checks)
+            assert len(checks) <= math.log2(len(sizes))
+
+    @pytest.mark.parametrize("block", [1, 500])
+    def test_band_pairs_inside_the_pruned_pass_are_decided_by_exact_votes(self, monkeypatch, block):
+        # eta on an outsider's smallest vote, and one ulp above it: that
+        # pair alone decides whether the outsider joins, it falls in the
+        # band, and only the pruned pass scores it (both its positions lie
+        # past the first ten rows, which merge the divider at either block
+        # size)
+        monkeypatch.setattr(voting, "_BLOCK_ELEMENTS", block)
+        events = trace_fold(monkeypatch)
+        tried = decided = 0
+        for seed in range(4):
+            points, sizes = dominated_frame(np.random.default_rng([seed, 320]))
+            n = len(sizes)
+            order, lines = voting._facing_lines(points, sizes)
+            _, delta = voting._score_factors(lines)
+            p, q = np.triu_indices(n, 1)
+            votes = voting._pair_votes(lines, p, q)
+            for o in np.flatnonzero(sizes[order] == 3):  # the outsiders' positions
+                k = np.argmin(np.where((p == o) | (q == o), votes, np.inf))
+                if p[k] < 10 or not 3.0 < votes[k] < 80.0:
+                    continue
+                for eta in (float(votes[k]), float(np.nextafter(votes[k], np.inf))):
+                    want, want_count = component_labels(n, *pairs_below(points, sizes, eta))
+                    events.clear()
+                    labels, count = cluster_segments(points, sizes, eta)
+                    assert (labels.tolist(), count) == (want.tolist(), want_count), (seed, eta)
+                    lo, hi = math.nextafter(eta - delta, -math.inf), math.nextafter(eta + delta, math.inf)
+                    tried += 1
+                    decided += (int(p[k]), int(q[k])) in pruned_votes(events, n, lo, hi)
+        assert tried >= 16 and decided == tried, (tried, decided)
+
+    def test_dense_grid_scores_a_fraction_of_its_pairs(self, monkeypatch):
+        # 6912 blobs form one cluster: past the first blocks, only the pairs
+        # with an end outside it are scored
+        points, sizes = blob_grid_frame(5)
+        scored = []
+        real = voting._block_scores
+
+        def spy(factors, rows, cols, scratch):
+            out = real(factors, rows, cols, scratch)
+            scored.append(out.size)
+            return out
+
+        monkeypatch.setattr(voting, "_block_scores", spy)
+        labels, count = cluster_segments(points, sizes, 20.0)
+        n = len(sizes)
+        assert (n * (n - 1) // 2, count) == (23_884_416, 1)
+        assert sum(scored) <= 23_884_416 // 4, sum(scored)
